@@ -342,16 +342,15 @@ func main() {
 }
 
 // runWindowSweep is the shared-extraction fan-out path: the trace is
-// decoded from a file (or simulated) and resolved into dependence records
-// ONCE per decode pass, with every requested window size scheduling those
-// records concurrently (harness.FanOutResolved over a bounded segment
-// ring), so memory never grows with trace length and the per-window cost is
-// the cheap replay half of analysis only — window sweeps share a resolve
-// signature by construction, since renaming and syscall policy are fixed
-// across the sweep. -j bounds the concurrent scheduler count by splitting
-// the windows into groups of that size, one decode (or simulation) +
-// resolution pass per group; 0 analyzes every window in a single pass. The
-// output is one table row per window.
+// decoded from a file (or simulated) and resolved into policy-free
+// dependence records ONCE per decode pass, and every requested window size
+// schedules those records (harness.FanOutResolved: concurrently over a
+// bounded segment ring whose segments the resolver recycles, or inline on
+// one CPU), so memory never grows with trace length and the per-window
+// cost is the cheap replay half of analysis only. -j bounds the concurrent
+// scheduler count by splitting the windows into groups of that size, one
+// decode (or simulation) + resolution pass per group; 0 analyzes every
+// window in a single pass. The output is one table row per window.
 func runWindowSweep(ctx context.Context, base core.Config, sizesArg string, jobs int, traceFile, workload, srcFile, asmFile string, scale int, maxInst uint64, degraded, useMmap bool) {
 	var sizes []int
 	for _, s := range strings.Split(sizesArg, ",") {

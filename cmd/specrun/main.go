@@ -44,11 +44,12 @@
 //
 // Parallelism:
 //
-//	-j N              run up to N workloads concurrently AND fan each
-//	                  workload's trace out to up to N analyzer configs
-//	                  (0 = GOMAXPROCS, the default; -j 1 = the serial
-//	                  reference engine). Every experiment produces
-//	                  identical output at any -j value.
+//	-j N              run up to N workloads concurrently AND schedule
+//	                  each workload's analyzer configs concurrently
+//	                  (0 = GOMAXPROCS, the default; -j 1 = fully serial:
+//	                  every config scheduled inline on the goroutine that
+//	                  simulates). Every experiment produces identical
+//	                  output at any -j value.
 //
 // Profiling:
 //

@@ -47,11 +47,11 @@ import (
 // window displacement, the storage profile and the governor cadence are
 // per-event.
 const (
-	deltaKindSkip    = 0 // NOP, optimistic syscall, perfect-policy branch, destless jump
+	deltaKindSkip    = 0 // NOP, destless jump; in a ShardDelta also an optimistic syscall or perfect-policy branch
 	deltaKindPlace   = 1 // ordinary placement (ALU, FP, load, store)
 	deltaKindJump    = 2 // jump binding a return-address constant
-	deltaKindBranch  = 3 // conditional branch under an imperfect predictor
-	deltaKindSyscall = 4 // conservative syscall firewall
+	deltaKindBranch  = 3 // conditional branch (a DepSegment records every one)
+	deltaKindSyscall = 4 // syscall: a firewall under the conservative policy
 
 	deltaFlagTaken   = 1 << 3
 	deltaFlagImmNeg  = 1 << 4
@@ -468,7 +468,7 @@ func (a *Analyzer) ApplyDelta(d *ShardDelta) (err error) {
 	}
 
 	var rp deltaReplay
-	rp.init(a)
+	rp.init(a, ^deltaStorageTerm, deltaStorageTerm)
 	rp.slots = slots
 	rp.curMem = a.well.memLen()
 	if rerr := rp.run(d.Code); rerr != nil {

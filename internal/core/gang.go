@@ -22,9 +22,11 @@ import (
 //
 // Eligibility (NewSchedulerGang returns nil otherwise): no lifetime or
 // sharing statistics (the gang does not track use counts), no storage
-// profile or governor (per-record tail work), and a uniform branch policy
+// profile or governor (per-record tail work), a uniform branch policy
 // across the group (misprediction decides slot enlivening, so it must be
-// config-invariant for the shared liveness bits to be exact). Window
+// config-invariant for the shared liveness bits to be exact), and a
+// uniform syscall policy and storage-term class mask (the gang decides the
+// firewall and each WAW term once per record, for every config). Window
 // sizes, functional units, latencies and parallelism profiles may all
 // vary per config. Ineligible groups fall back to per-config Schedulers.
 type SchedulerGang struct {
@@ -34,7 +36,6 @@ type SchedulerGang struct {
 	// Config-invariant slot state, indexed by dense slot id.
 	live  []bool
 	isMem []bool
-	locs  []uint32
 
 	// state interleaves each slot's per-config pairs: state[slot*2k + 2c]
 	// is config c's level, state[slot*2k + 2c + 1] its lastUse. One slot's
@@ -43,6 +44,11 @@ type SchedulerGang struct {
 	state []int64
 
 	lat []int64 // lat[op*k + c]: per-config latency tables, interleaved
+
+	// The group's shared storage-term class mask and syscall firewall
+	// (see deltaReplay).
+	termMask uint32
+	firewall bool
 
 	// pred is the gang's single predictor: with a uniform policy every
 	// config's predictor consumes the same branch stream and stays
@@ -77,12 +83,16 @@ func NewSchedulerGang(scheds []*Scheduler) *SchedulerGang {
 		return nil
 	}
 	c0 := &scheds[0].a.cfg
+	rp0 := &scheds[0].rp
 	for _, s := range scheds {
 		a := s.a
 		if a.gov != nil || a.storage != nil || a.cfg.Lifetimes || a.cfg.Sharing {
 			return nil
 		}
 		if a.cfg.Branches != c0.Branches || a.cfg.PredictorBits != c0.PredictorBits {
+			return nil
+		}
+		if s.rp.firewall != rp0.firewall || s.rp.termMask != rp0.termMask {
 			return nil
 		}
 		if a.instructions != 0 || a.finished {
@@ -100,6 +110,9 @@ func NewSchedulerGang(scheds []*Scheduler) *SchedulerGang {
 		winSize: make([]uint64, k),
 		wins:    make([]*windowState, k),
 		fu:      make([]*fuSchedule, k),
+
+		termMask: rp0.termMask,
+		firewall: rp0.firewall,
 	}
 	for op := isa.Op(0); op < isa.NumOps; op++ {
 		for c, s := range scheds {
@@ -138,7 +151,6 @@ func (g *SchedulerGang) Apply(seg *DepSegment) (err error) {
 		}
 	}()
 	for _, loc := range seg.NewLocs {
-		g.locs = append(g.locs, loc)
 		g.live = append(g.live, false)
 		g.isMem = append(g.isMem, loc&deltaMemLoc != 0)
 	}
@@ -192,6 +204,7 @@ func (g *SchedulerGang) run(code []uint32) error {
 	wins := g.wins
 	fu := g.fu
 	pred := g.pred
+	termMask := g.termMask
 
 	seq := g.seq
 	ops := g.ops
@@ -242,8 +255,8 @@ func (g *SchedulerGang) run(code []uint32) error {
 				}
 				dw := code[i+nsrc]
 				i += nsrc + 1
-				di := int(dw &^ deltaStorageTerm)
-				waw := dw&deltaStorageTerm != 0 && live[di]
+				di := int(dw & depSlotMask)
+				waw := dw&termMask != 0 && live[di]
 				if !live[di] {
 					live[di] = true
 					if isMem[di] {
@@ -335,12 +348,12 @@ func (g *SchedulerGang) run(code []uint32) error {
 				// would.
 				wawD := g.wawD[:0]
 				for _, dw := range dsts {
-					di := int(dw &^ deltaStorageTerm)
-					wawD = append(wawD, dw&deltaStorageTerm != 0 && live[di])
+					di := int(dw & depSlotMask)
+					wawD = append(wawD, dw&termMask != 0 && live[di])
 				}
 				g.wawD = wawD
 				for _, dw := range dsts {
-					di := int(dw &^ deltaStorageTerm)
+					di := int(dw & depSlotMask)
 					if !live[di] {
 						live[di] = true
 						if isMem[di] {
@@ -371,7 +384,7 @@ func (g *SchedulerGang) run(code []uint32) error {
 					}
 					for j, dw := range dsts {
 						if wawD[j] {
-							di := int(dw &^ deltaStorageTerm)
+							di := int(dw & depSlotMask)
 							if t := st[di*2*k+c2+1] + 1; t > base {
 								base = t
 							}
@@ -389,7 +402,7 @@ func (g *SchedulerGang) run(code []uint32) error {
 						}
 					}
 					for _, dw := range dsts {
-						di := int(dw &^ deltaStorageTerm)
+						di := int(dw & depSlotMask)
 						st[di*2*k+c2] = ldest
 						st[di*2*k+c2+1] = base
 					}
@@ -473,6 +486,9 @@ func (g *SchedulerGang) run(code []uint32) error {
 			}
 
 		case deltaKindSyscall:
+			if !g.firewall {
+				break // optimistic: the syscall constrains nothing
+			}
 			top := lat[int(isa.SYSCALL)*k:]
 			for c := 0; c < k; c++ {
 				hlc := gangDrain(wins[c], rec, winSize[c], hl[c])
@@ -508,28 +524,19 @@ func (g *SchedulerGang) run(code []uint32) error {
 }
 
 // Seal distributes the gang's terminal state back into every scheduler —
-// per-config slot tables, analyzer scalars, predictor state — so each
+// analyzer scalars, batched profile counts, predictor state — so each
 // Scheduler.Finish observes exactly what a solo replay would have left
-// behind. Use counts stay zero: eligibility excludes every consumer of
-// them (lifetime and sharing statistics).
+// behind. The slot tables stay with the gang: Finish reads slots only to
+// retire lifetime and sharing statistics, which eligibility excludes, so a
+// sealed scheduler can Finish but not Apply.
 func (g *SchedulerGang) Seal() {
 	if g.sealed {
 		return
 	}
 	g.sealed = true
-	k := g.k
 	for c, s := range g.sch {
 		a := s.a
-		s.locs = g.locs
-		slots := make([]deltaSlot, len(g.live))
-		for i := range slots {
-			slots[i] = deltaSlot{
-				val:   value{level: g.state[i*2*k+2*c], lastUse: g.state[i*2*k+2*c+1]},
-				live:  g.live[i],
-				isMem: g.isMem[i],
-			}
-		}
-		s.rp.slots = slots
+		s.sealed = true
 		s.rp.flushHist()
 		a.instructions = g.seq
 		a.highestLevel = g.hl[c]

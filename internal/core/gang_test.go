@@ -22,8 +22,12 @@ func gangRun(t *testing.T, cfgs []Config, events []trace.Event, pts []int) []*Re
 	if g == nil {
 		t.Fatal("config group unexpectedly gang-ineligible")
 	}
-	r := NewResolver(cfgs[0], func(seg *DepSegment) error { return g.Apply(seg) })
-	r.Recycle()
+	var r *Resolver
+	r = NewResolver(cfgs[0], func(seg *DepSegment) error {
+		err := g.Apply(seg)
+		r.Reuse(seg)
+		return err
+	})
 	for i := 1; i < len(pts); i++ {
 		if err := r.Events(events[pts[i-1]:pts[i]]); err != nil {
 			t.Fatalf("resolve [%d:%d): %v", pts[i-1], pts[i], err)
@@ -55,8 +59,7 @@ func gangRun(t *testing.T, cfgs []Config, events []trace.Event, pts []int) []*Re
 // liveness bits, so every policy's enliven pattern must round-trip).
 func TestSchedulerGangDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	group := func(policy BranchPolicy) []Config {
-		base := Dataflow(SyscallConservative)
+	group := func(base Config, policy BranchPolicy) []Config {
 		base.Branches = policy
 		if policy == BranchTwoBit {
 			base.PredictorBits = 4
@@ -75,16 +78,25 @@ func TestSchedulerGangDifferential(t *testing.T) {
 			mk(func(c *Config) { c.UnitLatency = true; c.WindowSize = 64 }),
 		}
 	}
-	for _, policy := range []BranchPolicy{BranchPerfect, BranchStall, BranchStatic, BranchTwoBit} {
-		cfgs := group(policy)
-		for trial := 0; trial < 4; trial++ {
-			events := richTrace(rng, 200+rng.Intn(400))
-			got := gangRun(t, cfgs, events, cuts(rng, len(events)))
-			for i, cfg := range cfgs {
-				want := analyze(t, cfg, events)
-				if !reflect.DeepEqual(got[i], want) {
-					t.Errorf("policy %v trial %d config %d: gang diverged from sequential analyzer\n got: %+v\nwant: %+v",
-						policy, trial, i, got[i], want)
+	// The syscall firewall and storage-term mask are gang-wide: each base
+	// pins one combination of them.
+	bases := []Config{
+		Dataflow(SyscallConservative),
+		{Syscalls: SyscallOptimistic, Profile: true},
+		{Syscalls: SyscallConservative, RenameStack: true, Profile: true},
+	}
+	for bi, base := range bases {
+		for _, policy := range []BranchPolicy{BranchPerfect, BranchStall, BranchStatic, BranchTwoBit} {
+			cfgs := group(base, policy)
+			for trial := 0; trial < 3; trial++ {
+				events := richTrace(rng, 200+rng.Intn(400))
+				got := gangRun(t, cfgs, events, cuts(rng, len(events)))
+				for i, cfg := range cfgs {
+					want := analyze(t, cfg, events)
+					if !reflect.DeepEqual(got[i], want) {
+						t.Errorf("base %d policy %v trial %d config %d: gang diverged from sequential analyzer\n got: %+v\nwant: %+v",
+							bi, policy, trial, i, got[i], want)
+					}
 				}
 			}
 		}
@@ -113,6 +125,11 @@ func TestSchedulerGangEligibility(t *testing.T) {
 	if NewSchedulerGang(scheds(base, windowed)) == nil {
 		t.Error("plain window sweep should be gang-eligible")
 	}
+	opt := Config{Syscalls: SyscallOptimistic, RenameData: true}
+	optFU := Config{Syscalls: SyscallOptimistic, RenameData: true, FunctionalUnits: 4}
+	if NewSchedulerGang(scheds(opt, optFU)) == nil {
+		t.Error("uniform optimistic, data-renamed group should be gang-eligible")
+	}
 	cases := map[string][]*Scheduler{
 		"single scheduler": scheds(base),
 		"lifetimes":        scheds(base, mk(func(c *Config) { c.Lifetimes = true })),
@@ -120,6 +137,8 @@ func TestSchedulerGangEligibility(t *testing.T) {
 		"storage profile":  scheds(base, mk(func(c *Config) { c.StorageProfile = true })),
 		"governed":         scheds(base, mk(func(c *Config) { c.MemBudget = 1 << 20 })),
 		"mixed branches":   scheds(base, mk(func(c *Config) { c.Branches = BranchStall })),
+		"mixed syscalls":   scheds(base, mk(func(c *Config) { c.Syscalls = SyscallOptimistic })),
+		"mixed renaming":   scheds(base, mk(func(c *Config) { c.RenameStack = false })),
 	}
 	for name, ss := range cases {
 		if NewSchedulerGang(ss) != nil {

@@ -19,10 +19,20 @@ import (
 // Slot state (slots, curMem) belongs to the caller: ApplyDelta materializes
 // it from the live well and writes it back per delta, the Scheduler keeps it
 // across segments for the whole trace.
+//
+// The two callers' record streams differ only in how a destination word
+// says whether the Ddest+1 storage term applies: a ShardDelta sets bit 31
+// when its build config decided so, a DepSegment tags the location class
+// and leaves the decision to the scheduler's config. slotMask extracts the
+// slot id and termMask selects the bits that mean "storage term applies";
+// firewall is the syscall policy, since DepSegments carry every syscall.
 type deltaReplay struct {
-	a      *Analyzer
-	slots  []deltaSlot
-	curMem int
+	a        *Analyzer
+	slots    []deltaSlot
+	curMem   int
+	slotMask uint32
+	termMask uint32
+	firewall bool
 	// lat is padded to the full width of the record's 8-bit opcode field
 	// so the (w0>>8)&0xff index provably stays in bounds — the replay loop
 	// pays no bounds check on the latency lookup.
@@ -44,11 +54,15 @@ type deltaReplay struct {
 // rescale-check, small enough to live in the replay struct.
 const histScratch = 64
 
-// init binds the replay to an analyzer and resolves the latency table once;
-// latencies come from the analyzer's config, not the record stream, so ops
-// resolve through the same tables a sequential run uses.
-func (r *deltaReplay) init(a *Analyzer) {
+// init binds the replay to an analyzer and its destination-word encoding
+// and resolves the latency table once; latencies come from the analyzer's
+// config, not the record stream, so ops resolve through the same tables a
+// sequential run uses.
+func (r *deltaReplay) init(a *Analyzer, slotMask, termMask uint32) {
 	r.a = a
+	r.slotMask = slotMask
+	r.termMask = termMask
+	r.firewall = a.cfg.Syscalls != SyscallOptimistic
 	for op := isa.Op(0); op < isa.NumOps; op++ {
 		r.lat[op] = a.cfg.latency(op)
 	}
@@ -122,6 +136,9 @@ func (r *deltaReplay) run(code []uint32) error {
 	pred := a.pred
 	gov := a.gov
 	tailWork := storage != nil || gov != nil
+	slotMask := r.slotMask
+	termMask := r.termMask
+	firewall := r.firewall
 
 	for i := 0; i < len(code); {
 		w0 := code[i]
@@ -190,8 +207,8 @@ func (r *deltaReplay) run(code []uint32) error {
 				}
 				dw := code[i+nsrc]
 				i += nsrc + 1
-				d := &slots[dw&^deltaStorageTerm]
-				if dw&deltaStorageTerm != 0 && d.live && d.val.lastUse+1 > base {
+				d := &slots[dw&slotMask]
+				if dw&termMask != 0 && d.live && d.val.lastUse+1 > base {
 					base = d.val.lastUse + 1
 				}
 				if fu != nil {
@@ -243,8 +260,8 @@ func (r *deltaReplay) run(code []uint32) error {
 					}
 				}
 				for _, dw := range dsts {
-					if dw&deltaStorageTerm != 0 {
-						sl := &slots[dw&^deltaStorageTerm]
+					if dw&termMask != 0 {
+						sl := &slots[dw&slotMask]
 						if sl.live && sl.val.lastUse+1 > base {
 							base = sl.val.lastUse + 1
 						}
@@ -263,7 +280,7 @@ func (r *deltaReplay) run(code []uint32) error {
 				}
 				newVal := value{level: ldest, lastUse: base}
 				for _, dw := range dsts {
-					sl := &slots[dw&^deltaStorageTerm]
+					sl := &slots[dw&slotMask]
 					if sl.live {
 						if retireOn {
 							a.retire(sl.val)
@@ -344,6 +361,9 @@ func (r *deltaReplay) run(code []uint32) error {
 			}
 
 		case deltaKindSyscall:
+			if !firewall {
+				break // optimistic: the syscall constrains nothing
+			}
 			base := hl - 1
 			if anyOps && deepest > base {
 				base = deepest

@@ -10,55 +10,79 @@ import (
 
 // Shared dependence extraction: the expensive half of analysis — event
 // validation, live-well slot resolution, memory-word hashing — depends only
-// on the event stream and the rename/syscall policy, while everything a
-// sweep varies (window size, functional units, branch policy, latencies,
-// profiles, budgets) only affects the cheap max-plus replay. A
-// DependenceResolver therefore consumes the trace once per rename group and
-// compiles it into DepSegments — the same slot-addressed record stream a
-// ShardDelta carries, cut into bounded batches — and any number of
-// Schedulers replay those segments with pure array indexing, one per config.
-// An 8-window Figure 8 sweep costs 1× resolution + 8× scheduling instead of
-// 8× full analysis.
+// on the event stream, while everything a configuration varies (syscall
+// policy, renaming, window size, functional units, branch policy,
+// latencies, profiles, budgets) only affects the cheap max-plus replay. A
+// Resolver therefore consumes a workload's trace once and compiles it into
+// DepSegments — slot-addressed dependence records, cut into bounded
+// batches — and any number of Schedulers replay those segments with pure
+// array indexing, one per config. One resolution serves every
+// configuration: Tables 3 and 4 and a Figure 8 sweep cost 1× resolution +
+// N× scheduling instead of N× full analysis.
+//
+// The records are policy-free. In the placement rule
+//
+//	Ldest = MAX(Lsrc..., highestLevel-1, Ddest+1) + top
+//
+// the syscall and renaming switches only decide whether a syscall raises
+// highestLevel and whether the Ddest+1 term applies, so the resolver
+// decides neither: it always emits syscall records, and it tags every
+// destination word with its location class (register, stack or data
+// memory) instead of a storage-term bit. Each scheduler derives its syscall
+// firewall and a storage-term class mask from its own config. Branch
+// records are likewise always full (PC, direction sign, outcome, source
+// slots); a perfect-branch scheduler consumes and ignores them.
 //
 // Unlike a ShardDelta, the record stream always starts at event 0 with an
 // empty machine, so slot ids are globally dense in first-touch order and a
-// scheduler's slot table is never materialized from a live well: slots start
-// dead and spring to life exactly when a sequential analyzer would first
-// touch the location. Branch records are always emitted in full (PC,
-// direction sign, outcome, source slots) regardless of branch policy — a
-// perfect-branch scheduler consumes and ignores them — so one resolution
-// serves every branch policy in the group; that is why ResolveSig, unlike
-// BuildSig, excludes Branches.
+// scheduler's slot table is never materialized from a live well: slots
+// start dead and spring to life exactly when a sequential analyzer would
+// first touch the location. ShardDelta keeps its own encoding (a
+// pre-decided storage-term bit 31), so the .pgsd format is unaffected.
 
-// ResolveSig identifies the configuration switches compiled into a
-// resolver's record stream. Configs with equal signatures can share one
-// resolution; everything outside the signature is applied at schedule time.
-type ResolveSig struct {
-	Syscalls        SyscallPolicy
-	RenameRegisters bool
-	RenameStack     bool
-	RenameData      bool
-}
+// Destination class tags. A DepSegment destination word is its slot id
+// with exactly one tag set; a scheduler's termMask holds the tags of the
+// classes whose storage dependences (the Ddest+1 term) apply under its
+// renaming switches. The three tags leave 29 bits of slot id, which the
+// resolver guards on first touch (see resolveSlotLimit).
+const (
+	depTagReg   = uint32(1) << 29
+	depTagStack = uint32(1) << 30
+	depTagData  = uint32(1) << 31
+	depSlotMask = depTagReg - 1
 
-// SigOf returns the resolve signature of a config.
-func SigOf(cfg *Config) ResolveSig {
-	return ResolveSig{
-		Syscalls:        cfg.Syscalls,
-		RenameRegisters: cfg.RenameRegisters,
-		RenameStack:     cfg.RenameStack,
-		RenameData:      cfg.RenameData,
+	// resolveSlotLimit is the number of slot ids a resolution can
+	// allocate before an id would reach the tag bits.
+	resolveSlotLimit = depTagReg
+)
+
+// depTermMask returns the class tags whose storage dependences apply
+// under cfg's renaming switches.
+func depTermMask(cfg *Config) uint32 {
+	var m uint32
+	if !cfg.RenameRegisters {
+		m |= depTagReg
 	}
+	if !cfg.RenameStack {
+		m |= depTagStack
+	}
+	if !cfg.RenameData {
+		m |= depTagData
+	}
+	return m
 }
 
 // DepSegment is one bounded batch of the dependence-record stream. Segments
-// are immutable once emitted and are shared read-only by every scheduler in
-// the group.
+// are immutable while consumers hold them and are shared read-only by every
+// scheduler.
 type DepSegment struct {
 	// NewLocs lists the locations first touched in this segment, in slot-id
 	// order: the slot table grows by exactly these entries (register number,
 	// or word address with deltaMemLoc set) before Code replays.
 	NewLocs []uint32
-	// Code is the flat record stream, same encoding as ShardDelta.Code.
+	// Code is the flat record stream: ShardDelta.Code's layout, except that
+	// destination words carry a class tag instead of a storage-term bit and
+	// syscalls are always syscall records.
 	Code []uint32
 	// Events is the number of events compiled into Code.
 	Events uint64
@@ -72,13 +96,12 @@ type ResolveTotals struct {
 	ClassCounts [16]uint64
 }
 
-// resolveSegWords cuts segments at ~512 KB of code: big enough that the
-// per-segment fan-out cost vanishes against replay and that each scheduler
-// gets a long cache-resident quantum between ring switches (on few cores
-// the schedulers time-slice, and every switch refills the slot table),
-// small enough that N schedulers lagging a full ring of segments stay
-// within the memory budget accounting in the harness.
-const resolveSegWords = 128 << 10
+// resolveSegWords cuts segments at 96 KB of code: big enough that the
+// per-segment hand-off cost vanishes against replay, small enough that a
+// trace.DefaultSegRingDepth ring of segments plus the one being filled
+// (~1.7 MB) holds no more than a default trace.Ring of raw events
+// (~1.8 MB).
+const resolveSegWords = 24 << 10
 
 // ResolveSegmentBytes bounds the bytes one emitted DepSegment holds: Code
 // is cut at resolveSegWords plus at most one record of overshoot (a store
@@ -86,6 +109,10 @@ const resolveSegWords = 128 << 10
 // in Code. The harness uses it to fit the segment ring into a memory
 // budget the way trace.RingFootprint fits the event ring.
 const ResolveSegmentBytes = int64(resolveSegWords+160) * 2 * 4
+
+// ErrSlotSpace reports a resolution that touched more distinct locations
+// than a DepSegment can address.
+var ErrSlotSpace = errors.New("resolver slot space exhausted: more than 2^29 distinct locations")
 
 // Resolver is the config-invariant stage-1 pass. It implements trace.Sink
 // and trace.BatchSink, validating events exactly as a sequential analyzer
@@ -95,9 +122,10 @@ const ResolveSegmentBytes = int64(resolveSegWords+160) * 2 * 4
 //
 // On a validation error the records for every event before the bad one are
 // still emitted by Flush, so schedulers observe the same prefix a
-// sequential analyzer would have analyzed before failing.
+// sequential analyzer would have analyzed before failing. Slot-space
+// exhaustion (ErrSlotSpace) is different: the pending segment is dropped,
+// so no record can carry an id that overlaps the class tags.
 type Resolver struct {
-	sig  ResolveSig
 	emit func(*DepSegment) error
 
 	regSlot [isa.NumRegs]int32
@@ -109,35 +137,40 @@ type Resolver struct {
 	slotBase uint32
 	seg      DepSegment
 	totals   ResolveTotals
-	recycle  bool
+	// spare is a segment handed back through Reuse: its arrays back the
+	// next segment and its struct carries the one after.
+	spare *DepSegment
+	// cut is the code length at which a segment is flushed; slot-space
+	// exhaustion zeroes it so the failing event's caller stops at once.
+	cut int
+	err error
 }
 
-// NewResolver starts a resolution for the given signature. Only the
-// signature fields of cfg are consulted; latencies, windows, units and
-// profiles belong to the schedulers. Emitted segments must not be mutated.
+// NewResolver starts a resolution. The records are policy-free, so cfg is
+// unused: it is kept for call-site symmetry with NewScheduler, and any
+// config's schedulers can replay the result. Emitted segments must not be
+// mutated.
 func NewResolver(cfg Config, emit func(*DepSegment) error) *Resolver {
 	r := &Resolver{
-		sig:     SigOf(&cfg),
 		emit:    emit,
 		memSlot: newSlotTable(),
+		cut:     resolveSegWords,
 	}
+	r.seg = newDepSegment()
 	for i := range r.regSlot {
 		r.regSlot[i] = -1
 	}
 	return r
 }
 
-// Sig returns the resolver's signature.
-func (r *Resolver) Sig() ResolveSig { return r.sig }
-
-// Recycle puts the resolver in segment-recycling mode: the backing arrays of
-// an emitted segment are reused for the next one as soon as emit returns,
-// so a full-trace resolution allocates two fixed buffers instead of one pair
-// per segment. Only valid when the emit callback consumes the segment
-// completely before returning — synchronous scheduling does; a ring
-// broadcast, whose consumers hold segment references across emits, must not
-// enable it.
-func (r *Resolver) Recycle() { r.recycle = true }
+// Reuse hands an emitted segment back to the resolver once no consumer
+// references it or its arrays any more; its arrays back a later segment.
+// The emit callback may call it — with the segment it was just given, when
+// it consumes segments synchronously, or with one a bounded ring displaced
+// — so a whole resolution allocates a fixed set of buffers instead of one
+// pair per segment. Without Reuse every segment gets fresh arrays and
+// consumers may keep them.
+func (r *Resolver) Reuse(seg *DepSegment) { r.spare = seg }
 
 // Totals returns the scalar totals accumulated so far. Stable only after
 // the final Flush.
@@ -167,8 +200,19 @@ func (r *Resolver) memSlotID(w uint32) uint32 {
 
 // nextSlot returns the next globally dense slot id: the count of slots
 // allocated in all flushed segments plus those pending in the current one.
+// It is the only place ids are minted, so the slot-space guard runs on
+// first touch only: an id that would reach the class tags poisons the
+// resolver instead, and the placeholder 0 it returns is never emitted.
 func (r *Resolver) nextSlot() uint32 {
-	return r.slotBase + uint32(len(r.seg.NewLocs))
+	id := r.slotBase + uint32(len(r.seg.NewLocs))
+	if id >= resolveSlotLimit {
+		if r.err == nil {
+			r.err = fmt.Errorf("core: event %d: %w", r.totals.Events-1, ErrSlotSpace)
+		}
+		r.cut = 0
+		return 0
+	}
+	return id
 }
 
 // Event implements trace.Sink.
@@ -176,7 +220,10 @@ func (r *Resolver) Event(e *trace.Event) error {
 	if err := r.build(e); err != nil {
 		return err
 	}
-	return r.maybeFlush()
+	if len(r.seg.Code) >= r.cut {
+		return r.Flush()
+	}
+	return nil
 }
 
 // Events implements trace.BatchSink.
@@ -185,7 +232,7 @@ func (r *Resolver) Events(batch []trace.Event) error {
 		if err := r.build(&batch[i]); err != nil {
 			return err
 		}
-		if len(r.seg.Code) >= resolveSegWords {
+		if len(r.seg.Code) >= r.cut {
 			if err := r.Flush(); err != nil {
 				return err
 			}
@@ -194,38 +241,47 @@ func (r *Resolver) Events(batch []trace.Event) error {
 	return nil
 }
 
-func (r *Resolver) maybeFlush() error {
-	if len(r.seg.Code) >= resolveSegWords {
-		return r.Flush()
-	}
-	return nil
-}
-
 // Flush emits the pending segment, if any. The producer calls it once more
-// after the last event to deliver the final partial segment.
+// after the last event to deliver the final partial segment. After slot-space
+// exhaustion it emits nothing and returns the error.
 func (r *Resolver) Flush() error {
+	if r.err != nil {
+		return r.err
+	}
 	if len(r.seg.Code) == 0 && len(r.seg.NewLocs) == 0 {
 		return nil
 	}
 	r.slotBase += uint32(len(r.seg.NewLocs))
-	seg := r.seg
-	if r.recycle {
-		// The callback consumes the segment before returning (Recycle's
-		// contract), so its arrays can back the next segment.
-		err := r.emit(&seg)
-		r.seg = DepSegment{NewLocs: seg.NewLocs[:0], Code: seg.Code[:0]}
-		return err
+	out := r.spare
+	if out == nil {
+		out = new(DepSegment)
 	}
-	// Fresh backing arrays: consumers keep references to emitted segments.
-	r.seg = DepSegment{
+	r.spare = nil
+	*out = r.seg
+	err := r.emit(out)
+	if sp := r.spare; sp != nil {
+		// sp's arrays back the next segment; sp itself stays spare, its
+		// struct reused by the next Flush.
+		r.seg = DepSegment{NewLocs: sp.NewLocs[:0], Code: sp.Code[:0]}
+	} else {
+		r.seg = newDepSegment()
+	}
+	return err
+}
+
+// newDepSegment returns empty segment arrays sized so that a full segment
+// never regrows its code.
+func newDepSegment() DepSegment {
+	return DepSegment{
 		NewLocs: make([]uint32, 0, 256),
 		Code:    make([]uint32, 0, resolveSegWords+256),
 	}
-	return r.emit(&seg)
 }
 
-// build compiles one event, mirroring DeltaBuilder.build except that branch
-// records are always full and syscall handling follows the signature.
+// build compiles one event, mirroring DeltaBuilder.build except that the
+// record leaves every policy decision to the scheduler: syscalls always
+// emit a syscall record, branch records are always full, and destinations
+// carry class tags.
 func (r *Resolver) build(e *trace.Event) error {
 	seq := r.totals.Events
 	if verr := validateEvent(e, seq); verr != nil {
@@ -245,10 +301,6 @@ func (r *Resolver) build(e *trace.Event) error {
 		return nil
 	case e.IsSyscall():
 		r.totals.Syscalls++
-		if r.sig.Syscalls == SyscallOptimistic {
-			r.seg.Code = append(r.seg.Code, w0)
-			return nil
-		}
 		r.seg.Code = append(r.seg.Code, w0|deltaKindSyscall)
 		return nil
 	case info.IsJump:
@@ -305,28 +357,23 @@ func (r *Resolver) build(e *trace.Event) error {
 	}
 
 	ndst := uint32(0)
-	regTerm := uint32(0)
-	if !r.sig.RenameRegisters {
-		regTerm = deltaStorageTerm
-	}
 	var dbuf [2]isa.Reg
 	for _, dst := range regDests(&e.Ins, dbuf[:0]) {
 		if dst == isa.Zero {
 			continue
 		}
-		r.seg.Code = append(r.seg.Code, r.regSlotID(dst)|regTerm)
+		r.seg.Code = append(r.seg.Code, r.regSlotID(dst)|depTagReg)
 		ndst++
 	}
 	if info.IsStore {
 		w0 |= deltaFlagIsStore
-		memTerm := uint32(deltaStorageTerm)
-		if e.Seg == trace.SegStack && r.sig.RenameStack ||
-			e.Seg != trace.SegStack && r.sig.RenameData {
-			memTerm = 0
+		tag := depTagData
+		if e.Seg == trace.SegStack {
+			tag = depTagStack
 		}
 		lo, hi := wordRange(e.MemAddr, e.MemSize)
 		for w := lo; w <= hi; w++ {
-			r.seg.Code = append(r.seg.Code, r.memSlotID(w)|memTerm)
+			r.seg.Code = append(r.seg.Code, r.memSlotID(w)|tag)
 			ndst++
 		}
 	}
@@ -338,19 +385,19 @@ func (r *Resolver) build(e *trace.Event) error {
 // arrive as dependence records instead of trace events. Replay maintains
 // every level-dependent structure — firewall floor, window displacement, FU
 // counting, predictor, governor cadence, histograms — with array indexing
-// only; no hashing, no live well until the final write-back.
+// only; no hashing and no live well.
 type Scheduler struct {
-	a    *Analyzer
-	rp   deltaReplay
-	locs []uint32 // slot id -> location key, for Finish-time write-back
+	a      *Analyzer
+	rp     deltaReplay
+	sealed bool // a SchedulerGang replayed for it; its slots stay there
 }
 
-// NewScheduler creates a scheduler for one config. The caller is
-// responsible for feeding it segments resolved under SigOf(&cfg); the
-// harness groups configs by signature to guarantee that.
+// NewScheduler creates a scheduler for one config. Any resolution can feed
+// it: the scheduler applies its config's syscall firewall and storage-term
+// class mask to the policy-free records itself.
 func NewScheduler(cfg Config) *Scheduler {
 	s := &Scheduler{a: NewAnalyzer(cfg)}
-	s.rp.init(s.a)
+	s.rp.init(s.a, depSlotMask, depTermMask(&s.a.cfg))
 	return s
 }
 
@@ -359,6 +406,9 @@ func (s *Scheduler) Apply(seg *DepSegment) (err error) {
 	a := s.a
 	if a.finished {
 		return errors.New("core: Event after Finish")
+	}
+	if s.sealed {
+		return errors.New("core: Apply on a scheduler sealed by its gang")
 	}
 	start := a.instructions
 	defer func() {
@@ -371,7 +421,6 @@ func (s *Scheduler) Apply(seg *DepSegment) (err error) {
 		}
 	}()
 	for _, loc := range seg.NewLocs {
-		s.locs = append(s.locs, loc)
 		s.rp.slots = append(s.rp.slots, deltaSlot{isMem: loc&deltaMemLoc != 0})
 	}
 	return s.rp.run(seg.Code)
@@ -389,20 +438,17 @@ func (s *Scheduler) Finish(totals ResolveTotals) (*Result, error) {
 	if totals.Events != a.instructions {
 		return nil, fmt.Errorf("core: scheduler replayed %d events but resolver produced %d", a.instructions, totals.Events)
 	}
-	// Write live slots back into the well so Finish observes the same
-	// terminal state — end-of-trace retirement for lifetime/sharing
-	// statistics included — as a sequential run. Slots that stayed dead
-	// (e.g. sources of never-mispredicted branches) must not become live.
-	for i := range s.rp.slots {
-		sl := &s.rp.slots[i]
-		if !sl.live {
-			continue
-		}
-		if loc := s.locs[i]; loc&deltaMemLoc != 0 {
-			a.well.memPut(loc&^deltaMemLoc, sl.val)
-		} else {
-			a.well.regs[loc] = sl.val
-			a.well.regLive[loc] = true
+	// Values still live at the end of the trace die here, exactly as
+	// Analyzer.Finish retires its live well — which for a scheduler's
+	// analyzer stays empty. Slots that stayed dead (e.g. sources of
+	// never-mispredicted branches) hold no value. Retirement feeds only
+	// order-independent distributions, so slot order is as good as well
+	// order.
+	if a.cfg.Lifetimes || a.cfg.Sharing {
+		for i := range s.rp.slots {
+			if sl := &s.rp.slots[i]; sl.live {
+				a.retire(sl.val)
+			}
 		}
 	}
 	a.syscalls += totals.Syscalls

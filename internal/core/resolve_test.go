@@ -50,31 +50,45 @@ func resolveRun(t *testing.T, cfgs []Config, events []trace.Event, pts []int) []
 	return results
 }
 
+// resolveMatrix is the configuration matrix one resolution must serve:
+// deltaConfigs — both syscall policies, lifetimes+sharing, governed and
+// warn-only budgets, branch policies, windows, FUs, latencies — plus each
+// renaming switch on its own, so every storage-term class mask the
+// schedulers derive is exercised against the same class-tagged records.
+func resolveMatrix() []Config {
+	return append(deltaConfigs(),
+		Config{RenameRegisters: true},
+		Config{Syscalls: SyscallOptimistic, RenameStack: true},
+		Config{RenameData: true, Lifetimes: true, Sharing: true},
+	)
+}
+
 // TestResolveDifferentialSequential is the stage-split equivalence pin:
-// resolving a trace once and replaying the record segments through a
-// scheduler produces a Result deep-equal to feeding every event through
-// Analyzer.Event, across the full configuration matrix (windows, FUs,
-// branch policies, profiles, distributions, budgets, latencies) and
-// random segment cuts.
+// resolving a trace ONCE and replaying the record segments through one
+// scheduler per config produces Results deep-equal to feeding every event
+// through Analyzer.Event under that config, across the full configuration
+// matrix — syscall policies and renaming switches included, since the
+// records are policy-free — and random segment cuts.
 func TestResolveDifferentialSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	for ci, cfg := range deltaConfigs() {
-		for trial := 0; trial < 6; trial++ {
-			events := richTrace(rng, 150+rng.Intn(400))
+	cfgs := resolveMatrix()
+	for trial := 0; trial < 8; trial++ {
+		events := richTrace(rng, 150+rng.Intn(400))
+		got := resolveRun(t, cfgs, events, cuts(rng, len(events)))
+		for ci, cfg := range cfgs {
 			want := analyze(t, cfg, events)
-			got := resolveRun(t, []Config{cfg}, events, cuts(rng, len(events)))[0]
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("config %d trial %d: resolver+scheduler diverged from sequential analyzer\n got: %+v\nwant: %+v", ci, trial, got, want)
+			if !reflect.DeepEqual(got[ci], want) {
+				t.Errorf("config %d trial %d: resolver+scheduler diverged from sequential analyzer\n got: %+v\nwant: %+v", ci, trial, got[ci], want)
 			}
 		}
 	}
 }
 
 // TestResolveSharedAcrossConfigs pins the whole point of the split: one
-// resolution (one signature) serves schedulers with different windows,
-// functional units, latencies AND branch policies — the resolver emits
-// full branch records regardless of policy, a perfect-branch scheduler
-// consumes and ignores them.
+// resolution serves schedulers with different windows, functional units,
+// latencies, branch policies, syscall policies and renaming — the resolver
+// emits full branch records and every syscall regardless of policy, and
+// tags destinations by class, so each scheduler applies its own policy.
 func TestResolveSharedAcrossConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	base := Dataflow(SyscallConservative)
@@ -92,12 +106,10 @@ func TestResolveSharedAcrossConfigs(t *testing.T) {
 		mk(func(c *Config) { c.Branches = BranchTwoBit; c.PredictorBits = 4 }),
 		mk(func(c *Config) { c.Branches = BranchStatic; c.WindowSize = 64 }),
 		mk(func(c *Config) { c.UnitLatency = true; c.Lifetimes = true; c.Sharing = true }),
-	}
-	sig := SigOf(&cfgs[0])
-	for i := range cfgs {
-		if got := SigOf(&cfgs[i]); got != sig {
-			t.Fatalf("config %d left the resolve group: %+v vs %+v", i, got, sig)
-		}
+		mk(func(c *Config) { c.Syscalls = SyscallOptimistic }),
+		{Syscalls: SyscallConservative},
+		{Syscalls: SyscallConservative, RenameRegisters: true},
+		{Syscalls: SyscallConservative, RenameRegisters: true, RenameStack: true},
 	}
 	for trial := 0; trial < 4; trial++ {
 		events := richTrace(rng, 300+rng.Intn(300))
@@ -224,5 +236,50 @@ func TestResolverSegmentBounds(t *testing.T) {
 	}
 	if errors.Is(r.Flush(), nil) && r.Totals().Events != uint64(len(events)) {
 		t.Errorf("totals = %d events, want %d", r.Totals().Events, len(events))
+	}
+}
+
+// TestResolverSlotSpaceGuard pins the class-tag headroom: slot ids share a
+// destination word with three class tags, so the resolver must fail before
+// minting an id that reaches them — and must not emit the segment holding
+// the failing event — while ids just below the limit still work.
+func TestResolverSlotSpaceGuard(t *testing.T) {
+	var segs []*DepSegment
+	r := NewResolver(Config{}, func(seg *DepSegment) error {
+		segs = append(segs, seg)
+		return nil
+	})
+	// Three first touches take the last three ids.
+	r.slotBase = resolveSlotLimit - 3
+	ok := evAdd(isa.T0, isa.T1, isa.T2)
+	if err := r.Event(&ok); err != nil {
+		t.Fatalf("event within the slot space: %v", err)
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatalf("flush within the slot space: %v", err)
+	}
+	if len(segs) != 1 {
+		t.Fatalf("%d segments emitted, want 1", len(segs))
+	}
+	code := segs[0].Code
+	if dw := code[len(code)-1]; dw&depSlotMask != resolveSlotLimit-1 || dw&^depSlotMask != depTagReg {
+		t.Fatalf("last destination word %#x: want slot %#x tagged as a register", dw, resolveSlotLimit-1)
+	}
+
+	// The next first touch would need id 2^29.
+	pending := evAdd(isa.T2, isa.T0, isa.T1) // all known: still fine
+	if err := r.Event(&pending); err != nil {
+		t.Fatalf("event touching known slots: %v", err)
+	}
+	over := evAdd(isa.T3, isa.T0, isa.T1)
+	err := r.Event(&over)
+	if !errors.Is(err, ErrSlotSpace) {
+		t.Fatalf("err = %v, want ErrSlotSpace", err)
+	}
+	if err := r.Flush(); !errors.Is(err, ErrSlotSpace) {
+		t.Fatalf("Flush after exhaustion = %v, want the sticky ErrSlotSpace", err)
+	}
+	if len(segs) != 1 {
+		t.Fatalf("%d segments emitted; the segment holding the failing event must be dropped", len(segs))
 	}
 }

@@ -148,10 +148,10 @@ func TestGoldenFigure7(t *testing.T) {
 	checkGolden(t, "figure7.txt", buf.String())
 }
 
-// TestGoldenFigure8 pins the window-size sweep's rendered output. The
-// suite runs multi-worker, so AnalyzeMulti's EngineAuto routes the sweep —
-// one rename group, many window sizes — through the resolved engine: the
-// golden file pins the shared-extraction path against rendered numbers,
+// TestGoldenFigure8 pins the window-size sweep's rendered output.
+// AnalyzeMulti's EngineAuto routes every multi-config analysis — this
+// sweep as well as Tables 3 and 4 — through the resolved engine, so the
+// golden files pin the shared-extraction path against rendered numbers,
 // not just deep-equality to the other engines.
 func TestGoldenFigure8(t *testing.T) {
 	skipUnderRace(t)

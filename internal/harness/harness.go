@@ -6,16 +6,18 @@
 // sharing distributions, and the loop-unrolling ablation).
 //
 // One simulated execution can feed any number of analyzer configurations
-// simultaneously. The default parallel engine streams the simulation
-// through a bounded trace.Ring into one analyzer goroutine per
-// configuration (FanOutStream), so a whole renaming or window sweep costs
-// a single simulation pass per workload, runs on every core, and holds
-// memory proportional to configuration rather than trace length. The
-// legacy buffered engine (record into a trace.EventBuffer, then FanOut to
-// a worker pool) remains selectable via Suite.Engine. With Concurrency 1
-// the suite instead streams events to all analyzers in lockstep during the
-// simulation itself (trace.Tee) — the serial reference engine the
-// differential tests compare both parallel engines against.
+// simultaneously. The default multi-configuration engine resolves the
+// simulation's dependences once (core.Resolver) and schedules the
+// resulting records under every configuration (FanOutResolved), so a whole
+// syscall, renaming or window sweep costs a single simulation and a single
+// resolution per workload and holds memory proportional to configuration
+// rather than trace length. Suite.Engine can pin the other engines: the
+// serial reference engine, which streams events to full analyzers in
+// lockstep during the simulation (trace.Tee); the event ring, which runs
+// one full analyzer goroutine per configuration behind a bounded
+// trace.Ring (FanOutStream); and the legacy buffered engine (record into a
+// trace.EventBuffer, then FanOut to a worker pool). The differential tests
+// hold every engine to the serial reference.
 package harness
 
 import (
@@ -52,11 +54,12 @@ type Suite struct {
 	// analysis is independent, so experiments parallelize perfectly.
 	Parallelism int
 	// Concurrency bounds how many analyzer configurations run concurrently
-	// over one workload's recorded trace (the per-config fan-out inside
-	// AnalyzeMulti); 0 selects GOMAXPROCS. With Concurrency 1 the suite
-	// uses the serial reference engine instead: events stream to every
-	// analyzer in lockstep during the simulation, nothing is buffered.
-	// Both engines produce deeply-equal Results for the same inputs (the
+	// over one workload's trace (the per-config fan-out inside
+	// AnalyzeMulti); 0 selects GOMAXPROCS. With Concurrency 1 the resolved
+	// engine schedules every configuration inline on the goroutine that
+	// simulates and resolves, instead of one scheduler goroutine per
+	// configuration, and the buffered engine's pool has one worker. Every
+	// setting produces deeply-equal Results for the same inputs (the
 	// differential tests enforce this).
 	Concurrency int
 	// ContinueOnError keeps an experiment going when a workload fails:
@@ -92,8 +95,8 @@ type Suite struct {
 	// disables pooling; MemBudget then applies per workload as before.
 	GlobalMemBudget int64
 	// Engine selects the multi-configuration analysis engine; EngineAuto
-	// (the zero value) picks the bounded ring for parallel runs and
-	// streaming when only one configuration or worker is effective.
+	// (the zero value) streams a single configuration and resolves
+	// dependences once for more.
 	Engine EngineKind
 	// RingBatches overrides the ring engine's depth in batches of
 	// trace.DefaultBatchEvents events; 0 selects trace.DefaultRingBatches.
@@ -308,15 +311,15 @@ func (m *bufferMeter) Event(e *trace.Event) error {
 }
 
 // AnalyzeMulti executes one workload once and runs every analyzer
-// configuration over the same trace. With more than one configuration and
-// more than one effective worker (Concurrency, or GOMAXPROCS when it is 0),
-// the simulation streams through a bounded trace.Ring into one analyzer
-// goroutine per configuration (see FanOutStream) — memory stays a function
-// of configuration, not trace length; otherwise events stream to the
-// analyzers in lockstep as they are produced. Suite.Engine can pin the
-// legacy buffered engine (record into a trace.EventBuffer, then FanOut)
-// instead. All engines return deeply-equal Results indexed by
-// configuration; the differential battery enforces it.
+// configuration over the same trace. A single configuration streams
+// events straight into its analyzer. With more, the simulation's
+// dependences are resolved once and the policy-free records scheduled
+// under every configuration (see FanOutResolved) — whatever the mix of
+// syscall policies, renaming, windows or units — with memory a function of
+// configuration, not trace length. Suite.Engine can pin the streaming,
+// ring or buffered engine instead. All engines return deeply-equal Results
+// indexed by configuration, and errors name the caller's configuration
+// index; the differential battery enforces it.
 //
 // Cancelling ctx aborts simulation and analysis within one guard stride
 // (guardEvery events); Suite.WorkloadTimeout expiry surfaces as
@@ -324,40 +327,15 @@ func (m *bufferMeter) Event(e *trace.Event) error {
 // workload's effective memory budget is MemBudget folded with any
 // budget.Pool share on ctx (smaller wins). Under the Degrade policy, an
 // engine whose fixed overhead cannot fit the budget — the buffered
-// engine's growing recording, or a ring smaller than trace.MinRingBatches
-// — re-simulates the workload on the streaming engine instead, marking
-// EngineDowngraded in every result's GovernorStats.
+// engine's growing recording, or an event or segment ring below its
+// minimum depth — re-simulates the workload on the streaming engine
+// instead, marking EngineDowngraded in every result's GovernorStats.
 func (s *Suite) AnalyzeMulti(ctx context.Context, w *workloads.Workload, cfgs []core.Config) ([]*core.Result, error) {
 	memBudget := s.effectiveMemBudget(ctx)
 	cfgs = s.applyBudget(cfgs, memBudget)
 	wctx, cancel := s.workloadContext(ctx)
 	defer cancel()
-	workers := s.Concurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	engine := s.Engine
-	if engine == EngineAuto {
-		// When configs share a rename group — a window, FU or branch
-		// sweep — the resolved engine pays the expensive extraction once
-		// per group. That win is algorithmic, not parallel, so it applies
-		// even with one effective worker: FanOutResolved schedules inline
-		// on single-CPU runtimes instead of spinning up a ring. With one
-		// configuration, or distinct groups and no concurrency to exploit,
-		// stream events straight into the analyzers; otherwise the event
-		// ring fans raw events out.
-		switch {
-		case len(cfgs) == 1:
-			engine = EngineStreaming
-		case len(resolveGroups(cfgs)) < len(cfgs):
-			engine = EngineResolved
-		case workers <= 1:
-			engine = EngineStreaming
-		default:
-			engine = EngineRing
-		}
-	}
-	switch engine {
+	switch s.engineFor(len(cfgs)) {
 	case EngineStreaming:
 		return s.analyzeStreaming(wctx, w, cfgs)
 	case EngineBuffered:
@@ -366,6 +344,21 @@ func (s *Suite) AnalyzeMulti(ctx context.Context, w *workloads.Workload, cfgs []
 		return s.analyzeResolved(wctx, w, cfgs, memBudget)
 	default:
 		return s.analyzeRing(wctx, w, cfgs, memBudget)
+	}
+}
+
+// engineFor resolves Suite.Engine for an analysis of n configurations.
+// EngineAuto streams a single configuration straight into its analyzer and
+// resolves dependences once for any more: the saving is algorithmic, not
+// parallel, so it applies at every worker count.
+func (s *Suite) engineFor(n int) EngineKind {
+	switch {
+	case s.Engine != EngineAuto:
+		return s.Engine
+	case n == 1:
+		return EngineStreaming
+	default:
+		return EngineResolved
 	}
 }
 

@@ -15,14 +15,13 @@ import (
 )
 
 // ResolverStream is the producer's view of a resolved fan-out: a trace.Sink
-// and trace.BatchSink whose events run through one config-invariant
-// core.Resolver and emerge as dependence-record segments delivered to every
-// scheduler — broadcast through a bounded trace.SegRing when schedulers run
-// on their own goroutines, or applied inline on this goroutine on machines
-// with nothing to gain from the ring (see resolvedSerial). The producer
-// writes events exactly as it would into a trace.Ring; with a ring,
-// backpressure applies when the slowest scheduler falls a full ring of
-// segments behind.
+// and trace.BatchSink whose events run through one core.Resolver and emerge
+// as dependence-record segments delivered to every scheduler — broadcast
+// through a bounded trace.SegRing when schedulers run on their own
+// goroutines, or applied inline on this goroutine (see fanOutResolvedSerial).
+// The producer writes events exactly as it would into a trace.Ring; with a
+// ring, backpressure applies when the slowest scheduler falls a full ring
+// of segments behind.
 type ResolverStream struct {
 	res  *core.Resolver
 	ring *trace.SegRing[*core.DepSegment] // nil on the serial path
@@ -45,65 +44,51 @@ func (rs *ResolverStream) SetStats(st trace.ReadStats) {
 	rs.st = st
 }
 
-// resolveGroup is one rename group of a sweep: the configs (by index into
-// the caller's slice) that can share a single resolution.
-type resolveGroup struct {
-	sig  core.ResolveSig
-	idxs []int
-}
-
-// resolveGroups partitions configs by resolve signature, preserving first-
-// appearance order.
-func resolveGroups(cfgs []core.Config) []resolveGroup {
-	var groups []resolveGroup
-	where := make(map[core.ResolveSig]int)
-	for i := range cfgs {
-		sig := core.SigOf(&cfgs[i])
-		gi, ok := where[sig]
-		if !ok {
-			gi = len(groups)
-			where[sig] = gi
-			groups = append(groups, resolveGroup{sig: sig})
-		}
-		groups[gi].idxs = append(groups[gi].idxs, i)
-	}
-	return groups
-}
-
 // FanOutResolved analyzes one event stream under every configuration by
 // resolving dependencies once and scheduling per config: produce feeds
 // events into a ResolverStream, whose resolver compiles them into compact
-// record segments broadcast through a bounded trace.SegRing to one
-// core.Scheduler goroutine per configuration. The expensive half of
-// analysis — validation, live-well hashing, slot resolution — happens once
-// for the whole group instead of once per config; each scheduler replays
-// records with array indexing only.
+// record segments, and one core.Scheduler per configuration replays them.
+// The expensive half of analysis — validation, live-well hashing, slot
+// resolution — happens once for the whole call instead of once per config;
+// each scheduler replays records with array indexing only. The records are
+// policy-free, so any mix of configurations — syscall policies and renaming
+// switches included — shares the one resolution.
 //
-// Every config must share one resolve signature (core.SigOf); callers with
-// mixed groups run one FanOutResolved per group (see Suite.analyzeResolved).
-// depth bounds producer run-ahead in segments (0 selects
-// trace.DefaultSegRingDepth); the serial path holds exactly one segment and
-// ignores depth. Error semantics match FanOutStream: the lowest-index
-// failing configuration decides the error (prefixed "config %d:"), a
-// deadline expiry surfaces as ErrWorkloadTimeout, panics are contained, and
-// a producer failure — which now includes event validation, since the
-// resolver validates for the whole group — is reported once, as itself, not
-// once per configuration.
+// On a multi-CPU runtime segments broadcast through a bounded
+// trace.SegRing to one scheduler goroutine per configuration, and the
+// resolver recycles each segment the ring displaces, so the run holds
+// depth+1 segment buffers whatever the trace length; on a single CPU the
+// schedulers run inline (see fanOutResolvedSerial). depth bounds producer
+// run-ahead in segments (0 selects trace.DefaultSegRingDepth). Error
+// semantics match FanOutStream: the lowest-index failing configuration
+// decides the error (prefixed "config %d:"), a deadline expiry surfaces as
+// ErrWorkloadTimeout, panics are contained, and a producer failure — which
+// includes event validation, since the resolver validates for every
+// config — is reported once, as itself, not once per configuration.
 func FanOutResolved(ctx context.Context, produce func(*ResolverStream) error, cfgs []core.Config, depth int) ([]*core.Result, trace.ReadStats, error) {
+	return fanOutResolved(ctx, produce, cfgs, depth, resolvedSerial())
+}
+
+// fanOutResolved is FanOutResolved with the topology chosen by the caller.
+func fanOutResolved(ctx context.Context, produce func(*ResolverStream) error, cfgs []core.Config, depth int, serial bool) ([]*core.Result, trace.ReadStats, error) {
 	if len(cfgs) == 0 {
 		return nil, trace.ReadStats{}, nil
 	}
-	if g := resolveGroups(cfgs); len(g) != 1 {
-		return nil, trace.ReadStats{}, fmt.Errorf("harness: FanOutResolved configs span %d resolve groups; run one per group", len(g))
-	}
-	if resolvedSerial() {
+	if serial {
 		return fanOutResolvedSerial(ctx, produce, cfgs, depth)
 	}
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ring := trace.NewSegRing[*core.DepSegment](rctx, len(cfgs), depth)
 	rs := &ResolverStream{ring: ring}
-	rs.res = core.NewResolver(cfgs[0], func(seg *core.DepSegment) error { return ring.Send(seg) })
+	rs.res = core.NewResolver(cfgs[0], func(seg *core.DepSegment) error {
+		old, err := ring.Send(seg)
+		if old != nil {
+			// Every scheduler has moved past the displaced segment.
+			rs.res.Reuse(old)
+		}
+		return err
+	})
 
 	// totals is written by the producer goroutine before CloseSend and read
 	// by schedulers only after they observe EOF; the ring's mutex orders
@@ -176,7 +161,9 @@ func FanOutResolved(ctx context.Context, produce func(*ResolverStream) error, cf
 	return results, stats, nil
 }
 
-// scheduleOne drains one ring consumer into one scheduler.
+// scheduleOne drains one ring consumer into one scheduler. It retains
+// nothing from a segment after asking for the next one, which is what lets
+// the resolver recycle displaced segments.
 func scheduleOne(ring *trace.SegRing[*core.DepSegment], i int, cfg core.Config, results []*core.Result, totals *core.ResolveTotals) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -213,18 +200,18 @@ func scheduleOne(ring *trace.SegRing[*core.DepSegment], i int, cfg core.Config, 
 // the producer's goroutine instead of broadcasting segments through a
 // SegRing. On a single-CPU runtime the ring buys no overlap — schedulers
 // would only time-slice against the resolver — while the inline walk keeps
-// each segment cache-resident across all N Apply calls and lets the
-// resolver recycle segment buffers. A variable so the differential tests
-// pin both topologies regardless of the host's core count.
+// each segment cache-resident across all N Apply calls. A variable so the
+// differential tests pin both topologies regardless of the host's core
+// count.
 var resolvedSerial = func() bool { return runtime.GOMAXPROCS(0) == 1 }
 
 // errSchedulersDone aborts the producer once every scheduler has failed;
 // the serial path's analogue of trace.ErrRingDrained.
 var errSchedulersDone = errors.New("harness: every scheduler has failed")
 
-// fanOutResolvedSerial is FanOutResolved without the ring. When the group
-// is gang-eligible (core.NewSchedulerGang), each emitted segment is
-// replayed once for every config by a SchedulerGang and segment buffers
+// fanOutResolvedSerial is FanOutResolved without the ring. When the
+// configs are gang-eligible (core.NewSchedulerGang), each emitted segment
+// is replayed once for every config by a SchedulerGang and segment buffers
 // are recycled — the fastest path by far, since the config-invariant
 // record work is not repeated per config. Otherwise the resolver's emit
 // callback copies each segment into a bounded batch of persistent buffers
@@ -249,6 +236,7 @@ func fanOutResolvedSerial(ctx context.Context, produce func(*ResolverStream) err
 	for i := range cfgs {
 		scheds[i] = core.NewScheduler(cfgs[i])
 	}
+	rs := &ResolverStream{}
 	results := make([]*core.Result, len(cfgs))
 	errs := make([]error, len(cfgs))
 	live := len(cfgs)
@@ -290,6 +278,7 @@ func fanOutResolvedSerial(ctx context.Context, produce func(*ResolverStream) err
 				live = 0
 				return errSchedulersDone
 			}
+			rs.res.Reuse(seg)
 			return nil
 		}
 	} else {
@@ -302,6 +291,7 @@ func fanOutResolvedSerial(ctx context.Context, produce func(*ResolverStream) err
 			b.Events = seg.Events
 			b.NewLocs = append(b.NewLocs[:0], seg.NewLocs...)
 			b.Code = append(b.Code[:0], seg.Code...)
+			rs.res.Reuse(seg)
 			nbatch++
 			if nbatch == len(batch) {
 				return sweep()
@@ -309,10 +299,7 @@ func fanOutResolvedSerial(ctx context.Context, produce func(*ResolverStream) err
 			return nil
 		}
 	}
-
-	rs := &ResolverStream{}
 	rs.res = core.NewResolver(cfgs[0], emit)
-	rs.res.Recycle()
 
 	perr := func() (err error) {
 		defer func() {
@@ -392,20 +379,16 @@ func finishScheduler(s *core.Scheduler, totals core.ResolveTotals) (r *core.Resu
 	return s.Finish(totals)
 }
 
-// analyzeResolved is AnalyzeMulti's shared-extraction engine: configs are
-// partitioned into rename groups and the workload is simulated once per
-// group, each pass resolving dependencies once and fanning record segments
-// out to that group's schedulers. memBudget semantics mirror analyzeRing:
+// analyzeResolved is AnalyzeMulti's shared-extraction engine: the workload
+// is simulated once, its dependences resolved once, and the record
+// segments scheduled under every config. Scheduling runs inline when the
+// suite's Concurrency is 1 or the runtime has one CPU, and on one
+// goroutine per config otherwise. memBudget semantics mirror analyzeRing:
 // the segment ring may spend at most half the budget, and a budget too
 // small for even a trace.MinSegRingDepth ring falls back by policy —
 // Degrade re-runs on the streaming engine and marks EngineDowngraded,
 // FailFast returns a structured budget error, WarnOnly proceeds at the
 // floor.
-//
-// With more than one group, error messages keep their group-local
-// "config %d:" index (EngineAuto only selects this engine for sweeps where
-// sharing exists; explicit multi-group use trades that cosmetic detail for
-// one resolution per group).
 func (s *Suite) analyzeResolved(wctx context.Context, w *workloads.Workload, cfgs []core.Config, memBudget int64) ([]*core.Result, error) {
 	depth := trace.DefaultSegRingDepth
 	if memBudget > 0 {
@@ -437,23 +420,10 @@ func (s *Suite) analyzeResolved(wctx context.Context, w *workloads.Workload, cfg
 			}
 		}
 	}
-	results := make([]*core.Result, len(cfgs))
-	for _, g := range resolveGroups(cfgs) {
-		gcfgs := make([]core.Config, len(g.idxs))
-		for j, idx := range g.idxs {
-			gcfgs[j] = cfgs[idx]
-		}
-		produce := func(rs *ResolverStream) error {
-			_, err := w.Run(s.Scale, s.options(), guardSink(wctx, rs), s.MaxInstr)
-			return err
-		}
-		gres, _, err := FanOutResolved(wctx, produce, gcfgs, depth)
-		if err != nil {
-			return nil, err
-		}
-		for j, idx := range g.idxs {
-			results[idx] = gres[j]
-		}
+	produce := func(rs *ResolverStream) error {
+		_, err := w.Run(s.Scale, s.options(), guardSink(wctx, rs), s.MaxInstr)
+		return err
 	}
-	return results, nil
+	results, _, err := fanOutResolved(wctx, produce, cfgs, depth, s.Concurrency == 1 || resolvedSerial())
+	return results, err
 }

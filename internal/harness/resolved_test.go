@@ -3,10 +3,12 @@ package harness
 // The resolved engine's differential battery: FanOutResolved — resolve the
 // stream once, schedule per config — must produce Results deeply equal to
 // the buffered, streaming and ring engines on clean, damaged/degraded, and
-// governed workloads. `make differential` runs the Differential tests here
+// governed workloads, whatever mix of syscall and renaming policies the
+// configs carry. `make differential` runs the Differential tests here
 // under the race detector, so they double as the data-race audit of the
 // segment broadcast: one resolver goroutine publishing segments that N
-// scheduler goroutines replay concurrently.
+// scheduler goroutines replay concurrently, and recycling the ones the
+// ring displaces.
 
 import (
 	"bytes"
@@ -14,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -24,8 +27,8 @@ import (
 	"paragraph/internal/workloads"
 )
 
-// windowSweepConfigs is the Figure 8 shape: one rename group, many window
-// sizes — the case the resolved engine exists for.
+// windowSweepConfigs is the Figure 8 shape: one syscall and renaming
+// policy, many window sizes — a gang-eligible group.
 func windowSweepConfigs() []core.Config {
 	var cfgs []core.Config
 	for _, size := range []int{1, 32, 128, 2048, 65536, 0} {
@@ -150,19 +153,16 @@ func TestDifferentialResolvedTopologies(t *testing.T) {
 	}
 }
 
-// TestDifferentialResolvedMultiGroup: Suite.AnalyzeMulti under an explicit
-// EngineResolved must partition mixed configs into rename groups, resolve
-// once per group, and scatter results back deep-equal to the streaming
-// engine across the full Table3/Table4/Figure8 union.
-func TestDifferentialResolvedMultiGroup(t *testing.T) {
+// TestDifferentialResolvedMixedPolicies: Suite.AnalyzeMulti under an
+// explicit EngineResolved resolves the Table3/Table4/Figure8 union — both
+// syscall policies, every renaming condition, several windows — once, and
+// every config's Result is deep-equal to the streaming engine's.
+func TestDifferentialResolvedMixedPolicies(t *testing.T) {
 	w, ok := workloads.ByName("xlispx")
 	if !ok {
 		t.Fatal("unknown workload xlispx")
 	}
 	cfgs := sweepConfigs()
-	if g := resolveGroups(cfgs); len(g) < 2 {
-		t.Fatalf("fixture has %d resolve groups; want a mixed sweep", len(g))
-	}
 	ref := NewSuite(1)
 	ref.MaxInstr = 300_000
 	ref.Engine = EngineStreaming
@@ -182,6 +182,50 @@ func TestDifferentialResolvedMultiGroup(t *testing.T) {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("config %d: resolved engine diverged from streaming", i)
 		}
+	}
+}
+
+// TestResolvedErrorNamesCallerIndex pins that a resolved-engine failure
+// names the caller's config index, as the ring engine does — the failing
+// config sits behind configs with other syscall and renaming policies.
+// Both scheduling topologies are forced so the check holds on any host.
+func TestResolvedErrorNamesCallerIndex(t *testing.T) {
+	w, ok := workloads.ByName("naskerx")
+	if !ok {
+		t.Fatal("unknown workload naskerx")
+	}
+	failing := core.Config{Syscalls: core.SyscallConservative, RenameRegisters: true,
+		MemBudget: 1, BudgetPolicy: budget.FailFast}
+	cfgs := []core.Config{
+		core.Dataflow(core.SyscallConservative),
+		core.Dataflow(core.SyscallOptimistic),
+		failing,
+	}
+	for _, tc := range []struct {
+		name   string
+		engine EngineKind
+		serial bool
+	}{
+		{"ring", EngineRing, false},
+		{"resolved/ring", EngineResolved, false},
+		{"resolved/serial", EngineResolved, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			old := resolvedSerial
+			resolvedSerial = func() bool { return tc.serial }
+			defer func() { resolvedSerial = old }()
+			s := NewSuite(1)
+			s.Engine = tc.engine
+			s.MaxInstr = 100_000
+			_, err := s.AnalyzeMulti(context.Background(), w, cfgs)
+			var berr *budget.Error
+			if !errors.As(err, &berr) {
+				t.Fatalf("err = %v, want a budget error", err)
+			}
+			if !strings.HasPrefix(err.Error(), "config 2: ") {
+				t.Errorf("err = %q, want it to name config 2", err)
+			}
+		})
 	}
 }
 
@@ -284,19 +328,6 @@ func TestDifferentialResolvedGoverned(t *testing.T) {
 	}
 }
 
-// TestFanOutResolvedMixedGroupsRejected pins the single-group contract:
-// configs spanning rename groups must be split by the caller.
-func TestFanOutResolvedMixedGroupsRejected(t *testing.T) {
-	cfgs := []core.Config{
-		{Syscalls: core.SyscallConservative},
-		{Syscalls: core.SyscallConservative, RenameRegisters: true},
-	}
-	_, _, err := FanOutResolved(context.Background(), func(*ResolverStream) error { return nil }, cfgs, 0)
-	if err == nil || !strings.Contains(err.Error(), "resolve groups") {
-		t.Fatalf("mixed groups accepted: %v", err)
-	}
-}
-
 // TestFanOutResolvedProducerError: a producer failure mid-stream surfaces
 // as the producer's own error — not rewrapped per config — after the
 // schedulers drain what was already published.
@@ -321,43 +352,100 @@ func TestFanOutResolvedProducerError(t *testing.T) {
 	}
 }
 
-// TestAnalyzeMultiAutoPicksResolved pins EngineAuto's selection: a
-// multi-worker sweep whose configs share a rename group takes the resolved
-// engine and still matches the streaming engine; a sweep with no sharing
-// keeps the event ring.
+// TestAnalyzeMultiAutoPicksResolved pins EngineAuto's selection: one
+// config streams, and any multi-config analysis — a window sweep or
+// Table 4's distinct renaming conditions, with one worker or many — takes
+// the resolved engine and still matches the streaming engine.
 func TestAnalyzeMultiAutoPicksResolved(t *testing.T) {
 	shared := windowSweepConfigs()
-	if g := resolveGroups(shared); len(g) != 1 {
-		t.Fatalf("window sweep spans %d groups, want 1", len(g))
-	}
 	distinct := []core.Config{
 		{Syscalls: core.SyscallConservative},
 		{Syscalls: core.SyscallConservative, RenameRegisters: true},
+		{Syscalls: core.SyscallOptimistic, RenameRegisters: true, RenameStack: true},
 	}
-	if g := resolveGroups(distinct); len(g) != len(distinct) {
-		t.Fatalf("distinct fixture shares groups")
+	for _, workers := range []int{1, 4} {
+		s := NewSuite(1)
+		s.Concurrency = workers
+		if got := s.engineFor(1); got != EngineStreaming {
+			t.Errorf("Concurrency %d, one config: auto picked %v, want streaming", workers, got)
+		}
+		if got := s.engineFor(len(distinct)); got != EngineResolved {
+			t.Errorf("Concurrency %d, %d configs: auto picked %v, want resolved", workers, len(distinct), got)
+		}
 	}
 	w, ok := workloads.ByName("matrixx")
 	if !ok {
 		t.Fatal("unknown workload matrixx")
 	}
-	ref := NewSuite(1)
-	ref.MaxInstr = 200_000
-	ref.Engine = EngineStreaming
-	want, err := ref.AnalyzeMulti(context.Background(), w, shared)
-	if err != nil {
-		t.Fatalf("streaming reference: %v", err)
-	}
-	s := NewSuite(1)
-	s.Concurrency = 4 // EngineAuto with 4 workers and one shared group: resolved
-	s.MaxInstr = 200_000
-	got, err := s.AnalyzeMulti(context.Background(), w, shared)
-	if err != nil {
-		t.Fatalf("auto engine: %v", err)
-	}
-	for i := range got {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("config %d: auto-selected resolved engine diverged from streaming", i)
+	for name, cfgs := range map[string][]core.Config{"shared": shared, "distinct": distinct} {
+		ref := NewSuite(1)
+		ref.MaxInstr = 200_000
+		ref.Engine = EngineStreaming
+		want, err := ref.AnalyzeMulti(context.Background(), w, cfgs)
+		if err != nil {
+			t.Fatalf("%s: streaming reference: %v", name, err)
 		}
+		s := NewSuite(1)
+		s.Concurrency = 4
+		s.MaxInstr = 200_000
+		got, err := s.AnalyzeMulti(context.Background(), w, cfgs)
+		if err != nil {
+			t.Fatalf("%s: auto engine: %v", name, err)
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%s config %d: auto-selected resolved engine diverged from streaming", name, i)
+			}
+		}
+	}
+}
+
+// TestResolvedRingFootprint pins the segment recycling on the ring path:
+// a resolved run allocates segment buffers in proportion to the ring's
+// depth, not to the trace's length. The stream touches a fixed handful of
+// registers, so slot tables stop growing after the first events and the
+// only length-proportional allocation left would be fresh segments; four
+// times the events must cost well under one extra segment per ring slot.
+func TestResolvedRingFootprint(t *testing.T) {
+	old := resolvedSerial
+	resolvedSerial = func() bool { return false }
+	defer func() { resolvedSerial = old }()
+	cfgs := []core.Config{
+		{Syscalls: core.SyscallConservative},
+		{Syscalls: core.SyscallOptimistic, RenameRegisters: true},
+	}
+	const depth = trace.MinSegRingDepth
+	alloc := func(events int) uint64 {
+		produce := func(rs *ResolverStream) error {
+			e := ringTestEvent()
+			batch := make([]trace.Event, 1024)
+			for i := range batch {
+				batch[i] = e
+			}
+			for n := 0; n < events; n += len(batch) {
+				if err := rs.Events(batch); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, _, err := FanOutResolved(context.Background(), produce, cfgs, depth)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0].Instructions != uint64(events) {
+			t.Fatalf("analyzed %d events, want %d", res[0].Instructions, events)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// An ADDI is two code words, so 1M events fill ~60 segments; 4M ~240.
+	short, long := alloc(1<<20), alloc(4<<20)
+	if grow := int64(long) - int64(short); grow > core.ResolveSegmentBytes {
+		t.Errorf("4M events allocated %d bytes more than 1M (%d vs %d); segment buffers are growing with the trace, not the ring depth",
+			grow, long, short)
 	}
 }

@@ -17,8 +17,8 @@ import (
 type EngineKind int
 
 const (
-	// EngineAuto picks for the machine: streaming with one configuration
-	// or one effective worker, otherwise the bounded ring.
+	// EngineAuto streams a single configuration and takes EngineResolved
+	// for more, at every worker count.
 	EngineAuto EngineKind = iota
 	// EngineStreaming is the serial reference engine: one simulation pass
 	// feeds every analyzer in lockstep through trace.Tee.
@@ -28,17 +28,22 @@ const (
 	// Memory is proportional to trace length; kept for the differential
 	// battery and for callers that replay a recording many times.
 	EngineBuffered
-	// EngineRing is the bounded parallel engine: production and analysis
-	// overlap through a trace.Ring, one consumer goroutine per
+	// EngineRing is the bounded full-analyzer engine: production and
+	// analysis overlap through a trace.Ring, one analyzer goroutine per
 	// configuration, with backpressure on the producer. Memory is a
-	// function of configuration, not trace length.
+	// function of configuration, not trace length. EngineAuto no longer
+	// picks it; it stays as an explicit choice and as the differential
+	// reference for EngineResolved.
 	EngineRing
-	// EngineResolved is the shared-extraction engine: one config-invariant
-	// DependenceResolver per rename group consumes the stream once and
-	// broadcasts compact dependence-record segments through a bounded ring
-	// to one cheap Scheduler per configuration (see FanOutResolved). An
-	// 8-config window sweep costs 1× resolution + 8× scheduling instead of
-	// 8× full analysis.
+	// EngineResolved is the shared-extraction engine: one core.Resolver
+	// consumes the stream once and its policy-free dependence records
+	// reach one cheap core.Scheduler per configuration — through a bounded
+	// segment ring whose displaced segments the resolver recycles, or
+	// inline on a single CPU (see FanOutResolved). Tables 3 and 4 cost
+	// 1× resolution + N× scheduling instead of N× full analysis. Simulation
+	// and resolution share one producer goroutine, so for a single
+	// workload on three or more idle cores EngineRing, which spreads full
+	// analysis across cores, may still be faster; that case is unmeasured.
 	EngineResolved
 )
 

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -273,8 +272,8 @@ func (s *Server) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 		Worker string `json:"worker"`
 		WaitMS int64  `json:"wait_ms"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
-		httpError(w, http.StatusBadRequest, "body must be {\"worker\": name, \"wait_ms\": n}")
+	if err := decodeJSON(w, r, &req); err != nil || req.Worker == "" {
+		bodyError(w, err, "body must be {\"worker\": name, \"wait_ms\": n}")
 		return
 	}
 	s.mu.Lock()
@@ -448,8 +447,8 @@ func validateDelta(d *shard.Delta, off *attemptOffer) error {
 // panics and everything else count as one failed attempt and retry.
 func (s *Server) handleLeaseFail(w http.ResponseWriter, r *http.Request) {
 	var req leaseFail
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "body must be {\"reason\", \"permanent\", \"panicked\"}")
+	if err := decodeJSON(w, r, &req); err != nil {
+		bodyError(w, err, "body must be {\"reason\", \"permanent\", \"panicked\"}")
 		return
 	}
 	l := s.takeLease(r.PathValue("id"))

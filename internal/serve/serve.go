@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	mrand "math/rand"
 	"net/http"
@@ -363,8 +364,8 @@ func (s *Server) handleRegisterTrace(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Location string `json:"location"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Location == "" {
-		httpError(w, http.StatusBadRequest, "body must be {\"location\": <path or URL>}")
+	if err := decodeJSON(w, r, &req); err != nil || req.Location == "" {
+		bodyError(w, err, "body must be {\"location\": <path or URL>}")
 		return
 	}
 	ti := TraceInfo{Location: req.Location, Remote: remote.IsURL(req.Location)}
@@ -419,8 +420,8 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		Speculate bool            `json:"speculate"`
 		Priority  int             `json:"priority"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("parsing job: %v", err))
+	if err := decodeJSON(w, r, &req); err != nil {
+		bodyError(w, err, fmt.Sprintf("parsing job: %v", err))
 		return
 	}
 	spec := JobSpec{TraceID: req.Trace, Shards: req.Shards, Degraded: req.Degraded,
@@ -610,6 +611,29 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func httpError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
+}
+
+// maxJSONBody bounds every JSON request body the daemon decodes. Those
+// bodies are small control messages — a trace location, a job spec, a
+// worker name, a failure reason — so 1 MiB is generous; the artifact a
+// worker uploads to /complete is not JSON and is not covered.
+const maxJSONBody = 1 << 20
+
+// decodeJSON decodes r's JSON body into v, reading at most maxJSONBody
+// bytes of it.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
+}
+
+// bodyError answers a request whose body could not be used: 413 when it
+// ran over maxJSONBody, otherwise 400 with msg.
+func bodyError(w http.ResponseWriter, err error, msg string) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+		return
+	}
+	httpError(w, http.StatusBadRequest, msg)
 }
 
 func newID(prefix string) string {

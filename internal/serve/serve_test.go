@@ -611,3 +611,37 @@ func TestDaemonUnknownRoutes(t *testing.T) {
 		t.Error("healthz should be 200")
 	}
 }
+
+// TestDaemonOversizedBodies pins the JSON body limit: a request body over
+// maxJSONBody gets 413 on every JSON endpoint, and an oversized job
+// submission creates no job.
+func TestDaemonOversizedBodies(t *testing.T) {
+	path := writeTraceFile(t, synthTrace(t, 2000, 1))
+	_, api := testServer(t, t.TempDir(), nil)
+	tid := registerTrace(t, api, path)
+	pad := strings.Repeat("x", maxJSONBody)
+
+	for _, tc := range []struct {
+		url  string
+		body any
+	}{
+		{api + "/v1/jobs", map[string]any{"trace": tid, "shards": 2, "padding": pad}},
+		{api + "/v1/traces", map[string]string{"location": path, "padding": pad}},
+		{api + "/v1/leases", map[string]string{"worker": "w1", "padding": pad}},
+		{api + "/v1/leases/l1/fail", map[string]string{"reason": pad}},
+	} {
+		if code, raw := postJSON(t, tc.url, tc.body, nil); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413: %.200s", tc.url, len(pad), code, raw)
+		}
+	}
+	var jobs []JobView
+	if code, raw := getJSON(t, api+"/v1/jobs", &jobs); code != http.StatusOK || len(jobs) != 0 {
+		t.Errorf("after oversized submit: status %d, %d jobs, want none: %s", code, len(jobs), raw)
+	}
+	var traces []TraceInfo
+	if code, raw := getJSON(t, api+"/v1/traces", &traces); code != http.StatusOK || len(traces) != 1 {
+		t.Errorf("after oversized register: status %d, %d traces, want 1: %s", code, len(traces), raw)
+	}
+	// A body under the limit still works.
+	submitJob(t, api, tid, testConfig, 2)
+}

@@ -10,18 +10,20 @@ import (
 
 // SegRing is Ring's protocol generalized over the element type: a bounded,
 // single-producer, multi-consumer broadcast buffer holding one item per
-// slot. The resolved sweep engine uses it to fan dependence-record segments
-// from one resolver out to N schedulers — items there are ~128 KB segment
-// pointers, so a handful of slots bounds producer run-ahead the same way
+// slot. The resolved engine uses it to fan dependence-record segments from
+// one resolver out to N schedulers — items there are pointers to ~128 KB
+// segments, so a handful of slots bounds producer run-ahead the same way
 // Ring's batch slots do for raw events, and memory stays a function of
 // depth, never of trace length.
 //
 // The synchronization protocol is identical to Ring's: the producer blocks
 // while the slowest live consumer is a full ring behind, consumers release
 // a slot by asking for the next item, Close deregisters a consumer, and a
-// bound context unblocks everyone. Unlike Ring, slots are not recycled
-// in place — items are immutable values handed off by reference — so a
-// consumer may retain an item after advancing past it.
+// bound context unblocks everyone. Items are handed off by reference, and
+// Send returns the item its slot displaces — one every live consumer has
+// released — so a producer can recycle it (the resolver reuses a displaced
+// segment's arrays). A consumer must therefore not retain an item after
+// asking for the next one or closing.
 type SegRing[T any] struct {
 	ctx       context.Context
 	stopWatch func() bool
@@ -102,20 +104,23 @@ func (r *SegRing[T]) minPos() (min int64, ok bool) {
 }
 
 // Send publishes one item, blocking while the slowest consumer is a full
-// ring behind. Once every consumer has closed it returns ErrRingDrained —
-// a stop signal, not a failure.
-func (r *SegRing[T]) Send(item T) error {
+// ring behind, and returns the item the new one displaced from its slot
+// (the zero value while the ring is filling). Every live consumer has
+// advanced past the displaced item, so the producer may reuse it. Once
+// every consumer has closed Send returns ErrRingDrained — a stop signal,
+// not a failure.
+func (r *SegRing[T]) Send(item T) (displaced T, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
 		if err := r.ctx.Err(); err != nil {
-			return fmt.Errorf("trace: ring send canceled at item %d: %w", r.head, err)
+			return displaced, fmt.Errorf("trace: ring send canceled at item %d: %w", r.head, err)
 		}
 		if r.closed {
-			return errors.New("trace: ring send after CloseSend")
+			return displaced, errors.New("trace: ring send after CloseSend")
 		}
 		if r.ndone == len(r.pos) {
-			return fmt.Errorf("%w (at item %d)", ErrRingDrained, r.head)
+			return displaced, fmt.Errorf("%w (at item %d)", ErrRingDrained, r.head)
 		}
 		min, ok := r.minPos()
 		if !ok || r.head-min < int64(r.nslots) {
@@ -123,10 +128,11 @@ func (r *SegRing[T]) Send(item T) error {
 		}
 		r.cond.Wait()
 	}
-	r.slots[r.head%int64(r.nslots)] = item
+	i := r.head % int64(r.nslots)
+	displaced, r.slots[i] = r.slots[i], item
 	r.head++
 	r.cond.Broadcast()
-	return nil
+	return displaced, nil
 }
 
 // Count returns the number of items published so far.
@@ -183,8 +189,9 @@ func (r *SegRing[T]) Consumer(i int) *SegConsumer[T] {
 }
 
 // Next returns the next item in stream order, blocking until the producer
-// publishes one. Asking for the next item is what releases the current
-// slot for reuse. At a clean end of stream Next returns io.EOF; a producer
+// publishes one. The item stays valid until the following Next or Close
+// call: asking for the next item is what releases the current one for the
+// producer to reuse. At a clean end of stream Next returns io.EOF; a producer
 // failure surfaces as a *RingProducerError after every item published
 // before the failure has been delivered.
 func (c *SegConsumer[T]) Next() (T, error) {
@@ -217,8 +224,8 @@ func (c *SegConsumer[T]) Next() (T, error) {
 
 // Close deregisters the consumer: it stops gating the producer's progress,
 // which may unblock a producer waiting on this consumer (or fail it with
-// ErrRingDrained once no consumers remain). Idempotent; draining to EOF
-// makes it a no-op but still safe.
+// ErrRingDrained once no consumers remain), and releases the item it holds.
+// Idempotent; draining to EOF makes it a no-op but still safe.
 func (c *SegConsumer[T]) Close() {
 	r := c.r
 	r.mu.Lock()

@@ -37,7 +37,7 @@ func TestSegRingBroadcastOrder(t *testing.T) {
 		}(id)
 	}
 	for i := 0; i < items; i++ {
-		if err := r.Send(i); err != nil {
+		if _, err := r.Send(i); err != nil {
 			t.Fatalf("Send(%d): %v", i, err)
 		}
 	}
@@ -65,12 +65,12 @@ func TestSegRingBackpressure(t *testing.T) {
 	defer c.Close()
 
 	for i := 0; i < depth; i++ {
-		if err := r.Send(i); err != nil {
+		if _, err := r.Send(i); err != nil {
 			t.Fatalf("Send(%d): %v", i, err)
 		}
 	}
 	blocked := make(chan error, 1)
-	go func() { blocked <- r.Send(depth) }()
+	go func() { _, err := r.Send(depth); blocked <- err }()
 	select {
 	case err := <-blocked:
 		t.Fatalf("Send returned (%v) with a full ring and a stalled consumer", err)
@@ -100,7 +100,7 @@ func TestSegRingProducerError(t *testing.T) {
 	r := NewSegRing[int](context.Background(), 1, 8)
 	boom := errors.New("boom")
 	for i := 0; i < 3; i++ {
-		if err := r.Send(i); err != nil {
+		if _, err := r.Send(i); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
 	}
@@ -127,7 +127,7 @@ func TestSegRingDrained(t *testing.T) {
 	r := NewSegRing[int](context.Background(), 2, 4)
 	r.Consumer(0).Close()
 	r.Consumer(1).Close()
-	if err := r.Send(1); !errors.Is(err, ErrRingDrained) {
+	if _, err := r.Send(1); !errors.Is(err, ErrRingDrained) {
 		t.Fatalf("Send with no consumers = %v; want ErrRingDrained", err)
 	}
 }
@@ -141,7 +141,7 @@ func TestSegRingCancel(t *testing.T) {
 	prod := make(chan error, 1)
 	go func() {
 		for i := 0; ; i++ {
-			if err := r.Send(i); err != nil {
+			if _, err := r.Send(i); err != nil {
 				prod <- err
 				return
 			}
@@ -176,7 +176,101 @@ func TestSegRingCancel(t *testing.T) {
 func TestSegRingSendAfterClose(t *testing.T) {
 	r := NewSegRing[int](context.Background(), 1, 4)
 	r.CloseSend(nil)
-	if err := r.Send(1); err == nil {
+	if _, err := r.Send(1); err == nil {
 		t.Fatal("Send after CloseSend succeeded")
 	}
+}
+
+// TestSegRingDisplacedNeverHeld pins the recycling contract Send's return
+// value rests on: the item a Send displaces is never one a live consumer
+// still holds. Each consumer publishes the item it holds; the producer
+// checks every displaced item against those and then scribbles over it,
+// so under -race a consumer still reading a displaced item is a reported
+// race as well as a content mismatch. Consumers run at different speeds
+// and one leaves early, so the slowest live consumer keeps changing.
+func TestSegRingDisplacedNeverHeld(t *testing.T) {
+	type item struct {
+		seq  int
+		data [8]int
+	}
+	const items, consumers, depth = 2000, 4, 3
+	r := NewSegRing[*item](context.Background(), consumers, depth)
+
+	var mu sync.Mutex
+	held := make([]*item, consumers)
+	var wg sync.WaitGroup
+	for id := 0; id < consumers; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			c := r.Consumer(id)
+			defer func() {
+				mu.Lock()
+				held[id] = nil
+				mu.Unlock()
+				c.Close()
+			}()
+			for n := 0; ; n++ {
+				// Asking for the next item releases the held one.
+				mu.Lock()
+				held[id] = nil
+				mu.Unlock()
+				it, err := c.Next()
+				if err == io.EOF {
+					return
+				}
+				if err != nil {
+					t.Errorf("consumer %d: %v", id, err)
+					return
+				}
+				mu.Lock()
+				held[id] = it
+				mu.Unlock()
+				for _, v := range it.data {
+					if v != it.seq {
+						t.Errorf("consumer %d: item %d overwritten while held (saw %d)", id, it.seq, v)
+						return
+					}
+				}
+				if n%(id+1) == 0 {
+					time.Sleep(time.Duration(id) * time.Microsecond)
+				}
+				if id == consumers-1 && n == items/3 {
+					return // an early leaver stops gating the producer
+				}
+			}
+		}(id)
+	}
+
+	var free []*item
+	for i := 0; i < items; i++ {
+		it := &item{}
+		if n := len(free); n > 0 {
+			it, free = free[n-1], free[:n-1]
+		}
+		it.seq = i
+		for j := range it.data {
+			it.data[j] = i
+		}
+		old, err := r.Send(it)
+		if err != nil {
+			t.Fatalf("Send(%d): %v", i, err)
+		}
+		if old == nil {
+			continue
+		}
+		mu.Lock()
+		for id, h := range held {
+			if h == old {
+				t.Errorf("Send(%d) displaced item %d, still held by consumer %d", i, old.seq, id)
+			}
+		}
+		mu.Unlock()
+		for j := range old.data {
+			old.data[j] = -1
+		}
+		free = append(free, old)
+	}
+	r.CloseSend(nil)
+	wg.Wait()
 }
