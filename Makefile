@@ -22,17 +22,18 @@ race:
 	$(GO) test -race -skip Differential ./...
 
 # The equivalence proofs under the race detector: every workload's recorded
-# trace analyzed by the serial and parallel engines, and monolithically vs
-# in N chunk-aligned shards (internal/shard), across the paper's
-# configuration sweeps, compared for deep equality. This is also the
-# data-race audit of the fan-out worker pool and the shard pipeline.
+# trace analyzed by per-config sequential analyzers and by the resolved
+# engine on both scheduling topologies, and monolithically vs in N
+# chunk-aligned shards (internal/shard), across the paper's configuration
+# sweeps, compared for deep equality. This is also the data-race audit of
+# the segment broadcast and the shard pipeline.
 differential:
 	$(GO) test -race -run Differential ./...
 
 # Short coverage-guided runs of the trace-reader, reader-equivalence,
-# trace-splitter, speculative-equivalence and autosave-log-recovery fuzzers
-# on top of their seed corpora. Minimization is bounded so the budget is
-# spent fuzzing.
+# trace-splitter, speculative-equivalence, shard-delta-reader and
+# autosave-log-recovery fuzzers on top of their seed corpora. Minimization
+# is bounded so the budget is spent fuzzing.
 fuzz:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzTraceReader \
 		-fuzztime 10s -fuzzminimizetime 20x
@@ -42,20 +43,20 @@ fuzz:
 		-fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/shard/ -run '^$$' -fuzz FuzzSpeculativeEquivalence \
 		-fuzztime 10s -fuzzminimizetime 20x
+	$(GO) test ./internal/shard/ -run '^$$' -fuzz FuzzReadDelta \
+		-fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./cmd/specrun/ -run '^$$' -fuzz FuzzStoreRecovery \
 		-fuzztime 10s -fuzzminimizetime 20x
 
-# Serial-vs-parallel engine and sharded-analysis benchmarks, captured as
+# Serial-vs-parallel suite and sharded-analysis benchmarks, captured as
 # JSON for regression tracking (see README "Performance").
 bench:
-	$(GO) test -run '^$$' -bench 'FanOut|SuiteEngines|ShardedAnalysis' -benchmem -json . \
+	$(GO) test -run '^$$' -bench 'SuiteEngines|ShardedAnalysis' -benchmem -json . \
 		| tee BENCH_parallel.json
 	$(GO) test -run '^$$' -bench 'HotPath|AnalyzerThroughput' -benchmem -json . \
 		| tee BENCH_hotpath.json
 	$(GO) test -run '^$$' -bench 'SpeculativeShards' -benchmem -json . \
 		| tee BENCH_speculate.json
-	$(GO) test -run '^$$' -bench 'BoundedReplay' -benchmem -json . \
-		| tee BENCH_memory.json
 	$(GO) test -run '^$$' -bench 'WindowSweep' -benchmem -json . \
 		| tee BENCH_sweep.json
 

@@ -260,64 +260,6 @@ func BenchmarkAnalyzerThroughput(b *testing.B) {
 	b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkFanOut measures the parallel analysis engine against the serial
-// reference on the same pre-recorded trace: xlispx is simulated once into an
-// EventBuffer, then the Table3+Table4+Figure8 configuration union (10
-// analyzer configs) replays it with one worker versus a GOMAXPROCS pool.
-// The serial/parallel ratio is the headline speedup in README's
-// "Performance" section; `make bench` captures it in BENCH_parallel.json.
-func BenchmarkFanOut(b *testing.B) {
-	w, _ := workloads.ByName("xlispx")
-	prog, err := w.Build(*benchScale, minic.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := &trace.EventBuffer{}
-	m, err := cpu.New(prog, cpu.WithTrace(buf))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := m.Run(0); err != nil {
-		b.Fatal(err)
-	}
-
-	var cfgs []core.Config
-	for _, p := range []core.SyscallPolicy{core.SyscallConservative, core.SyscallOptimistic} {
-		cfg := core.Dataflow(p)
-		cfg.Profile = false
-		cfgs = append(cfgs, cfg)
-	}
-	cfgs = append(cfgs,
-		core.Config{Syscalls: core.SyscallConservative},
-		core.Config{Syscalls: core.SyscallConservative, RenameRegisters: true},
-		core.Config{Syscalls: core.SyscallConservative, RenameRegisters: true, RenameStack: true},
-		core.Config{Syscalls: core.SyscallConservative, RenameRegisters: true, RenameStack: true, RenameData: true},
-	)
-	for _, size := range []int{1, 128, 8192, 0} {
-		cfg := core.Dataflow(core.SyscallConservative)
-		cfg.Profile = false
-		cfg.WindowSize = size
-		cfgs = append(cfgs, cfg)
-	}
-
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"parallel", 0}, // GOMAXPROCS
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := harness.FanOut(context.Background(), buf, cfgs, bc.workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(buf.Len())*float64(len(cfgs))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
-}
-
 // BenchmarkSuiteEngines compares whole experiment drivers end to end: the
 // fully serial suite (one workload at a time, streaming analysis) against
 // the fully parallel one (concurrent workloads, each fanning its recorded
@@ -612,80 +554,5 @@ func BenchmarkSpeculativeShards(b *testing.B) {
 		b.StopTimer()
 		check(b, res)
 		b.ReportMetric(events*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-	})
-}
-
-// BenchmarkBoundedReplay pits the whole-trace buffered fan-out against the
-// bounded-ring streaming fan-out on the same four-config analysis of one
-// synthetic trace. Besides throughput, each engine reports the bytes it
-// holds for event delivery: the buffer's grows with the trace, the ring's
-// is a fixed few MB regardless of length — the constant-memory claim as a
-// tracked number (see BENCH_memory.json).
-func BenchmarkBoundedReplay(b *testing.B) {
-	const nevents = 2_000_000
-	data := synthSpecStream(b, nevents)
-	var cfgs []core.Config
-	for _, size := range []int{64, 256, 1024, 4096} {
-		cfg := core.Dataflow(core.SyscallConservative)
-		cfg.Profile = false
-		cfg.WindowSize = size
-		cfgs = append(cfgs, cfg)
-	}
-
-	decode := func(sink trace.BatchSink) error {
-		r, err := trace.NewReader(bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		return r.ForEachBatch(sink.Events)
-	}
-
-	buf := &trace.EventBuffer{}
-	if err := decode(buf); err != nil {
-		b.Fatal(err)
-	}
-	ref, err := harness.FanOut(context.Background(), buf, cfgs, len(cfgs))
-	if err != nil {
-		b.Fatal(err)
-	}
-	check := func(b *testing.B, res []*core.Result) {
-		b.Helper()
-		for i := range res {
-			if res[i].CriticalPath != ref[i].CriticalPath || res[i].Operations != ref[i].Operations {
-				b.Fatalf("config %d: ring result drifted from buffered replay", i)
-			}
-		}
-	}
-
-	b.Run("buffered-4", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			fresh := &trace.EventBuffer{}
-			if err := decode(fresh); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := harness.FanOut(context.Background(), fresh, cfgs, len(cfgs)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(buf.Bytes()), "delivery-bytes")
-		b.ReportMetric(float64(nevents)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-	})
-	b.Run("ring-4", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		var res []*core.Result
-		for i := 0; i < b.N; i++ {
-			var err error
-			res, _, err = harness.FanOutStream(context.Background(), func(ring *trace.Ring) error {
-				return decode(ring)
-			}, cfgs, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		check(b, res)
-		b.ReportMetric(float64(trace.RingFootprint(trace.DefaultRingBatches, 0)), "delivery-bytes")
-		b.ReportMetric(float64(nevents)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 	})
 }

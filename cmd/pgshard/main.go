@@ -30,6 +30,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -304,9 +305,12 @@ func runMerge(args []string) {
 // (their magic distinguishes them from result files). The first file
 // decides; a mix of deltas and results fails with an error naming the
 // odd file out — splicing half a chain against finished results would
-// misreport the trace.
+// misreport the trace. A delta in a retired format fails by name.
 func loadDeltas(files []string) ([]*shard.Delta, bool, error) {
 	first, err := shard.LoadDelta(files[0])
+	if errors.Is(err, shard.ErrDeltaVersion) {
+		return nil, false, fmt.Errorf("merge: %s: %w", files[0], err)
+	}
 	if err != nil {
 		return nil, false, nil // not a delta chain; let loadParts report
 	}

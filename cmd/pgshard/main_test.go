@@ -227,6 +227,30 @@ func TestLoadDeltasRejectsMixedFiles(t *testing.T) {
 	}
 }
 
+// TestLoadDeltasRejectsRetiredFormat: a pgshard-delta-v1 file — whose
+// records may encode policy decisions as skips — is refused by merge with
+// an error naming the file and the magic, not deferred to the result
+// loader or spliced.
+func TestLoadDeltasRejectsRetiredFormat(t *testing.T) {
+	dir := t.TempDir()
+	deltaFiles, _, _ := writeShardDeltas(t, dir, 2)
+	data, err := os.ReadFile(deltaFiles[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "pgshard-delta-v1\n")
+	if err := os.WriteFile(deltaFiles[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ok, err := loadDeltas(deltaFiles)
+	if ok || err == nil {
+		t.Fatalf("loadDeltas accepted a v1 delta: ok=%v err=%v", ok, err)
+	}
+	if !strings.Contains(err.Error(), "pgshard-delta-v1") || !strings.Contains(err.Error(), deltaFiles[0]) {
+		t.Errorf("error %q does not name the file and the retired magic", err)
+	}
+}
+
 func TestLoadPartsMissingFile(t *testing.T) {
 	dir := t.TempDir()
 	files, _, _ := writeShardResults(t, dir, 2)

@@ -45,11 +45,11 @@
 // Parallelism:
 //
 //	-j N              run up to N workloads concurrently AND schedule
-//	                  each workload's analyzer configs concurrently
-//	                  (0 = GOMAXPROCS, the default; -j 1 = fully serial:
-//	                  every config scheduled inline on the goroutine that
-//	                  simulates). Every experiment produces identical
-//	                  output at any -j value.
+//	                  each workload's analyzer configs concurrently, one
+//	                  goroutine per config (0 = GOMAXPROCS, the default;
+//	                  -j 1 = fully serial: every config scheduled inline on
+//	                  the goroutine that simulates). Every experiment
+//	                  produces identical output at any -j value.
 //
 // Profiling:
 //
@@ -109,7 +109,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ablWork   = fs.String("ablation-workload", "naskerx", "workload for the unrolling ablation")
 		keepGoing = fs.Bool("keep-going", false, "continue past failing workloads; failed rows are marked and the exit code is non-zero")
 		timeout   = fs.Duration("timeout", 0, "per-workload wall-clock budget, e.g. 30s (0 = unlimited)")
-		jobs      = fs.Int("j", 0, "parallelism: bounds both concurrent workloads and concurrent analyzer configs per workload (0 = GOMAXPROCS, 1 = fully serial)")
+		jobs      = fs.Int("j", 0, "parallelism: bounds concurrent workloads; above 1 each workload also schedules its analyzer configs concurrently (0 = GOMAXPROCS, 1 = fully serial)")
 
 		memBudget       = fs.String("mem-budget", "", "per-analyzer memory budget, e.g. 64M or 1G (empty = unlimited)")
 		memBudgetGlobal = fs.String("mem-budget-global", "", "one memory budget divided across all concurrently running workloads, e.g. 1G (empty = none); shrinks effective -j before degrading analyses")

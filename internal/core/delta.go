@@ -5,104 +5,107 @@ import (
 	"fmt"
 
 	"paragraph/internal/isa"
-	"paragraph/internal/trace"
 )
 
 // Speculative sharding: the placement rule is inherently sequential — every
-// level depends on the live well left by all preceding events — so PR 4's
-// sharding chained shard i+1's analyzer on shard i's exit checkpoint and the
-// analyzer remained the wall. The observation that breaks the chain is that
+// level depends on the live well left by all preceding events — so chained
+// sharding runs shard i+1's analyzer on shard i's exit checkpoint and the
+// analyzer remains the wall. The observation that breaks the chain is that
 // almost everything *except* the levels is entry-state independent: which
 // storage locations an event touches, in which roles (source, destination,
 // storage-dependency check), with what latency class, and whether the event
-// is placed at all are functions of the event stream and the configuration
-// alone. A speculative pass over one shard can therefore run with no entry
-// live-well at all, resolving every location it touches to a dense
-// shard-local slot id (the pending-read table: slot 0 is the first location
-// the shard touches, and its entry state is unknown until splice time) and
-// compiling the shard into a flat stream of slot-addressed op records — a
-// ShardDelta. The sequential fix-up (Analyzer.ApplyDelta) then splices a
-// delta onto the real entry state: it materializes each slot from the
-// predecessor's exit live-well, replays the record stream maintaining all
+// is placed at all are functions of the event stream alone. A shard
+// resolution (NewDeltaResolver) therefore runs with no entry live-well at
+// all, resolving every location it touches to a dense shard-local slot id
+// (the pending-read table: slot 0 is the first location the shard touches,
+// and its entry state is unknown until splice time) and compiling the shard
+// into a ShardDelta. The sequential fix-up (Analyzer.ApplyDelta) then
+// splices a delta onto the real entry state: it materializes each slot from
+// the predecessor's exit live-well, replays the records maintaining all
 // level-dependent state (floor, window, functional units, predictor,
 // governor, statistics) with pure array indexing instead of hashing and
 // dispatch, and writes the touched slots back. The result is exact by
 // construction — ApplyDelta performs the same placements in the same order
 // as Analyzer.Event would — so speculative N-shard analysis is deep-equal
-// to the monolithic run, which the differential battery enforces.
+// to the monolithic run, which the differential battery enforces. The
+// records are policy-free, so one delta splices under any config.
 //
-// The record stream encodes one record per trace event:
+// The record stream — ShardDelta.Code and DepSegment.Code alike — encodes
+// one record per trace event:
 //
 //	word0: kind(3) | taken(1<<3) | immNeg(1<<4) | isStore(1<<5) |
-//	       op(8)<<8 | nsrc(8)<<16 | ndst(8)<<24
+//	       isStack(1<<6) | op(8)<<8 | nsrc(8)<<16 | ndst(8)<<24
 //	branch records:  word0, pc, src slots
 //	place records:   word0, src slots, dest slots
 //	jump records:    word0, dest slot
 //	skip/syscall:    word0 only
 //
-// Source words are plain slot ids. Destination words carry the
-// deltaStorageTerm bit when storage dependencies apply to that location
-// under the build config (register renaming / per-segment memory renaming
-// resolved at build time). Every event emits a record — even NOPs — because
-// window displacement, the storage profile and the governor cadence are
-// per-event.
+// Every slot word is a plain slot id. A place record's destinations share
+// one location class, because no store writes a register: registers
+// unless isStore is set, stack words if isStack is set too, data words
+// otherwise. A replay looks the class up once per record in a storage-term
+// mask derived from its own renaming switches (see deltaTermMask) to decide
+// whether the Ddest+1 term applies. Every event emits a record — even NOPs
+// — because window displacement, the storage profile and the governor
+// cadence are per-event.
 const (
-	deltaKindSkip    = 0 // NOP, destless jump; in a ShardDelta also an optimistic syscall or perfect-policy branch
+	deltaKindSkip    = 0 // NOP or destless jump
 	deltaKindPlace   = 1 // ordinary placement (ALU, FP, load, store)
 	deltaKindJump    = 2 // jump binding a return-address constant
-	deltaKindBranch  = 3 // conditional branch (a DepSegment records every one)
+	deltaKindBranch  = 3 // conditional branch
 	deltaKindSyscall = 4 // syscall: a firewall under the conservative policy
 
 	deltaFlagTaken   = 1 << 3
 	deltaFlagImmNeg  = 1 << 4
 	deltaFlagIsStore = 1 << 5
+	deltaFlagIsStack = 1 << 6
 
 	// deltaMemLoc marks a memory-word location key in ShardDelta.Locs
 	// (word addresses are byte addresses >> 2, so they fit in 30 bits).
 	deltaMemLoc = uint32(1) << 31
-	// deltaStorageTerm marks a destination slot whose previous value's
-	// lastUse feeds the placement rule's Ddest+1 term.
-	deltaStorageTerm = uint32(1) << 31
 )
 
-// BuildSig captures the configuration switches that are compiled into a
-// ShardDelta's record stream. ApplyDelta refuses a delta whose signature
-// does not match the analyzer's config: the stream would encode the wrong
-// dispatch decisions. Latencies, window size, functional units, profiles
-// and budgets are deliberately absent — they are applied at splice time
-// from the analyzer's own config, so governor-driven window changes that
-// cross a shard seam need no rebuild.
-type BuildSig struct {
-	Syscalls        SyscallPolicy
-	Branches        BranchPolicy
-	RenameRegisters bool
-	RenameStack     bool
-	RenameData      bool
-}
+// Destination classes, as word0's (isStack, isStore) bits shifted down:
+// the bit positions of a storage-term mask.
+const (
+	deltaClassReg   = 0
+	deltaClassData  = deltaFlagIsStore >> 5
+	deltaClassStack = (deltaFlagIsStore | deltaFlagIsStack) >> 5
+)
 
-func buildSig(cfg *Config) BuildSig {
-	return BuildSig{
-		Syscalls:        cfg.Syscalls,
-		Branches:        cfg.Branches,
-		RenameRegisters: cfg.RenameRegisters,
-		RenameStack:     cfg.RenameStack,
-		RenameData:      cfg.RenameData,
+// deltaTermMask returns the destination classes whose storage dependences
+// (the Ddest+1 term) apply under cfg's renaming switches.
+func deltaTermMask(cfg *Config) uint32 {
+	var m uint32
+	if !cfg.RenameRegisters {
+		m |= 1 << deltaClassReg
 	}
+	if !cfg.RenameData {
+		m |= 1 << deltaClassData
+	}
+	if !cfg.RenameStack {
+		m |= 1 << deltaClassStack
+	}
+	return m
 }
 
-// ShardDelta is the relocatable output of a speculative pass over one
-// shard's events: levels and liveness are expressed relative to the shard's
-// unknown entry state, so the delta can be built with no predecessor and
-// spliced onto any analyzer positioned at StartEvent. All fields are
-// exported and gob-encode, so deltas cross process and machine boundaries
-// like shard results do.
+// storageTerm reports whether the Ddest+1 term applies to a place record's
+// destinations under termMask.
+func storageTerm(termMask, w0 uint32) bool {
+	return termMask>>((w0>>5)&3)&1 != 0
+}
+
+// ShardDelta is the relocatable output of a shard resolution: levels and
+// liveness are expressed relative to the shard's unknown entry state, so
+// the delta can be built with no predecessor and spliced onto any analyzer
+// positioned at StartEvent, under any config. All fields are exported and
+// gob-encode, so deltas cross process and machine boundaries like shard
+// results do.
 type ShardDelta struct {
-	// Sig records the build-relevant configuration switches.
-	Sig BuildSig
 	// StartEvent is the absolute trace position of the first event;
 	// validation errors during the build already carry absolute indices.
 	StartEvent uint64
-	// Events is the number of events compiled into Code.
+	// Events is the number of records in Code.
 	Events uint64
 	// Locs is the pending-read table: slot id -> location key, in
 	// first-touch order. Register keys are the register number; memory
@@ -118,7 +121,8 @@ type ShardDelta struct {
 	Syscalls    uint64
 }
 
-// slotTable maps memory word addresses to dense slot ids during a build:
+// slotTable maps memory word addresses to dense slot ids during a
+// resolution:
 // open addressing with Fibonacci hashing and linear probing, mirroring the
 // live well's memTable but with 8-byte entries and no deletion.
 type slotTable struct {
@@ -192,226 +196,6 @@ func (t *slotTable) grow() {
 	}
 }
 
-// DeltaBuilder is the speculative pass: it implements trace.Sink and
-// trace.BatchSink, validating events exactly as the analyzer does (with
-// absolute indices, so errors match a chained run's) and compiling them
-// into a ShardDelta. It holds no levels and no entry state, so any number
-// of builders can run concurrently over different shards of one trace.
-//
-// On a validation error the builder keeps the records for every event
-// before the bad one; Delta still returns that prefix, which the
-// speculative driver applies before reporting the error so failures
-// surface in the same order a chained run reports them.
-type DeltaBuilder struct {
-	cfg Config
-	d   *ShardDelta
-
-	regSlot [isa.NumRegs]int32
-	memSlot *slotTable
-
-	srcBuf []isa.Reg
-}
-
-// NewDeltaBuilder starts a speculative pass for a shard whose first event
-// sits at absolute trace position startEvent.
-func NewDeltaBuilder(cfg Config, startEvent uint64) *DeltaBuilder {
-	b := &DeltaBuilder{
-		cfg: cfg.Clone(),
-		d: &ShardDelta{
-			Sig:        buildSig(&cfg),
-			StartEvent: startEvent,
-		},
-		memSlot: newSlotTable(),
-	}
-	for i := range b.regSlot {
-		b.regSlot[i] = -1
-	}
-	return b
-}
-
-// Grow pre-sizes the record array for n more events. Roughly four code
-// words cover the common event (word0, two source slots, a destination);
-// denser events just append past the hint. Shard drivers know the event
-// count from the plan, and one up-front allocation keeps append from
-// copying a multi-hundred-MB array through growslice as the shard builds.
-func (b *DeltaBuilder) Grow(n int) {
-	need := len(b.d.Code) + 4*n
-	if need <= cap(b.d.Code) {
-		return
-	}
-	grown := make([]uint32, len(b.d.Code), need)
-	copy(grown, b.d.Code)
-	b.d.Code = grown
-}
-
-// regSlotID resolves a register to its slot, allocating on first touch.
-func (b *DeltaBuilder) regSlotID(r isa.Reg) uint32 {
-	if id := b.regSlot[r]; id >= 0 {
-		return uint32(id)
-	}
-	id := int32(len(b.d.Locs))
-	b.regSlot[r] = id
-	b.d.Locs = append(b.d.Locs, uint32(r))
-	return uint32(id)
-}
-
-// memSlotID resolves a memory word to its slot, allocating on first touch.
-func (b *DeltaBuilder) memSlotID(w uint32) uint32 {
-	if id := b.memSlot.lookup(w); id >= 0 {
-		return uint32(id)
-	}
-	id := int32(len(b.d.Locs))
-	b.memSlot.insert(w, id)
-	b.d.Locs = append(b.d.Locs, w|deltaMemLoc)
-	return uint32(id)
-}
-
-// Event implements trace.Sink.
-func (b *DeltaBuilder) Event(e *trace.Event) error {
-	return b.build(e)
-}
-
-// Events implements trace.BatchSink.
-func (b *DeltaBuilder) Events(batch []trace.Event) error {
-	for i := range batch {
-		if err := b.build(&batch[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// build compiles one event into the record stream. The dispatch mirrors
-// Analyzer.event; the slot references are emitted in exactly the order the
-// analyzer touches the corresponding live-well locations, so ApplyDelta's
-// replay is operation-for-operation identical.
-func (b *DeltaBuilder) build(e *trace.Event) error {
-	seq := b.d.StartEvent + b.d.Events
-	if verr := validateEvent(e, seq); verr != nil {
-		return verr
-	}
-	d := b.d
-	d.Events++
-
-	op := e.Ins.Op
-	info := op.Info()
-	d.ClassCounts[info.Class]++
-
-	w0 := uint32(deltaKindSkip) | uint32(op)<<8
-	switch {
-	case op == isa.NOP:
-		d.Code = append(d.Code, w0)
-		return nil
-	case e.IsSyscall():
-		d.Syscalls++
-		if b.cfg.Syscalls == SyscallOptimistic {
-			d.Code = append(d.Code, w0)
-			return nil
-		}
-		d.Code = append(d.Code, w0|deltaKindSyscall)
-		return nil
-	case info.IsJump:
-		if dst, ok := e.Ins.Dest(); ok {
-			// bindConstant does not skip $zero, so neither does the
-			// record: the binding is observable through retirement
-			// statistics.
-			d.Code = append(d.Code, w0|deltaKindJump|1<<24, b.regSlotID(dst))
-		} else {
-			d.Code = append(d.Code, w0)
-		}
-		return nil
-	case info.IsBranch:
-		if b.cfg.Branches == BranchPerfect {
-			d.Code = append(d.Code, w0)
-			return nil
-		}
-		// Whether the branch mispredicts can depend on predictor state
-		// flowing across the shard seam, so the record carries
-		// everything the splice needs to decide: outcome, direction
-		// sign, PC and the source slots that set the resolution level.
-		w0 |= deltaKindBranch
-		if e.Taken {
-			w0 |= deltaFlagTaken
-		}
-		if e.Ins.Imm < 0 {
-			w0 |= deltaFlagImmNeg
-		}
-		b.srcBuf = e.Ins.SourceRegs(b.srcBuf[:0])
-		nsrc := uint32(0)
-		at := len(d.Code)
-		d.Code = append(d.Code, 0, e.PC)
-		for _, r := range b.srcBuf {
-			if r == isa.Zero {
-				continue
-			}
-			d.Code = append(d.Code, b.regSlotID(r))
-			nsrc++
-		}
-		d.Code[at] = w0 | nsrc<<16
-		return nil
-	}
-
-	// Ordinary placement. Source and destination slots are emitted in
-	// live-well touch order: registers before memory words, memory words
-	// lo..hi. nsrc and ndst fit a byte: at most 3 register sources and —
-	// MemSize being a byte — at most 65 words per access.
-	w0 |= deltaKindPlace
-	at := len(d.Code)
-	d.Code = append(d.Code, 0)
-
-	b.srcBuf = e.Ins.SourceRegs(b.srcBuf[:0])
-	nsrc := uint32(0)
-	for _, r := range b.srcBuf {
-		if r == isa.Zero {
-			continue
-		}
-		d.Code = append(d.Code, b.regSlotID(r))
-		nsrc++
-	}
-	if info.IsLoad {
-		lo, hi := wordRange(e.MemAddr, e.MemSize)
-		for w := lo; w <= hi; w++ {
-			d.Code = append(d.Code, b.memSlotID(w))
-			nsrc++
-		}
-	}
-
-	ndst := uint32(0)
-	regTerm := uint32(0)
-	if !b.cfg.RenameRegisters {
-		regTerm = deltaStorageTerm
-	}
-	var dbuf [2]isa.Reg
-	for _, dst := range regDests(&e.Ins, dbuf[:0]) {
-		if dst == isa.Zero {
-			continue
-		}
-		d.Code = append(d.Code, b.regSlotID(dst)|regTerm)
-		ndst++
-	}
-	if info.IsStore {
-		w0 |= deltaFlagIsStore
-		memTerm := uint32(deltaStorageTerm)
-		if e.Seg == trace.SegStack && b.cfg.RenameStack ||
-			e.Seg != trace.SegStack && b.cfg.RenameData {
-			memTerm = 0
-		}
-		lo, hi := wordRange(e.MemAddr, e.MemSize)
-		for w := lo; w <= hi; w++ {
-			d.Code = append(d.Code, b.memSlotID(w)|memTerm)
-			ndst++
-		}
-	}
-	d.Code[at] = w0 | nsrc<<16 | ndst<<24
-	return nil
-}
-
-// Delta finalizes the build and returns the delta. After a build error it
-// returns the prefix covering every event before the failing one.
-func (b *DeltaBuilder) Delta() *ShardDelta {
-	return b.d
-}
-
 // deltaSlot is the splice-time state of one pending location: the value
 // record, its liveness, and whether the location is a memory word (which
 // drives live-memory accounting).
@@ -424,24 +208,26 @@ type deltaSlot struct {
 // ApplyDelta splices a speculative shard delta onto the analyzer: slots are
 // materialized from the current live well, the record stream is replayed
 // maintaining every level-dependent structure exactly as Analyzer.Event
-// would, and the touched locations are written back. The analyzer must be
-// positioned at the delta's StartEvent (i.e. it has consumed exactly the
-// preceding events, via earlier shards or deltas).
+// would — with the syscall firewall and storage-term mask of the
+// analyzer's own config, so one delta splices under any config — and the
+// touched locations are written back. The analyzer must be positioned at
+// the delta's StartEvent (i.e. it has consumed exactly the preceding
+// events, via earlier shards or deltas).
 //
 // After a successful splice the analyzer's observable state — and every
 // Result derived from it — is identical to having fed the shard's events
 // through Event. (The live well's internal hash layout may differ, since
 // written-back slots land in first-touch order rather than event order;
-// that is invisible to placement, statistics and checkpoints.)
+// that is invisible to placement, statistics and checkpoints.) A delta
+// whose record count differs from its Events is refused after the replay,
+// so the analyzer must then be discarded; ReadDelta's Validate catches
+// that before any replay.
 func (a *Analyzer) ApplyDelta(d *ShardDelta) (err error) {
 	if a.finished {
 		return errors.New("core: Event after Finish")
 	}
 	if a.deaths != nil {
 		return errors.New("core: speculative splice is single-pass; a death schedule needs whole-trace knowledge")
-	}
-	if got := buildSig(&a.cfg); got != d.Sig {
-		return fmt.Errorf("core: delta was built for config %+v, analyzer has %+v", d.Sig, got)
 	}
 	if a.instructions != d.StartEvent {
 		return fmt.Errorf("core: delta starts at event %d, analyzer is at event %d", d.StartEvent, a.instructions)
@@ -468,11 +254,14 @@ func (a *Analyzer) ApplyDelta(d *ShardDelta) (err error) {
 	}
 
 	var rp deltaReplay
-	rp.init(a, ^deltaStorageTerm, deltaStorageTerm)
+	rp.init(a)
 	rp.slots = slots
 	rp.curMem = a.well.memLen()
 	if rerr := rp.run(d.Code); rerr != nil {
 		return rerr
+	}
+	if got := a.instructions - d.StartEvent; got != d.Events {
+		return fmt.Errorf("core: delta holds %d records but declares %d events", got, d.Events)
 	}
 
 	// Write back the touched locations. Slots that stayed dead (a branch
@@ -497,6 +286,69 @@ func (a *Analyzer) ApplyDelta(d *ShardDelta) (err error) {
 	return nil
 }
 
+// walkRecords walks a record stream, checking that every record is
+// complete, has a known kind, names a real operation and references only
+// slots below nslots, and returns the record count. fn, when non-nil, sees
+// each record's words; the record's slot words are rec[slots:] (a branch's
+// PC sits between word0 and them).
+func walkRecords(code []uint32, nslots int, fn func(rec []uint32, slots int)) (uint64, error) {
+	var n uint64
+	for i := 0; i < len(code); n++ {
+		w0 := code[i]
+		slots, end := i+1, i+1
+		switch w0 & 7 {
+		case deltaKindSkip, deltaKindSyscall:
+		case deltaKindPlace:
+			end += int((w0>>16)&0xff) + int(w0>>24)
+		case deltaKindJump:
+			if w0>>24 != 0 {
+				end++
+			}
+		case deltaKindBranch:
+			slots++
+			end = slots + int((w0>>16)&0xff)
+		default:
+			return n, fmt.Errorf("unknown record kind %d at word %d", w0&7, i)
+		}
+		if end > len(code) {
+			return n, fmt.Errorf("truncated record at word %d", i)
+		}
+		if op := isa.Op(w0 >> 8); op >= isa.NumOps {
+			return n, fmt.Errorf("record at word %d names operation %d of %d", i, op, isa.NumOps)
+		}
+		for j, s := range code[slots:end] {
+			if s >= uint32(nslots) {
+				return n, fmt.Errorf("record at word %d references slot %d of %d", slots+j, s, nslots)
+			}
+		}
+		if fn != nil {
+			fn(code[i:end], slots-i)
+		}
+		i = end
+	}
+	return n, nil
+}
+
+// Validate checks that a delta from an untrusted source is safe to splice:
+// every record is complete and well-formed, every slot word addresses the
+// pending-read table, register keys name real registers, and the record
+// count matches Events.
+func (d *ShardDelta) Validate() error {
+	for id, loc := range d.Locs {
+		if loc&deltaMemLoc == 0 && loc >= uint32(isa.NumRegs) {
+			return fmt.Errorf("shard delta: slot %d names register %d of %d", id, loc, isa.NumRegs)
+		}
+	}
+	n, err := walkRecords(d.Code, len(d.Locs), nil)
+	if err != nil {
+		return fmt.Errorf("shard delta: %w", err)
+	}
+	if n != d.Events {
+		return fmt.Errorf("shard delta: holds %d records but declares %d events", n, d.Events)
+	}
+	return nil
+}
+
 // Concat appends next's records to d, remapping next's pending slots
 // through d's touched-location table, and returns the combined delta:
 // applying it is equivalent to applying d then next. Concatenation is
@@ -504,14 +356,10 @@ func (a *Analyzer) ApplyDelta(d *ShardDelta) (err error) {
 // grouping produces a structurally identical delta — which the
 // testing/quick battery pins.
 func (d *ShardDelta) Concat(next *ShardDelta) (*ShardDelta, error) {
-	if d.Sig != next.Sig {
-		return nil, fmt.Errorf("shard deltas built under different configs: %+v vs %+v", d.Sig, next.Sig)
-	}
 	if got := d.StartEvent + d.Events; next.StartEvent != got {
 		return nil, fmt.Errorf("shard delta starts at event %d, predecessor ends at %d", next.StartEvent, got)
 	}
 	out := &ShardDelta{
-		Sig:        d.Sig,
 		StartEvent: d.StartEvent,
 		Events:     d.Events + next.Events,
 		Locs:       append(append([]uint32(nil), d.Locs...), make([]uint32, 0, len(next.Locs))...),
@@ -537,47 +385,17 @@ func (d *ShardDelta) Concat(next *ShardDelta) (*ShardDelta, error) {
 		out.Locs = append(out.Locs, loc)
 	}
 
-	code := next.Code
-	for i := 0; i < len(code); {
-		w0 := code[i]
-		i++
-		out.Code = append(out.Code, w0)
-		switch w0 & 7 {
-		case deltaKindSkip, deltaKindSyscall:
-		case deltaKindPlace:
-			nsrc := int((w0 >> 16) & 0xff)
-			ndst := int(w0 >> 24)
-			if i+nsrc+ndst > len(code) {
-				return nil, fmt.Errorf("shard delta: truncated record at word %d", i-1)
-			}
-			for _, s := range code[i : i+nsrc] {
-				out.Code = append(out.Code, remap[s])
-			}
-			for _, dw := range code[i+nsrc : i+nsrc+ndst] {
-				out.Code = append(out.Code, remap[dw&^deltaStorageTerm]|dw&deltaStorageTerm)
-			}
-			i += nsrc + ndst
-		case deltaKindJump:
-			if w0>>24 != 0 {
-				if i >= len(code) {
-					return nil, fmt.Errorf("shard delta: truncated record at word %d", i-1)
-				}
-				out.Code = append(out.Code, remap[code[i]])
-				i++
-			}
-		case deltaKindBranch:
-			nsrc := int((w0 >> 16) & 0xff)
-			if i+1+nsrc > len(code) {
-				return nil, fmt.Errorf("shard delta: truncated record at word %d", i-1)
-			}
-			out.Code = append(out.Code, code[i])
-			for _, s := range code[i+1 : i+1+nsrc] {
-				out.Code = append(out.Code, remap[s])
-			}
-			i += 1 + nsrc
-		default:
-			return nil, fmt.Errorf("shard delta: unknown record kind %d at word %d", w0&7, i-1)
+	n, err := walkRecords(next.Code, len(remap), func(rec []uint32, slots int) {
+		out.Code = append(out.Code, rec[:slots]...)
+		for _, s := range rec[slots:] {
+			out.Code = append(out.Code, remap[s])
 		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("shard delta: %w", err)
+	}
+	if n != next.Events {
+		return nil, fmt.Errorf("shard delta: holds %d records but declares %d events", n, next.Events)
 	}
 	return out, nil
 }

@@ -59,9 +59,9 @@ func richTrace(rng *rand.Rand, n int) []trace.Event {
 }
 
 // deltaConfigs is the configuration matrix the delta differential sweeps:
-// every switch that changes what the builder compiles (syscall policy,
-// renaming, branch policies) or what the splice maintains (window,
-// functional units, profiles, distributions, budgets, latencies).
+// every switch the splice applies to the policy-free records (syscall
+// policy, renaming, branch policies) or maintains (window, functional
+// units, profiles, distributions, budgets, latencies).
 func deltaConfigs() []Config {
 	zero := Config{}
 	df := Dataflow(SyscallConservative)
@@ -87,13 +87,13 @@ func deltaConfigs() []Config {
 }
 
 // buildDelta compiles events[lo:hi] speculatively.
-func buildDelta(t *testing.T, cfg Config, events []trace.Event, lo, hi int) *ShardDelta {
+func buildDelta(t testing.TB, events []trace.Event, lo, hi int) *ShardDelta {
 	t.Helper()
-	b := NewDeltaBuilder(cfg, uint64(lo))
-	if err := b.Events(events[lo:hi]); err != nil {
+	r := NewDeltaResolver(uint64(lo), hi-lo)
+	if err := r.Events(events[lo:hi]); err != nil {
 		t.Fatalf("build [%d:%d): %v", lo, hi, err)
 	}
-	return b.Delta()
+	return r.Delta()
 }
 
 // cuts picks 0-3 random cut points splitting n events into segments.
@@ -114,20 +114,24 @@ func cuts(rng *rand.Rand, n int) []int {
 // TestDeltaDifferentialMonolithic is the core equivalence pin: compiling a
 // trace into per-segment deltas with no entry state and splicing them in
 // order onto a fresh analyzer produces a Result deep-equal to feeding every
-// event through Analyzer.Event, across the whole configuration matrix.
+// event through Analyzer.Event. The deltas are built once per trial and
+// spliced under the whole configuration matrix: the records are
+// policy-free, so no config needs its own build.
 func TestDeltaDifferentialMonolithic(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for ci, cfg := range deltaConfigs() {
-		for trial := 0; trial < 8; trial++ {
-			events := richTrace(rng, 150+rng.Intn(400))
+	for trial := 0; trial < 8; trial++ {
+		events := richTrace(rng, 150+rng.Intn(400))
+		pts := cuts(rng, len(events))
+		var ds []*ShardDelta
+		for i := 1; i < len(pts); i++ {
+			ds = append(ds, buildDelta(t, events, pts[i-1], pts[i]))
+		}
+		for ci, cfg := range deltaConfigs() {
 			want := analyze(t, cfg, events)
-
 			a := NewAnalyzer(cfg)
-			pts := cuts(rng, len(events))
-			for i := 1; i < len(pts); i++ {
-				d := buildDelta(t, cfg, events, pts[i-1], pts[i])
+			for i, d := range ds {
 				if err := a.ApplyDelta(d); err != nil {
-					t.Fatalf("config %d trial %d: apply [%d:%d): %v", ci, trial, pts[i-1], pts[i], err)
+					t.Fatalf("config %d trial %d: apply [%d:%d): %v", ci, trial, pts[i], pts[i+1], err)
 				}
 			}
 			got, err := a.Finish()
@@ -139,6 +143,43 @@ func TestDeltaDifferentialMonolithic(t *testing.T) {
 					ci, trial, pts, got, want)
 			}
 		}
+	}
+}
+
+// TestDeltaConfigIndependent: one delta, built once, splices deep-equal to
+// the sequential analyzer under every config of the matrix — in the
+// middle of a run, onto real entry state — and no splice mutates it, so
+// concurrent splice chains can share it.
+func TestDeltaConfigIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	events := richTrace(rng, 400)
+	const cut = 150
+	d := buildDelta(t, events, cut, len(events))
+	pristine := &ShardDelta{
+		StartEvent: d.StartEvent, Events: d.Events, ClassCounts: d.ClassCounts, Syscalls: d.Syscalls,
+		Locs: append([]uint32(nil), d.Locs...), Code: append([]uint32(nil), d.Code...),
+	}
+	for ci, cfg := range deltaConfigs() {
+		want := analyze(t, cfg, events)
+		a := NewAnalyzer(cfg)
+		for i := range events[:cut] {
+			if err := a.Event(&events[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.ApplyDelta(d); err != nil {
+			t.Fatalf("config %d: apply: %v", ci, err)
+		}
+		got, err := a.Finish()
+		if err != nil {
+			t.Fatalf("config %d: finish: %v", ci, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("config %d: a delta built once diverged from the sequential analyzer", ci)
+		}
+	}
+	if !reflect.DeepEqual(d, pristine) {
+		t.Error("splicing mutated the shared delta")
 	}
 }
 
@@ -173,11 +214,11 @@ func TestDeltaSpliceEquivalenceQuick(t *testing.T) {
 		}
 
 		spliced := cp.Restore()
-		b := NewDeltaBuilder(cfg, uint64(cut))
-		if b.Events(events[cut:]) != nil {
+		r := NewDeltaResolver(uint64(cut), len(events)-cut)
+		if r.Events(events[cut:]) != nil {
 			return false
 		}
-		if spliced.ApplyDelta(b.Delta()) != nil {
+		if spliced.ApplyDelta(r.Delta()) != nil {
 			return false
 		}
 		got, err := spliced.Finish()
@@ -205,7 +246,7 @@ func TestDeltaIdentityQuick(t *testing.T) {
 		withZero := NewAnalyzer(cfg)
 		for i := range events {
 			if i == cut {
-				zero := NewDeltaBuilder(cfg, uint64(i)).Delta()
+				zero := NewDeltaResolver(uint64(i), 0).Delta()
 				if withZero.ApplyDelta(zero) != nil {
 					return false
 				}
@@ -237,11 +278,11 @@ func TestDeltaConcatQuick(t *testing.T) {
 
 		var ds []*ShardDelta
 		for i := 1; i < len(pts); i++ {
-			b := NewDeltaBuilder(cfg, uint64(pts[i-1]))
-			if b.Events(events[pts[i-1]:pts[i]]) != nil {
+			r := NewDeltaResolver(uint64(pts[i-1]), pts[i]-pts[i-1])
+			if r.Events(events[pts[i-1]:pts[i]]) != nil {
 				return false
 			}
-			ds = append(ds, b.Delta())
+			ds = append(ds, r.Delta())
 		}
 
 		ab, err := ds[0].Concat(ds[1])
@@ -309,12 +350,8 @@ func TestDeltaBudgetFailFastParity(t *testing.T) {
 		t.Fatal("monolithic run stayed under a 1KB budget")
 	}
 
-	b := NewDeltaBuilder(cfg, 0)
-	if err := b.Events(events); err != nil {
-		t.Fatalf("build: %v", err)
-	}
 	spec := NewAnalyzer(cfg)
-	gotErr := spec.ApplyDelta(b.Delta())
+	gotErr := spec.ApplyDelta(buildDelta(t, events, 0, len(events)))
 	if gotErr == nil {
 		t.Fatal("splice stayed under a 1KB budget")
 	}
@@ -323,9 +360,10 @@ func TestDeltaBudgetFailFastParity(t *testing.T) {
 	}
 }
 
-// TestDeltaValidationParity: the builder rejects malformed events with the
-// same absolute-index error the analyzer reports, and keeps the prefix
-// before the failure so the driver can order errors like a chained run.
+// TestDeltaValidationParity: a shard resolution rejects malformed events
+// with the same absolute-index error the analyzer reports, and keeps the
+// prefix before the failure so the driver can order errors like a chained
+// run.
 func TestDeltaValidationParity(t *testing.T) {
 	events := richTrace(rand.New(rand.NewSource(7)), 40)
 	bad := trace.Event{Ins: isa.Instruction{Op: isa.ADD}, MemSize: 4, Seg: trace.SegData}
@@ -345,50 +383,121 @@ func TestDeltaValidationParity(t *testing.T) {
 		t.Fatal("monolithic analyzer accepted the malformed event")
 	}
 
-	b := NewDeltaBuilder(cfg, start)
-	gotErr := b.Events(events)
+	r := NewDeltaResolver(start, len(events))
+	gotErr := r.Events(events)
 	if gotErr == nil {
-		t.Fatal("builder accepted the malformed event")
+		t.Fatal("shard resolution accepted the malformed event")
 	}
 	if gotErr.Error() != wantErr.Error() {
-		t.Errorf("builder error %q, want %q", gotErr, wantErr)
+		t.Errorf("shard resolution error %q, want %q", gotErr, wantErr)
 	}
 	if !strings.Contains(gotErr.Error(), "1025") {
-		t.Errorf("builder error %q does not carry the absolute event index", gotErr)
+		t.Errorf("shard resolution error %q does not carry the absolute event index", gotErr)
 	}
-	if got := b.Delta().Events; got != 25 {
+	if got := r.Delta().Events; got != 25 {
 		t.Errorf("prefix delta has %d events, want 25", got)
 	}
 }
 
 // TestDeltaGuards: the splice refuses deltas that cannot line up — wrong
-// position, mismatched build config, finished analyzer.
+// position, finished analyzer — and Concat refuses a seam gap.
 func TestDeltaGuards(t *testing.T) {
-	cfg := Config{}
-	d := NewDeltaBuilder(cfg, 5).Delta()
-	a := NewAnalyzer(cfg)
+	d := NewDeltaResolver(5, 0).Delta()
+	a := NewAnalyzer(Config{})
 	if err := a.ApplyDelta(d); err == nil || !strings.Contains(err.Error(), "starts at event 5") {
 		t.Errorf("offset guard: %v", err)
 	}
-
-	other := Config{RenameRegisters: true}
-	d2 := NewDeltaBuilder(other, 0).Delta()
-	if err := a.ApplyDelta(d2); err == nil || !strings.Contains(err.Error(), "built for config") {
-		t.Errorf("sig guard: %v", err)
-	}
-
 	if _, err := a.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.ApplyDelta(NewDeltaBuilder(cfg, 0).Delta()); err == nil {
+	if err := a.ApplyDelta(NewDeltaResolver(0, 0).Delta()); err == nil {
 		t.Error("finished analyzer accepted a delta")
 	}
-
-	// Concat guards: seam mismatch and config mismatch.
-	if _, err := NewDeltaBuilder(cfg, 0).Delta().Concat(NewDeltaBuilder(cfg, 3).Delta()); err == nil {
+	if _, err := NewDeltaResolver(0, 0).Delta().Concat(NewDeltaResolver(3, 0).Delta()); err == nil {
 		t.Error("Concat accepted a seam gap")
 	}
-	if _, err := NewDeltaBuilder(cfg, 0).Delta().Concat(NewDeltaBuilder(other, 0).Delta()); err == nil {
-		t.Error("Concat accepted mismatched configs")
+}
+
+// TestApplyDeltaRecordCount: a record stream shorter than the delta's
+// declared event count must not splice into a silently shorter run —
+// ApplyDelta refuses it, as Scheduler.Finish refuses mismatched totals, and
+// Validate catches it before any replay.
+func TestApplyDeltaRecordCount(t *testing.T) {
+	events := richTrace(rand.New(rand.NewSource(5)), 50)
+	d := buildDelta(t, events, 0, 50)
+	// The first 49 events encode to a prefix of the 50-event stream, so
+	// cutting at its length drops exactly the last record.
+	d.Code = d.Code[:len(buildDelta(t, events, 0, 49).Code)]
+	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "49 records") {
+		t.Errorf("Validate = %v, want a record-count error", err)
+	}
+	a := NewAnalyzer(Dataflow(SyscallConservative))
+	if err := a.ApplyDelta(d); err == nil || !strings.Contains(err.Error(), "49 records but declares 50 events") {
+		t.Errorf("ApplyDelta = %v, want a record-count error", err)
+	}
+}
+
+// TestDeltaValidate: Validate accepts every resolved delta and refuses each
+// malformation that would make a splice panic or silently misreport.
+func TestDeltaValidate(t *testing.T) {
+	events := richTrace(rand.New(rand.NewSource(13)), 200)
+	good := buildDelta(t, events, 0, len(events))
+	if err := good.Validate(); err != nil {
+		t.Fatalf("resolved delta refused: %v", err)
+	}
+	// Find a place record with a source slot to corrupt.
+	place, at := -1, 0
+	if _, err := walkRecords(good.Code, len(good.Locs), func(rec []uint32, _ int) {
+		if place < 0 && rec[0]&7 == deltaKindPlace && (rec[0]>>16)&0xff > 0 {
+			place = at
+		}
+		at += len(rec)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if place < 0 {
+		t.Fatal("fixture has no place record with a source")
+	}
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(d *ShardDelta)
+	}{
+		{"truncated", "truncated record", func(d *ShardDelta) { d.Code = d.Code[:place+1] }},
+		{"slot", "references slot", func(d *ShardDelta) { d.Code[place+1] = uint32(len(d.Locs)) }},
+		{"kind", "unknown record kind", func(d *ShardDelta) { d.Code[place] |= 7 }},
+		{"op", "names operation", func(d *ShardDelta) { d.Code[place] |= 0xff << 8 }},
+		{"count", "declares", func(d *ShardDelta) { d.Events++ }},
+		{"register", "names register", func(d *ShardDelta) {
+			for i, loc := range d.Locs {
+				if loc&deltaMemLoc == 0 {
+					d.Locs[i] = uint32(isa.NumRegs)
+					return
+				}
+			}
+		}},
+	} {
+		d := &ShardDelta{
+			Events: good.Events, Locs: append([]uint32(nil), good.Locs...),
+			Code: append([]uint32(nil), good.Code...),
+		}
+		tc.mutate(d)
+		if err := d.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestStoresWriteNoRegister pins the invariant the record encoding rests
+// on: a place record's destinations share one location class, flagged once
+// in word0, because no store writes a register.
+func TestStoresWriteNoRegister(t *testing.T) {
+	for op := isa.Op(0); op < isa.NumOps; op++ {
+		if !op.Info().IsStore {
+			continue
+		}
+		ins := isa.Instruction{Op: op, Rd: isa.T0, Rs: isa.T1, Rt: isa.T2}
+		if dsts := regDests(&ins, nil); len(dsts) != 0 {
+			t.Errorf("store %v writes registers %v", op, dsts)
+		}
 	}
 }

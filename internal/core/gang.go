@@ -253,10 +253,9 @@ func (g *SchedulerGang) run(code []uint32) error {
 						st1 = st[i1*2*k : i1*2*k+2*k]
 					}
 				}
-				dw := code[i+nsrc]
+				di := int(code[i+nsrc])
 				i += nsrc + 1
-				di := int(dw & depSlotMask)
-				waw := dw&termMask != 0 && live[di]
+				waw := storageTerm(termMask, w0) && live[di]
 				if !live[di] {
 					live[di] = true
 					if isMem[di] {
@@ -346,14 +345,14 @@ func (g *SchedulerGang) run(code []uint32) error {
 				// WAW terms see liveness after source enlivening and
 				// before destination enlivening, as a sequential pass
 				// would.
+				term := storageTerm(termMask, w0)
 				wawD := g.wawD[:0]
 				for _, dw := range dsts {
-					di := int(dw & depSlotMask)
-					wawD = append(wawD, dw&termMask != 0 && live[di])
+					wawD = append(wawD, term && live[dw])
 				}
 				g.wawD = wawD
 				for _, dw := range dsts {
-					di := int(dw & depSlotMask)
+					di := int(dw)
 					if !live[di] {
 						live[di] = true
 						if isMem[di] {
@@ -384,7 +383,7 @@ func (g *SchedulerGang) run(code []uint32) error {
 					}
 					for j, dw := range dsts {
 						if wawD[j] {
-							di := int(dw & depSlotMask)
+							di := int(dw)
 							if t := st[di*2*k+c2+1] + 1; t > base {
 								base = t
 							}
@@ -402,7 +401,7 @@ func (g *SchedulerGang) run(code []uint32) error {
 						}
 					}
 					for _, dw := range dsts {
-						di := int(dw & depSlotMask)
+						di := int(dw)
 						st[di*2*k+c2] = ldest
 						st[di*2*k+c2+1] = base
 					}

@@ -9,28 +9,26 @@ import (
 
 // deltaReplay is the record-replay engine shared by the speculative splice
 // (Analyzer.ApplyDelta) and the per-config Scheduler: it walks a compiled
-// record stream (ShardDelta.Code / DepSegment.Code) and maintains every
-// level-dependent structure of the analyzer — firewall floor, window,
-// functional units, predictor, governor, statistics — with pure array
-// indexing against a dense slot table instead of live-well hashing. The
-// replay performs the same placements in the same order Analyzer.Event
-// would, which is what makes both callers exact by construction.
+// record stream (ShardDelta.Code / DepSegment.Code, one encoding — see
+// delta.go) and maintains every level-dependent structure of the analyzer
+// — firewall floor, window, functional units, predictor, governor,
+// statistics — with pure array indexing against a dense slot table instead
+// of live-well hashing. The replay performs the same placements in the
+// same order Analyzer.Event would, which is what makes both callers exact
+// by construction.
 //
 // Slot state (slots, curMem) belongs to the caller: ApplyDelta materializes
 // it from the live well and writes it back per delta, the Scheduler keeps it
 // across segments for the whole trace.
 //
-// The two callers' record streams differ only in how a destination word
-// says whether the Ddest+1 storage term applies: a ShardDelta sets bit 31
-// when its build config decided so, a DepSegment tags the location class
-// and leaves the decision to the scheduler's config. slotMask extracts the
-// slot id and termMask selects the bits that mean "storage term applies";
-// firewall is the syscall policy, since DepSegments carry every syscall.
+// The records are policy-free, so init derives the policy half of the
+// placement rule from the analyzer's config: firewall is the syscall
+// policy, and termMask holds the destination classes whose storage term
+// (Ddest+1) applies, looked up once per place record (storageTerm).
 type deltaReplay struct {
 	a        *Analyzer
 	slots    []deltaSlot
 	curMem   int
-	slotMask uint32
 	termMask uint32
 	firewall bool
 	// lat is padded to the full width of the record's 8-bit opcode field
@@ -54,14 +52,13 @@ type deltaReplay struct {
 // rescale-check, small enough to live in the replay struct.
 const histScratch = 64
 
-// init binds the replay to an analyzer and its destination-word encoding
-// and resolves the latency table once; latencies come from the analyzer's
-// config, not the record stream, so ops resolve through the same tables a
-// sequential run uses.
-func (r *deltaReplay) init(a *Analyzer, slotMask, termMask uint32) {
+// init binds the replay to an analyzer, derives the syscall firewall and
+// storage-term mask from its config, and resolves the latency table once;
+// latencies come from the analyzer's config, not the record stream, so ops
+// resolve through the same tables a sequential run uses.
+func (r *deltaReplay) init(a *Analyzer) {
 	r.a = a
-	r.slotMask = slotMask
-	r.termMask = termMask
+	r.termMask = deltaTermMask(&a.cfg)
 	r.firewall = a.cfg.Syscalls != SyscallOptimistic
 	for op := isa.Op(0); op < isa.NumOps; op++ {
 		r.lat[op] = a.cfg.latency(op)
@@ -136,7 +133,6 @@ func (r *deltaReplay) run(code []uint32) error {
 	pred := a.pred
 	gov := a.gov
 	tailWork := storage != nil || gov != nil
-	slotMask := r.slotMask
 	termMask := r.termMask
 	firewall := r.firewall
 
@@ -205,10 +201,9 @@ func (r *deltaReplay) run(code []uint32) error {
 						}
 					}
 				}
-				dw := code[i+nsrc]
+				d := &slots[code[i+nsrc]]
 				i += nsrc + 1
-				d := &slots[dw&slotMask]
-				if dw&termMask != 0 && d.live && d.val.lastUse+1 > base {
+				if storageTerm(termMask, w0) && d.live && d.val.lastUse+1 > base {
 					base = d.val.lastUse + 1
 				}
 				if fu != nil {
@@ -259,9 +254,9 @@ func (r *deltaReplay) run(code []uint32) error {
 						base = sl.val.level
 					}
 				}
-				for _, dw := range dsts {
-					if dw&termMask != 0 {
-						sl := &slots[dw&slotMask]
+				if storageTerm(termMask, w0) {
+					for _, dw := range dsts {
+						sl := &slots[dw]
 						if sl.live && sl.val.lastUse+1 > base {
 							base = sl.val.lastUse + 1
 						}
@@ -280,7 +275,7 @@ func (r *deltaReplay) run(code []uint32) error {
 				}
 				newVal := value{level: ldest, lastUse: base}
 				for _, dw := range dsts {
-					sl := &slots[dw&slotMask]
+					sl := &slots[dw]
 					if sl.live {
 						if retireOn {
 							a.retire(sl.val)
@@ -334,7 +329,7 @@ func (r *deltaReplay) run(code []uint32) error {
 			// constrains nothing and touches no slots — exactly what
 			// Analyzer.event does with the branch. The Resolver emits full
 			// branch records regardless of branch policy so one resolution
-			// serves every policy in a sweep.
+			// serves every policy.
 			nsrc := int((w0 >> 16) & 0xff)
 			if pred == nil {
 				i += 1 + nsrc

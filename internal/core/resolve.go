@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"paragraph/internal/isa"
 	"paragraph/internal/trace"
@@ -13,9 +14,9 @@ import (
 // on the event stream, while everything a configuration varies (syscall
 // policy, renaming, window size, functional units, branch policy,
 // latencies, profiles, budgets) only affects the cheap max-plus replay. A
-// Resolver therefore consumes a workload's trace once and compiles it into
-// DepSegments — slot-addressed dependence records, cut into bounded
-// batches — and any number of Schedulers replay those segments with pure
+// Resolver therefore consumes a trace once and compiles it into
+// slot-addressed dependence records (the encoding is documented in
+// delta.go), and any number of replays consume those records with pure
 // array indexing, one per config. One resolution serves every
 // configuration: Tables 3 and 4 and a Figure 8 sweep cost 1× resolution +
 // N× scheduling instead of N× full analysis.
@@ -26,51 +27,23 @@ import (
 //
 // the syscall and renaming switches only decide whether a syscall raises
 // highestLevel and whether the Ddest+1 term applies, so the resolver
-// decides neither: it always emits syscall records, and it tags every
-// destination word with its location class (register, stack or data
-// memory) instead of a storage-term bit. Each scheduler derives its syscall
-// firewall and a storage-term class mask from its own config. Branch
-// records are likewise always full (PC, direction sign, outcome, source
-// slots); a perfect-branch scheduler consumes and ignores them.
+// decides neither: it always emits syscall records, and it flags each
+// placement's destination class (register, stack or data memory) in the
+// record's first word. Each replay derives its syscall firewall and a
+// storage-term class mask from its own config. Branch records are likewise
+// always full (PC, direction sign, outcome, source slots); a perfect-branch
+// replay consumes and ignores them.
 //
-// Unlike a ShardDelta, the record stream always starts at event 0 with an
-// empty machine, so slot ids are globally dense in first-touch order and a
-// scheduler's slot table is never materialized from a live well: slots
-// start dead and spring to life exactly when a sequential analyzer would
-// first touch the location. ShardDelta keeps its own encoding (a
-// pre-decided storage-term bit 31), so the .pgsd format is unaffected.
-
-// Destination class tags. A DepSegment destination word is its slot id
-// with exactly one tag set; a scheduler's termMask holds the tags of the
-// classes whose storage dependences (the Ddest+1 term) apply under its
-// renaming switches. The three tags leave 29 bits of slot id, which the
-// resolver guards on first touch (see resolveSlotLimit).
-const (
-	depTagReg   = uint32(1) << 29
-	depTagStack = uint32(1) << 30
-	depTagData  = uint32(1) << 31
-	depSlotMask = depTagReg - 1
-
-	// resolveSlotLimit is the number of slot ids a resolution can
-	// allocate before an id would reach the tag bits.
-	resolveSlotLimit = depTagReg
-)
-
-// depTermMask returns the class tags whose storage dependences apply
-// under cfg's renaming switches.
-func depTermMask(cfg *Config) uint32 {
-	var m uint32
-	if !cfg.RenameRegisters {
-		m |= depTagReg
-	}
-	if !cfg.RenameStack {
-		m |= depTagStack
-	}
-	if !cfg.RenameData {
-		m |= depTagData
-	}
-	return m
-}
+// The resolver has two outputs. A whole-trace resolution (NewResolver)
+// starts at event 0 with an empty machine and cuts its stream into bounded
+// DepSegments for Schedulers: slot ids are globally dense in first-touch
+// order, so a scheduler's slot table is never materialized from a live
+// well — slots start dead and spring to life exactly when a sequential
+// analyzer would first touch the location. A shard resolution
+// (NewDeltaResolver) starts at a shard's first event with unknown entry
+// state and compiles the shard into one uncut ShardDelta whose slots are
+// pending reads, resolved against the real entry state at splice time
+// (Analyzer.ApplyDelta).
 
 // DepSegment is one bounded batch of the dependence-record stream. Segments
 // are immutable while consumers hold them and are shared read-only by every
@@ -80,9 +53,7 @@ type DepSegment struct {
 	// order: the slot table grows by exactly these entries (register number,
 	// or word address with deltaMemLoc set) before Code replays.
 	NewLocs []uint32
-	// Code is the flat record stream: ShardDelta.Code's layout, except that
-	// destination words carry a class tag instead of a storage-term bit and
-	// syscalls are always syscall records.
+	// Code is the flat record stream (see delta.go).
 	Code []uint32
 	// Events is the number of events compiled into Code.
 	Events uint64
@@ -110,28 +81,27 @@ const resolveSegWords = 24 << 10
 // budget the way trace.RingFootprint fits the event ring.
 const ResolveSegmentBytes = int64(resolveSegWords+160) * 2 * 4
 
-// ErrSlotSpace reports a resolution that touched more distinct locations
-// than a DepSegment can address.
-var ErrSlotSpace = errors.New("resolver slot space exhausted: more than 2^29 distinct locations")
-
 // Resolver is the config-invariant stage-1 pass. It implements trace.Sink
 // and trace.BatchSink, validating events exactly as a sequential analyzer
 // does (same absolute indices, same error values) and compiling them into
-// DepSegments delivered through the emit callback. It owns the slot tables
-// — the only hashing in the whole sweep happens here, once.
+// dependence records. It owns the slot tables — the only hashing in the
+// whole sweep happens here, once.
 //
 // On a validation error the records for every event before the bad one are
-// still emitted by Flush, so schedulers observe the same prefix a
-// sequential analyzer would have analyzed before failing. Slot-space
-// exhaustion (ErrSlotSpace) is different: the pending segment is dropped,
-// so no record can carry an id that overlaps the class tags.
+// kept — a whole-trace resolution still emits them on Flush, a shard
+// resolution's Delta covers them — so replays observe the same prefix a
+// sequential analyzer would have analyzed before failing. Slot ids are
+// below 2^30 word addresses plus the register count, so they always fit
+// the int32 slot tables.
 type Resolver struct {
-	emit func(*DepSegment) error
+	emit func(*DepSegment) error // nil for a shard resolution
 
 	regSlot [isa.NumRegs]int32
 	memSlot *slotTable
 	srcBuf  []isa.Reg
 
+	// start is the absolute trace position of the first event.
+	start uint64
 	// slotBase counts the slots allocated in all flushed segments; ids stay
 	// globally dense across segment cuts.
 	slotBase uint32
@@ -140,23 +110,32 @@ type Resolver struct {
 	// spare is a segment handed back through Reuse: its arrays back the
 	// next segment and its struct carries the one after.
 	spare *DepSegment
-	// cut is the code length at which a segment is flushed; slot-space
-	// exhaustion zeroes it so the failing event's caller stops at once.
+	// cut is the code length at which a segment is flushed.
 	cut int
-	err error
 }
 
-// NewResolver starts a resolution. The records are policy-free, so cfg is
-// unused: it is kept for call-site symmetry with NewScheduler, and any
-// config's schedulers can replay the result. Emitted segments must not be
-// mutated.
+// NewResolver starts a whole-trace resolution whose segments reach emit.
+// The records are policy-free, so cfg is unused: it is kept for call-site
+// symmetry with NewScheduler, and any config's schedulers can replay the
+// result. Emitted segments must not be mutated.
 func NewResolver(cfg Config, emit func(*DepSegment) error) *Resolver {
-	r := &Resolver{
-		emit:    emit,
-		memSlot: newSlotTable(),
-		cut:     resolveSegWords,
-	}
-	r.seg = newDepSegment()
+	return newResolver(emit, 0, resolveSegWords, newDepSegment())
+}
+
+// NewDeltaResolver starts a shard resolution: the speculative pass over a
+// shard whose first event sits at absolute trace position start, so
+// validation errors carry the same indices a chained run reports. It never
+// cuts: the shard compiles into one segment whose code array is presized
+// for n events (about four words cover the common event; denser events
+// append past the hint), and Delta returns it. It holds no levels and no
+// entry state, so any number of shard resolutions of one trace can run
+// concurrently.
+func NewDeltaResolver(start uint64, n int) *Resolver {
+	return newResolver(nil, start, math.MaxInt, DepSegment{Code: make([]uint32, 0, 4*n)})
+}
+
+func newResolver(emit func(*DepSegment) error, start uint64, cut int, seg DepSegment) *Resolver {
+	r := &Resolver{emit: emit, memSlot: newSlotTable(), start: start, seg: seg, cut: cut}
 	for i := range r.regSlot {
 		r.regSlot[i] = -1
 	}
@@ -175,6 +154,23 @@ func (r *Resolver) Reuse(seg *DepSegment) { r.spare = seg }
 // Totals returns the scalar totals accumulated so far. Stable only after
 // the final Flush.
 func (r *Resolver) Totals() ResolveTotals { return r.totals }
+
+// Delta returns a shard resolution's records as a ShardDelta. After a
+// validation error it covers every event before the failing one.
+func (r *Resolver) Delta() *ShardDelta {
+	return &ShardDelta{
+		StartEvent:  r.start,
+		Events:      r.seg.Events,
+		Locs:        r.seg.NewLocs,
+		Code:        r.seg.Code,
+		ClassCounts: r.totals.ClassCounts,
+		Syscalls:    r.totals.Syscalls,
+	}
+}
+
+// nextSlot returns the next dense slot id: the count of slots allocated in
+// all flushed segments plus those pending in the current one.
+func (r *Resolver) nextSlot() uint32 { return r.slotBase + uint32(len(r.seg.NewLocs)) }
 
 // regSlotID resolves a register to its slot, allocating on first touch.
 func (r *Resolver) regSlotID(reg isa.Reg) uint32 {
@@ -195,23 +191,6 @@ func (r *Resolver) memSlotID(w uint32) uint32 {
 	id := r.nextSlot()
 	r.memSlot.insert(w, int32(id))
 	r.seg.NewLocs = append(r.seg.NewLocs, w|deltaMemLoc)
-	return id
-}
-
-// nextSlot returns the next globally dense slot id: the count of slots
-// allocated in all flushed segments plus those pending in the current one.
-// It is the only place ids are minted, so the slot-space guard runs on
-// first touch only: an id that would reach the class tags poisons the
-// resolver instead, and the placeholder 0 it returns is never emitted.
-func (r *Resolver) nextSlot() uint32 {
-	id := r.slotBase + uint32(len(r.seg.NewLocs))
-	if id >= resolveSlotLimit {
-		if r.err == nil {
-			r.err = fmt.Errorf("core: event %d: %w", r.totals.Events-1, ErrSlotSpace)
-		}
-		r.cut = 0
-		return 0
-	}
 	return id
 }
 
@@ -242,13 +221,10 @@ func (r *Resolver) Events(batch []trace.Event) error {
 }
 
 // Flush emits the pending segment, if any. The producer calls it once more
-// after the last event to deliver the final partial segment. After slot-space
-// exhaustion it emits nothing and returns the error.
+// after the last event to deliver the final partial segment. A shard
+// resolution has nothing to flush: its one segment is its Delta.
 func (r *Resolver) Flush() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.seg.Code) == 0 && len(r.seg.NewLocs) == 0 {
+	if r.emit == nil || len(r.seg.Code) == 0 && len(r.seg.NewLocs) == 0 {
 		return nil
 	}
 	r.slotBase += uint32(len(r.seg.NewLocs))
@@ -278,12 +254,13 @@ func newDepSegment() DepSegment {
 	}
 }
 
-// build compiles one event, mirroring DeltaBuilder.build except that the
-// record leaves every policy decision to the scheduler: syscalls always
-// emit a syscall record, branch records are always full, and destinations
-// carry class tags.
+// build compiles one event into the record stream. The dispatch mirrors
+// Analyzer.event, except that every policy decision is left to the replay;
+// the slot references are emitted in exactly the order the analyzer
+// touches the corresponding live-well locations, so the replay is
+// operation-for-operation identical.
 func (r *Resolver) build(e *trace.Event) error {
-	seq := r.totals.Events
+	seq := r.start + r.totals.Events
 	if verr := validateEvent(e, seq); verr != nil {
 		return verr
 	}
@@ -305,12 +282,19 @@ func (r *Resolver) build(e *trace.Event) error {
 		return nil
 	case info.IsJump:
 		if dst, ok := e.Ins.Dest(); ok {
+			// bindConstant does not skip $zero, so neither does the
+			// record: the binding is observable through retirement
+			// statistics.
 			r.seg.Code = append(r.seg.Code, w0|deltaKindJump|1<<24, r.regSlotID(dst))
 		} else {
 			r.seg.Code = append(r.seg.Code, w0)
 		}
 		return nil
 	case info.IsBranch:
+		// Whether the branch mispredicts can depend on predictor state
+		// flowing across a shard seam, so the record carries everything
+		// the replay needs to decide: outcome, direction sign, PC and the
+		// source slots that set the resolution level.
 		w0 |= deltaKindBranch
 		if e.Taken {
 			w0 |= deltaFlagTaken
@@ -333,8 +317,11 @@ func (r *Resolver) build(e *trace.Event) error {
 		return nil
 	}
 
-	// Ordinary placement; slot emission order matches the live-well touch
-	// order of a sequential analyzer exactly as in DeltaBuilder.build.
+	// Ordinary placement. Source and destination slots are emitted in
+	// live-well touch order: registers before memory words, memory words
+	// lo..hi. nsrc and ndst fit a byte: at most 3 register sources and —
+	// MemSize being a byte — at most 65 words per access. A store writes
+	// no register, so one record's destinations share a class.
 	w0 |= deltaKindPlace
 	at := len(r.seg.Code)
 	r.seg.Code = append(r.seg.Code, 0)
@@ -362,18 +349,17 @@ func (r *Resolver) build(e *trace.Event) error {
 		if dst == isa.Zero {
 			continue
 		}
-		r.seg.Code = append(r.seg.Code, r.regSlotID(dst)|depTagReg)
+		r.seg.Code = append(r.seg.Code, r.regSlotID(dst))
 		ndst++
 	}
 	if info.IsStore {
 		w0 |= deltaFlagIsStore
-		tag := depTagData
 		if e.Seg == trace.SegStack {
-			tag = depTagStack
+			w0 |= deltaFlagIsStack
 		}
 		lo, hi := wordRange(e.MemAddr, e.MemSize)
 		for w := lo; w <= hi; w++ {
-			r.seg.Code = append(r.seg.Code, r.memSlotID(w)|tag)
+			r.seg.Code = append(r.seg.Code, r.memSlotID(w))
 			ndst++
 		}
 	}
@@ -397,7 +383,7 @@ type Scheduler struct {
 // class mask to the policy-free records itself.
 func NewScheduler(cfg Config) *Scheduler {
 	s := &Scheduler{a: NewAnalyzer(cfg)}
-	s.rp.init(s.a, depSlotMask, depTermMask(&s.a.cfg))
+	s.rp.init(s.a)
 	return s
 }
 

@@ -54,7 +54,7 @@ func resolveRun(t *testing.T, cfgs []Config, events []trace.Event, pts []int) []
 // deltaConfigs — both syscall policies, lifetimes+sharing, governed and
 // warn-only budgets, branch policies, windows, FUs, latencies — plus each
 // renaming switch on its own, so every storage-term class mask the
-// schedulers derive is exercised against the same class-tagged records.
+// schedulers derive is exercised against the same class-flagged records.
 func resolveMatrix() []Config {
 	return append(deltaConfigs(),
 		Config{RenameRegisters: true},
@@ -88,7 +88,8 @@ func TestResolveDifferentialSequential(t *testing.T) {
 // resolution serves schedulers with different windows, functional units,
 // latencies, branch policies, syscall policies and renaming — the resolver
 // emits full branch records and every syscall regardless of policy, and
-// tags destinations by class, so each scheduler applies its own policy.
+// flags each record's destination class, so each scheduler applies its own
+// policy.
 func TestResolveSharedAcrossConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	base := Dataflow(SyscallConservative)
@@ -236,50 +237,5 @@ func TestResolverSegmentBounds(t *testing.T) {
 	}
 	if errors.Is(r.Flush(), nil) && r.Totals().Events != uint64(len(events)) {
 		t.Errorf("totals = %d events, want %d", r.Totals().Events, len(events))
-	}
-}
-
-// TestResolverSlotSpaceGuard pins the class-tag headroom: slot ids share a
-// destination word with three class tags, so the resolver must fail before
-// minting an id that reaches them — and must not emit the segment holding
-// the failing event — while ids just below the limit still work.
-func TestResolverSlotSpaceGuard(t *testing.T) {
-	var segs []*DepSegment
-	r := NewResolver(Config{}, func(seg *DepSegment) error {
-		segs = append(segs, seg)
-		return nil
-	})
-	// Three first touches take the last three ids.
-	r.slotBase = resolveSlotLimit - 3
-	ok := evAdd(isa.T0, isa.T1, isa.T2)
-	if err := r.Event(&ok); err != nil {
-		t.Fatalf("event within the slot space: %v", err)
-	}
-	if err := r.Flush(); err != nil {
-		t.Fatalf("flush within the slot space: %v", err)
-	}
-	if len(segs) != 1 {
-		t.Fatalf("%d segments emitted, want 1", len(segs))
-	}
-	code := segs[0].Code
-	if dw := code[len(code)-1]; dw&depSlotMask != resolveSlotLimit-1 || dw&^depSlotMask != depTagReg {
-		t.Fatalf("last destination word %#x: want slot %#x tagged as a register", dw, resolveSlotLimit-1)
-	}
-
-	// The next first touch would need id 2^29.
-	pending := evAdd(isa.T2, isa.T0, isa.T1) // all known: still fine
-	if err := r.Event(&pending); err != nil {
-		t.Fatalf("event touching known slots: %v", err)
-	}
-	over := evAdd(isa.T3, isa.T0, isa.T1)
-	err := r.Event(&over)
-	if !errors.Is(err, ErrSlotSpace) {
-		t.Fatalf("err = %v, want ErrSlotSpace", err)
-	}
-	if err := r.Flush(); !errors.Is(err, ErrSlotSpace) {
-		t.Fatalf("Flush after exhaustion = %v, want the sticky ErrSlotSpace", err)
-	}
-	if len(segs) != 1 {
-		t.Fatalf("%d segments emitted; the segment holding the failing event must be dropped", len(segs))
 	}
 }

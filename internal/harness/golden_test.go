@@ -149,10 +149,10 @@ func TestGoldenFigure7(t *testing.T) {
 }
 
 // TestGoldenFigure8 pins the window-size sweep's rendered output.
-// AnalyzeMulti's EngineAuto routes every multi-config analysis — this
-// sweep as well as Tables 3 and 4 — through the resolved engine, so the
-// golden files pin the shared-extraction path against rendered numbers,
-// not just deep-equality to the other engines.
+// AnalyzeMulti routes every multi-config analysis — this sweep as well as
+// Tables 3 and 4 — through the resolved engine, so the golden files pin
+// the shared-extraction path against rendered numbers, not just
+// deep-equality to sequential analyzers.
 func TestGoldenFigure8(t *testing.T) {
 	skipUnderRace(t)
 	s := NewSuite(1)

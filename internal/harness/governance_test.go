@@ -123,9 +123,12 @@ func TestSuiteBudgetDegradeCompletes(t *testing.T) {
 	}
 }
 
-// TestEngineDowngrade: a budget too small for the recorded trace makes the
-// buffered engine fall back to streaming under Degrade, the results match
-// the plain streaming engine's, and every row records the downgrade.
+// TestEngineDowngrade: a budget below the resolved engine's minimum
+// segment ring (two segments in half the budget) makes a multi-config
+// analysis fall back to streaming under Degrade; the results match the
+// ungoverned streaming engine's and every row records the downgrade. The
+// workload's analyzers fit the same budget without degrading, so only the
+// engine choice changes.
 func TestEngineDowngrade(t *testing.T) {
 	w, ok := workloads.ByName("matrixx")
 	if !ok {
@@ -136,16 +139,10 @@ func TestEngineDowngrade(t *testing.T) {
 		core.Dataflow(core.SyscallOptimistic),
 	}
 
-	// A budget the analyzers live within comfortably but the multi-MB
-	// trace buffer cannot: only the engine choice should change. The
-	// buffered engine is pinned explicitly — under EngineAuto the same
-	// budget simply runs the bounded ring without downgrading (see
-	// TestRingEngineAvoidsDowngrade).
 	governed := NewSuite(1)
 	governed.MaxInstr = 300_000
 	governed.Concurrency = 4
-	governed.Engine = EngineBuffered
-	governed.MemBudget = 8 << 20
+	governed.MemBudget = 3 * core.ResolveSegmentBytes
 	governed.BudgetPolicy = budget.Degrade
 	got, err := governed.AnalyzeMulti(context.Background(), w, cfgs)
 	if err != nil {
@@ -154,8 +151,7 @@ func TestEngineDowngrade(t *testing.T) {
 
 	reference := NewSuite(1)
 	reference.MaxInstr = 300_000
-	reference.Concurrency = 1 // streaming engine, ungoverned
-	want, err := reference.AnalyzeMulti(context.Background(), w, cfgs)
+	want, err := reference.analyzeStreaming(context.Background(), w, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +162,9 @@ func TestEngineDowngrade(t *testing.T) {
 	for i := range got {
 		if got[i].Governor == nil || !got[i].Governor.EngineDowngraded {
 			t.Fatalf("config %d: stats = %+v, want EngineDowngraded", i, got[i].Governor)
+		}
+		if got[i].Governor.Degradations > 0 {
+			t.Fatalf("config %d: stats = %+v; the fixture's analyzers must fit the budget", i, got[i].Governor)
 		}
 		// Strip the governance bookkeeping; the analysis must be identical.
 		g := *got[i]
@@ -179,10 +178,10 @@ func TestEngineDowngrade(t *testing.T) {
 }
 
 // TestRingEngineAvoidsDowngrade is the constant-memory claim stated as
-// governance: the budget that forces the buffered engine to abandon its
-// recording (TestEngineDowngrade) fits the bounded ring with room to
-// spare, so the ring engine completes at full fidelity — no downgrade, no
-// degradations — with results deeply equal to the streaming reference.
+// governance: an 8 MiB budget fits the resolved engine's segment ring at
+// full depth with room to spare, so the analysis completes at full
+// fidelity — no downgrade, no degradations — with results deeply equal to
+// the streaming reference, on both scheduling topologies.
 func TestRingEngineAvoidsDowngrade(t *testing.T) {
 	w, ok := workloads.ByName("matrixx")
 	if !ok {
@@ -193,41 +192,40 @@ func TestRingEngineAvoidsDowngrade(t *testing.T) {
 		core.Dataflow(core.SyscallOptimistic),
 	}
 
-	governed := NewSuite(1)
-	governed.MaxInstr = 300_000
-	governed.Concurrency = 4
-	governed.Engine = EngineRing
-	governed.MemBudget = 8 << 20
-	governed.BudgetPolicy = budget.Degrade
-	got, err := governed.AnalyzeMulti(context.Background(), w, cfgs)
-	if err != nil {
-		t.Fatalf("governed ring analysis failed: %v", err)
-	}
-
 	reference := NewSuite(1)
 	reference.MaxInstr = 300_000
-	reference.Concurrency = 1 // streaming engine, ungoverned
-	want, err := reference.AnalyzeMulti(context.Background(), w, cfgs)
+	want, err := reference.analyzeStreaming(context.Background(), w, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for i := range got {
-		if got[i].Governor == nil {
-			t.Fatalf("config %d: no GovernorStats on a governed run", i)
+	for _, workers := range []int{1, 4} {
+		governed := NewSuite(1)
+		governed.MaxInstr = 300_000
+		governed.Concurrency = workers
+		governed.MemBudget = 8 << 20
+		governed.BudgetPolicy = budget.Degrade
+		got, err := governed.AnalyzeMulti(context.Background(), w, cfgs)
+		if err != nil {
+			t.Fatalf("Concurrency %d: governed analysis failed: %v", workers, err)
 		}
-		if got[i].Governor.EngineDowngraded {
-			t.Errorf("config %d: ring engine downgraded under a budget it fits", i)
-		}
-		if got[i].Governor.Degradations > 0 {
-			t.Errorf("config %d: stats = %+v, want no degradations", i, got[i].Governor)
-		}
-		g := *got[i]
-		g.Governor = nil
-		g.Config.MemBudget = 0
-		g.Config.BudgetPolicy = budget.FailFast
-		if !reflect.DeepEqual(&g, want[i]) {
-			t.Errorf("config %d: ring engine diverged from streaming reference", i)
+		for i := range got {
+			if got[i].Governor == nil {
+				t.Fatalf("Concurrency %d, config %d: no GovernorStats on a governed run", workers, i)
+			}
+			if got[i].Governor.EngineDowngraded {
+				t.Errorf("Concurrency %d, config %d: resolved engine downgraded under a budget it fits", workers, i)
+			}
+			if got[i].Governor.Degradations > 0 {
+				t.Errorf("Concurrency %d, config %d: stats = %+v, want no degradations", workers, i, got[i].Governor)
+			}
+			g := *got[i]
+			g.Governor = nil
+			g.Config.MemBudget = 0
+			g.Config.BudgetPolicy = budget.FailFast
+			if !reflect.DeepEqual(&g, want[i]) {
+				t.Errorf("Concurrency %d, config %d: resolved engine diverged from streaming reference", workers, i)
+			}
 		}
 	}
 }

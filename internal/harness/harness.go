@@ -5,24 +5,18 @@
 // experiments documented in DESIGN.md (functional-unit limits, lifetime and
 // sharing distributions, and the loop-unrolling ablation).
 //
-// One simulated execution can feed any number of analyzer configurations
-// simultaneously. The default multi-configuration engine resolves the
-// simulation's dependences once (core.Resolver) and schedules the
-// resulting records under every configuration (FanOutResolved), so a whole
-// syscall, renaming or window sweep costs a single simulation and a single
-// resolution per workload and holds memory proportional to configuration
-// rather than trace length. Suite.Engine can pin the other engines: the
-// serial reference engine, which streams events to full analyzers in
-// lockstep during the simulation (trace.Tee); the event ring, which runs
-// one full analyzer goroutine per configuration behind a bounded
-// trace.Ring (FanOutStream); and the legacy buffered engine (record into a
-// trace.EventBuffer, then FanOut to a worker pool). The differential tests
-// hold every engine to the serial reference.
+// One simulated execution feeds any number of analyzer configurations. A
+// single configuration streams events straight into its analyzer. More
+// resolve the simulation's dependences once (core.Resolver) and schedule
+// the resulting policy-free records under every configuration
+// (FanOutResolved), so a whole syscall, renaming or window sweep costs a
+// single simulation and a single resolution per workload and holds memory
+// proportional to configuration rather than trace length. The
+// differential tests hold both engines to per-config sequential analyzers.
 package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -53,14 +47,13 @@ type Suite struct {
 	// experiment; 0 selects GOMAXPROCS. Every workload's simulation and
 	// analysis is independent, so experiments parallelize perfectly.
 	Parallelism int
-	// Concurrency bounds how many analyzer configurations run concurrently
-	// over one workload's trace (the per-config fan-out inside
-	// AnalyzeMulti); 0 selects GOMAXPROCS. With Concurrency 1 the resolved
-	// engine schedules every configuration inline on the goroutine that
-	// simulates and resolves, instead of one scheduler goroutine per
-	// configuration, and the buffered engine's pool has one worker. Every
-	// setting produces deeply-equal Results for the same inputs (the
-	// differential tests enforce this).
+	// Concurrency selects how a multi-configuration analysis schedules
+	// over one workload's trace. At 1 every configuration is scheduled
+	// inline on the goroutine that simulates and resolves; any other value
+	// runs one scheduler goroutine per configuration (inline too on a
+	// single-CPU runtime), so it is a switch, not a bound. Every setting
+	// produces deeply-equal Results for the same inputs (the differential
+	// tests enforce this).
 	Concurrency int
 	// ContinueOnError keeps an experiment going when a workload fails:
 	// the remaining workloads still run, the failed row reports its error,
@@ -77,12 +70,13 @@ type Suite struct {
 	// deadline, so it composes with whatever context the caller passes to
 	// the experiment methods.
 	WorkloadTimeout time.Duration
-	// MemBudget bounds each analyzer's working set and, in the buffered
-	// engine, the recorded trace buffer, in estimated bytes; 0 disables
-	// governance (see core.Config.MemBudget). When the trace buffer
-	// itself would exceed the budget under the Degrade policy, the suite
-	// falls back to the streaming engine for that workload and records
-	// the downgrade in every result's GovernorStats.
+	// MemBudget bounds each analyzer's working set and, in a
+	// multi-configuration analysis, the resolved engine's segment ring, in
+	// estimated bytes; 0 disables governance (see core.Config.MemBudget).
+	// The ring may spend at most half the budget. When even its minimum
+	// depth does not fit under the Degrade policy, the suite falls back to
+	// the streaming engine for that workload and records the downgrade in
+	// every result's GovernorStats.
 	MemBudget int64
 	// BudgetPolicy selects the over-budget response (see
 	// core.Config.BudgetPolicy). Ignored when MemBudget is 0.
@@ -94,13 +88,6 @@ type Suite struct {
 	// Parallelism shrinks before any share drops below budget.MinShare. 0
 	// disables pooling; MemBudget then applies per workload as before.
 	GlobalMemBudget int64
-	// Engine selects the multi-configuration analysis engine; EngineAuto
-	// (the zero value) streams a single configuration and resolves
-	// dependences once for more.
-	Engine EngineKind
-	// RingBatches overrides the ring engine's depth in batches of
-	// trace.DefaultBatchEvents events; 0 selects trace.DefaultRingBatches.
-	RingBatches int
 	// OnRow, when set, is called by the experiment drivers as each
 	// workload's result row completes, with the workload's index and name
 	// and the finished row value — the per-row autosave hook. It may be
@@ -275,126 +262,39 @@ func (s *Suite) emitRow(i int, workload string, row any) {
 	}
 }
 
-// errEngineDowngrade aborts trace recording when the buffer outgrows the
-// memory budget under the Degrade policy; AnalyzeMulti catches it and falls
-// back to the streaming engine, which buffers nothing.
-var errEngineDowngrade = errors.New("harness: trace buffer over memory budget")
-
-// bufferMeter is a trace.Sink wrapper that meters the recorded buffer's
-// bytes against the suite's memory budget every budget.CheckEvery events.
-type bufferMeter struct {
-	buf    *trace.EventBuffer
-	limit  int64
-	policy budget.Policy
-	n      uint64
-}
-
-// Event implements trace.Sink.
-func (m *bufferMeter) Event(e *trace.Event) error {
-	if err := m.buf.Event(e); err != nil {
-		return err
-	}
-	m.n++
-	if m.n%budget.CheckEvery == 0 {
-		if b := m.buf.Bytes(); b > m.limit {
-			switch m.policy {
-			case budget.FailFast:
-				return &budget.Error{Resource: budget.EventBuffer, UsageBytes: b, LimitBytes: m.limit}
-			case budget.Degrade:
-				return errEngineDowngrade
-			}
-			// WarnOnly: keep recording; the analyzers' own governors
-			// still meter their working sets.
-		}
-	}
-	return nil
-}
-
 // AnalyzeMulti executes one workload once and runs every analyzer
 // configuration over the same trace. A single configuration streams
 // events straight into its analyzer. With more, the simulation's
 // dependences are resolved once and the policy-free records scheduled
 // under every configuration (see FanOutResolved) — whatever the mix of
 // syscall policies, renaming, windows or units — with memory a function of
-// configuration, not trace length. Suite.Engine can pin the streaming,
-// ring or buffered engine instead. All engines return deeply-equal Results
-// indexed by configuration, and errors name the caller's configuration
-// index; the differential battery enforces it.
+// configuration, not trace length. Both engines return deeply-equal
+// Results indexed by configuration, and errors name the caller's
+// configuration index; the differential battery enforces it.
 //
 // Cancelling ctx aborts simulation and analysis within one guard stride
 // (guardEvery events); Suite.WorkloadTimeout expiry surfaces as
 // ErrWorkloadTimeout with context.DeadlineExceeded in the chain. The
 // workload's effective memory budget is MemBudget folded with any
-// budget.Pool share on ctx (smaller wins). Under the Degrade policy, an
-// engine whose fixed overhead cannot fit the budget — the buffered
-// engine's growing recording, or an event or segment ring below its
-// minimum depth — re-simulates the workload on the streaming engine
-// instead, marking EngineDowngraded in every result's GovernorStats.
+// budget.Pool share on ctx (smaller wins). Under the Degrade policy, a
+// budget too small for the resolved engine's minimum segment ring
+// re-simulates the workload on the streaming engine instead, marking
+// EngineDowngraded in every result's GovernorStats.
 func (s *Suite) AnalyzeMulti(ctx context.Context, w *workloads.Workload, cfgs []core.Config) ([]*core.Result, error) {
 	memBudget := s.effectiveMemBudget(ctx)
 	cfgs = s.applyBudget(cfgs, memBudget)
 	wctx, cancel := s.workloadContext(ctx)
 	defer cancel()
-	switch s.engineFor(len(cfgs)) {
-	case EngineStreaming:
+	if len(cfgs) == 1 {
 		return s.analyzeStreaming(wctx, w, cfgs)
-	case EngineBuffered:
-		return s.analyzeBuffered(wctx, w, cfgs, memBudget)
-	case EngineResolved:
-		return s.analyzeResolved(wctx, w, cfgs, memBudget)
-	default:
-		return s.analyzeRing(wctx, w, cfgs, memBudget)
 	}
+	return s.analyzeResolved(wctx, w, cfgs, memBudget)
 }
 
-// engineFor resolves Suite.Engine for an analysis of n configurations.
-// EngineAuto streams a single configuration straight into its analyzer and
-// resolves dependences once for any more: the saving is algorithmic, not
-// parallel, so it applies at every worker count.
-func (s *Suite) engineFor(n int) EngineKind {
-	switch {
-	case s.Engine != EngineAuto:
-		return s.Engine
-	case n == 1:
-		return EngineStreaming
-	default:
-		return EngineResolved
-	}
-}
-
-// analyzeBuffered is the legacy parallel engine: record the whole trace
-// into an EventBuffer during the simulation pass, then fan it out to a
-// bounded worker pool. Memory is proportional to trace length, metered
-// against memBudget while recording.
-func (s *Suite) analyzeBuffered(wctx context.Context, w *workloads.Workload, cfgs []core.Config, memBudget int64) ([]*core.Result, error) {
-	buf := &trace.EventBuffer{}
-	var sink trace.Sink = buf
-	if memBudget > 0 {
-		sink = &bufferMeter{buf: buf, limit: memBudget, policy: s.BudgetPolicy}
-	}
-	if _, err := w.Run(s.Scale, s.options(), guardSink(wctx, sink), s.MaxInstr); err != nil {
-		if errors.Is(err, errEngineDowngrade) {
-			// The recorded trace would blow the budget: drop the partial
-			// buffer, re-simulate on the streaming engine (which holds no
-			// buffer at all), and record the downgrade.
-			results, serr := s.analyzeStreaming(wctx, w, cfgs)
-			if serr != nil {
-				return nil, serr
-			}
-			for _, r := range results {
-				if r.Governor != nil {
-					r.Governor.EngineDowngraded = true
-				}
-			}
-			return results, nil
-		}
-		return nil, err
-	}
-	return fanOut(wctx, buf, cfgs, s.Concurrency)
-}
-
-// analyzeStreaming is the serial engine: one simulation pass feeds every
-// analyzer in lockstep through trace.Tee, with no intermediate buffer.
+// analyzeStreaming is the single-configuration engine, and the fallback
+// when the resolved engine's segment ring cannot fit the memory budget:
+// one simulation pass feeds every analyzer in lockstep through trace.Tee,
+// with no intermediate buffer.
 func (s *Suite) analyzeStreaming(ctx context.Context, w *workloads.Workload, cfgs []core.Config) ([]*core.Result, error) {
 	analyzers := make([]*core.Analyzer, len(cfgs))
 	sinks := make([]trace.Sink, len(cfgs))

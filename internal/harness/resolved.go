@@ -59,12 +59,13 @@ func (rs *ResolverStream) SetStats(st trace.ReadStats) {
 // resolver recycles each segment the ring displaces, so the run holds
 // depth+1 segment buffers whatever the trace length; on a single CPU the
 // schedulers run inline (see fanOutResolvedSerial). depth bounds producer
-// run-ahead in segments (0 selects trace.DefaultSegRingDepth). Error
-// semantics match FanOutStream: the lowest-index failing configuration
-// decides the error (prefixed "config %d:"), a deadline expiry surfaces as
-// ErrWorkloadTimeout, panics are contained, and a producer failure — which
-// includes event validation, since the resolver validates for every
-// config — is reported once, as itself, not once per configuration.
+// run-ahead in segments (0 selects trace.DefaultSegRingDepth). The
+// lowest-index failing configuration decides the error (prefixed
+// "config %d:"), a deadline expiry surfaces as ErrWorkloadTimeout, panics
+// are contained, and a producer failure — which includes event validation,
+// since the resolver validates for every config — is reported once, as
+// itself, not once per configuration. All goroutines drain before
+// FanOutResolved returns.
 func FanOutResolved(ctx context.Context, produce func(*ResolverStream) error, cfgs []core.Config, depth int) ([]*core.Result, trace.ReadStats, error) {
 	return fanOutResolved(ctx, produce, cfgs, depth, resolvedSerial())
 }
@@ -129,8 +130,9 @@ func fanOutResolved(ctx context.Context, produce func(*ResolverStream) error, cf
 	perr := <-prodCh
 	stats := ring.Stats()
 
-	// Same selection as FanOutStream: lowest-index consumer failure that is
-	// the consumer's own; producer-failure echoes don't count.
+	// Lowest-index scheduler failure that is the scheduler's own — echoes
+	// of the producer's failure (RingProducerError) don't count, so a
+	// broken simulation is reported once rather than len(cfgs) times.
 	firstIdx, firstErr := -1, error(nil)
 	for i, err := range errs {
 		if err == nil {
@@ -152,6 +154,8 @@ func fanOutResolved(ctx context.Context, produce func(*ResolverStream) error, cf
 	}
 	switch {
 	case firstErr != nil && ctx.Err() != nil:
+		// Under the caller's cancellation or deadline every side fails;
+		// the lowest-index configuration decides.
 		return nil, stats, fmt.Errorf("config %d: %w", firstIdx, firstErr)
 	case perr != nil:
 		return nil, stats, perr
@@ -379,16 +383,17 @@ func finishScheduler(s *core.Scheduler, totals core.ResolveTotals) (r *core.Resu
 	return s.Finish(totals)
 }
 
-// analyzeResolved is AnalyzeMulti's shared-extraction engine: the workload
-// is simulated once, its dependences resolved once, and the record
-// segments scheduled under every config. Scheduling runs inline when the
-// suite's Concurrency is 1 or the runtime has one CPU, and on one
-// goroutine per config otherwise. memBudget semantics mirror analyzeRing:
-// the segment ring may spend at most half the budget, and a budget too
-// small for even a trace.MinSegRingDepth ring falls back by policy —
-// Degrade re-runs on the streaming engine and marks EngineDowngraded,
-// FailFast returns a structured budget error, WarnOnly proceeds at the
-// floor.
+// analyzeResolved is AnalyzeMulti's multi-configuration engine: the
+// workload is simulated once, its dependences resolved once, and the
+// record segments scheduled under every config. Scheduling runs inline
+// when the suite's Concurrency is 1 or the runtime has one CPU, and on one
+// goroutine per config otherwise. memBudget is this workload's effective
+// budget (already folded with any Pool share): the segment ring may spend
+// at most half of it, the schedulers' governed working sets get the rest,
+// and a budget too small for even a trace.MinSegRingDepth ring falls back
+// by policy — Degrade re-runs on the streaming engine and marks
+// EngineDowngraded, FailFast returns a structured budget error, WarnOnly
+// proceeds at the floor.
 func (s *Suite) analyzeResolved(wctx context.Context, w *workloads.Workload, cfgs []core.Config, memBudget int64) ([]*core.Result, error) {
 	depth := trace.DefaultSegRingDepth
 	if memBudget > 0 {

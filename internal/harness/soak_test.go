@@ -1,11 +1,12 @@
 package harness
 
-// The constant-memory soak: ISSUE 9's acceptance criterion, stated as a
-// test. A -j 4 multi-config analysis fed through the bounded ring must hold
-// peak heap flat (within 10%) between a 1M-event and a 50M-event synthetic
-// trace — a 50× longer trace with the same footprint — while the ring's
-// results stay deeply equal to a streaming (analyzer-fed-directly) pass
-// over the identical event stream.
+// The constant-memory soak: a four-config analysis through the resolved
+// engine must hold peak heap flat (within 10%) between a 1M-event and a
+// 50M-event synthetic trace — a 50× longer trace with the same footprint —
+// on both scheduling topologies (the segment ring's four scheduler
+// goroutines, and the inline gang), while its results stay deeply equal
+// to a streaming (analyzer-fed-directly) pass over the identical event
+// stream.
 
 import (
 	"math/rand"
@@ -37,8 +38,8 @@ func soakConfigs() []core.Config {
 
 // soakStream emits n deterministic synthetic events (ALU, loads, stores,
 // stack traffic, branches, the odd syscall) in batches through emit. The
-// fixed seed makes every call produce the identical stream, so the ring run
-// and the streaming reference analyze the same trace without ever
+// fixed seed makes every call produce the identical stream, so the resolved
+// runs and the streaming reference analyze the same trace without ever
 // materializing it.
 func soakStream(n int, emit func([]trace.Event) error) error {
 	rng := rand.New(rand.NewSource(43))
@@ -90,42 +91,57 @@ func soakStream(n int, emit func([]trace.Event) error) error {
 	return nil
 }
 
-// peakHeap runs f while sampling runtime.MemStats.HeapAlloc, returning the
-// highest sample observed. A GC beforehand resets the floor so runs are
-// comparable.
-func peakHeap(f func()) uint64 {
+// heapSampler records the peak of runtime.MemStats.HeapAlloc, sampled
+// every 5 ms on a background goroutine and on demand through peak.
+type heapSampler struct {
+	max  atomic.Uint64
+	stop chan struct{}
+	wg   sync.WaitGroup
+}
+
+// startHeapSampler starts sampling. A GC beforehand resets the floor so
+// runs are comparable.
+func startHeapSampler() *heapSampler {
 	runtime.GC()
-	var peak atomic.Uint64
-	sample := func() {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		for {
-			p := peak.Load()
-			if ms.HeapAlloc <= p || peak.CompareAndSwap(p, ms.HeapAlloc) {
-				return
-			}
-		}
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	h := &heapSampler{stop: make(chan struct{})}
+	h.wg.Add(1)
 	go func() {
-		defer wg.Done()
+		defer h.wg.Done()
 		for {
 			select {
-			case <-stop:
+			case <-h.stop:
 				return
 			default:
-				sample()
+				h.sample()
 				time.Sleep(5 * time.Millisecond)
 			}
 		}
 	}()
-	f()
-	close(stop)
-	wg.Wait()
-	sample()
-	return peak.Load()
+	return h
+}
+
+func (h *heapSampler) sample() {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	for {
+		p := h.max.Load()
+		if ms.HeapAlloc <= p || h.max.CompareAndSwap(p, ms.HeapAlloc) {
+			return
+		}
+	}
+}
+
+// peak takes one more sample and returns the highest observed so far.
+func (h *heapSampler) peak() uint64 {
+	h.sample()
+	return h.max.Load()
+}
+
+// finish stops the sampler and returns the peak of the whole run.
+func (h *heapSampler) finish() uint64 {
+	close(h.stop)
+	h.wg.Wait()
+	return h.peak()
 }
 
 func TestSoakConstantMemory(t *testing.T) {
@@ -137,15 +153,26 @@ func TestSoakConstantMemory(t *testing.T) {
 	}
 	cfgs := soakConfigs()
 
-	// ringRun analyzes an n-event stream through the bounded ring with one
-	// concurrent analyzer per config (-j 4 shape).
-	ringRun := func(n int) []*core.Result {
-		produce := func(ring *trace.Ring) error {
-			return soakStream(n, ring.Events)
+	// resolvedRun analyzes an n-event stream through the resolved engine on
+	// one topology. A non-nil progress is called after each batch with the
+	// number of events handed to the resolver so far.
+	resolvedRun := func(n int, serial bool, progress func(produced int)) []*core.Result {
+		produce := func(rs *ResolverStream) error {
+			produced := 0
+			return soakStream(n, func(b []trace.Event) error {
+				if err := rs.Events(b); err != nil {
+					return err
+				}
+				produced += len(b)
+				if progress != nil {
+					progress(produced)
+				}
+				return nil
+			})
 		}
-		results, _, err := FanOutStream(t.Context(), produce, cfgs, 0)
+		results, _, err := fanOutResolved(t.Context(), produce, cfgs, 0, serial)
 		if err != nil {
-			t.Fatalf("ring run (%d events): %v", n, err)
+			t.Fatalf("resolved run (%d events, serial %v): %v", n, serial, err)
 		}
 		return results
 	}
@@ -166,44 +193,55 @@ func TestSoakConstantMemory(t *testing.T) {
 		}
 		return results
 	}
-	equal := func(n int, got, want []*core.Result) {
+	equal := func(n int, name string, got, want []*core.Result) {
 		t.Helper()
 		for i := range got {
 			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("%d events, config %d: ring diverged from streaming", n, i)
+				t.Errorf("%d events, %s topology, config %d: resolved engine diverged from streaming", n, name, i)
 			}
 		}
 	}
 
 	const small, large = 1_000_000, 50_000_000
 
-	// Equivalence at the small size (both engines, deep-equal), then a
-	// warm-up-aware peak measurement: the first timed run at each size
-	// happens after the allocator and analyzers have reached steady state.
-	smallRef := streamRun(small)
-	var smallRing []*core.Result
-	peakSmall := peakHeap(func() { smallRing = ringRun(small) })
-	equal(small, smallRing, smallRef)
+	// Equivalence at both sizes (the 50× trace is the one where a
+	// segment-recycling bug would actually scramble records), and the peak
+	// heap at each size per topology. Both peaks come from the one
+	// 50M-event run: the fixed seed makes the 1M-event trace a prefix of
+	// the 50M-event one, so the peak as the producer passes event 1M is the
+	// 1M-event peak, taken over the same warm-up as the 50M-event peak.
+	// Peaks of separate runs would each carry their own warm-up garbage
+	// (outgrown slot tables), which the collector frees at timing-dependent
+	// moments; on this engine's few-MiB footprint identical runs varied by
+	// more than the 10% bound.
+	smallRef, largeRef := streamRun(small), streamRun(large)
+	for _, top := range topologies {
+		equal(small, top.name, resolvedRun(small, top.serial, nil), smallRef)
 
-	var largeRing []*core.Result
-	peakLarge := peakHeap(func() { largeRing = ringRun(large) })
+		var peakSmall uint64
+		h := startHeapSampler()
+		largeGot := resolvedRun(large, top.serial, func(produced int) {
+			if peakSmall == 0 && produced >= small {
+				peakSmall = h.peak()
+			}
+		})
+		peakLarge := h.finish()
+		equal(large, top.name, largeGot, largeRef)
 
-	// Equivalence at the large size too: the 50× trace is the one where a
-	// slot-reuse bug would actually scramble events.
-	largeRef := streamRun(large)
-	equal(large, largeRing, largeRef)
-
-	t.Logf("peak heap: %d events → %.1f MiB, %d events → %.1f MiB",
-		small, float64(peakSmall)/(1<<20), large, float64(peakLarge)/(1<<20))
-	if float64(peakLarge) > float64(peakSmall)*1.10 {
-		t.Errorf("peak heap grew with trace length: %d bytes at %d events vs %d bytes at %d events (>10%%)",
-			peakLarge, large, peakSmall, small)
-	}
-	// And a hard absolute ceiling: the ring (~1.8 MB) plus four
-	// finite-window analyzers fit comfortably under 128 MiB; the recorded
-	// buffer alone would need ~1.6 GB for the 50M-event trace.
-	const ceiling = 128 << 20
-	if peakLarge > ceiling {
-		t.Errorf("peak heap %d bytes exceeds the %d-byte ceiling at %d events", peakLarge, int64(ceiling), large)
+		t.Logf("%s topology peak heap: %d events → %.1f MiB, %d events → %.1f MiB", top.name,
+			small, float64(peakSmall)/(1<<20), large, float64(peakLarge)/(1<<20))
+		if float64(peakLarge) > float64(peakSmall)*1.10 {
+			t.Errorf("%s topology: peak heap grew with trace length: %d bytes at %d events vs %d bytes at %d events (>10%%)",
+				top.name, peakLarge, large, peakSmall, small)
+		}
+		// And a hard absolute ceiling: the segment ring (~1.7 MB) plus
+		// four finite-window schedulers fit comfortably under 128 MiB; a
+		// recorded buffer alone would need ~1.6 GB for the 50M-event
+		// trace.
+		const ceiling = 128 << 20
+		if peakLarge > ceiling {
+			t.Errorf("%s topology: peak heap %d bytes exceeds the %d-byte ceiling at %d events",
+				top.name, peakLarge, int64(ceiling), large)
+		}
 	}
 }

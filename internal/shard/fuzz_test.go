@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -171,8 +172,8 @@ func FuzzSpeculativeEquivalence(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, nRaw uint8, degraded bool) {
 		n := int(nRaw%8) + 1
-		// Two configs with different build signatures (branch modeling on
-		// and off) so signature-dependent record paths both run.
+		// Two configs with different branch modeling (on and off), so the
+		// shared deltas' branch records are both consumed and ignored.
 		cfgs := []core.Config{
 			fullConfig(),
 			{Branches: core.BranchTwoBit, PredictorBits: 4, WindowSize: 128},
@@ -193,6 +194,57 @@ func FuzzSpeculativeEquivalence(f *testing.F) {
 			if !reflect.DeepEqual(chained[i], spec[i]) {
 				t.Fatalf("config %d: speculative Result differs from chained (n=%d, degraded=%v)", i, n, degraded)
 			}
+		}
+	})
+}
+
+// FuzzReadDelta feeds arbitrary bytes — v2 delta files of small traces,
+// their truncations, garbage — through ReadDelta and asserts its contract:
+// it never panics, and every delta it accepts is safe to splice. Splicing
+// an accepted delta under a fixed Dataflow config must succeed without
+// reaching ApplyDelta's panic recovery (a *core.AnalysisError), which is
+// what makes ShardDelta.Validate complete.
+func FuzzReadDelta(f *testing.F) {
+	cfg := core.Dataflow(core.SyscallConservative)
+	for _, n := range []int{0, 40, 300} {
+		events := synthEvents(n, int64(n)+1)
+		buf := &trace.EventBuffer{}
+		if err := buf.Events(events); err != nil {
+			f.Fatal(err)
+		}
+		d, err := BuildShardDelta(context.Background(), buf, cfg, Shard{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := WriteDelta(&b, &Delta{Shards: 1, Config: cfg, D: d}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+		for _, cut := range []int{len(deltaMagic), b.Len() / 2, b.Len() - 1} {
+			f.Add(b.Bytes()[:cut])
+		}
+	}
+	f.Add([]byte("pgshard-delta-v1\n"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := ReadDelta(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		d.D.StartEvent = 0 // splice at the front of a fresh analyzer
+		a := core.NewAnalyzer(cfg)
+		err = a.ApplyDelta(d.D)
+		var ae *core.AnalysisError
+		if errors.As(err, &ae) {
+			t.Fatalf("accepted delta panicked the splice: %v", err)
+		}
+		if err != nil {
+			t.Fatalf("accepted delta failed to splice: %v", err)
+		}
+		if _, err := a.Finish(); err != nil {
+			t.Fatalf("finish after splicing an accepted delta: %v", err)
 		}
 	})
 }

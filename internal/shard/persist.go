@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -147,8 +148,18 @@ func LoadResult(path string) (*Result, *core.Checkpoint, error) {
 
 // deltaMagic versions the speculative shard-delta file format. It is
 // distinct from resultMagic so pgshard merge can sniff which kind of
-// per-shard file it was handed.
-const deltaMagic = "pgshard-delta-v1\n"
+// per-shard file it was handed. v2 deltas carry policy-free records; a v1
+// delta built under optimistic syscalls or perfect branches encoded those
+// events as skip records, which gob would decode without complaint, so v1
+// files are refused by name (ErrDeltaVersion).
+const (
+	deltaMagic   = "pgshard-delta-v2\n"
+	deltaMagicV1 = "pgshard-delta-v1\n"
+)
+
+// ErrDeltaVersion reports a shard-delta file written in a retired format;
+// rebuild it with pgshard analyze -speculate.
+var ErrDeltaVersion = errors.New("shard: retired shard-delta format")
 
 // WriteDelta writes one shard's speculative delta to w.
 func WriteDelta(w io.Writer, d *Delta) error {
@@ -161,13 +172,20 @@ func WriteDelta(w io.Writer, d *Delta) error {
 	return nil
 }
 
-// ReadDelta reads a shard-delta stream written by WriteDelta.
+// ReadDelta reads a shard-delta stream written by WriteDelta and validates
+// the decoded record stream (core.ShardDelta.Validate), so a torn or
+// hostile delta is refused here instead of failing — or silently
+// misreporting — at splice time.
 func ReadDelta(r io.Reader) (*Delta, error) {
 	magic := make([]byte, len(deltaMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("shard: reading delta magic: %w", err)
 	}
-	if string(magic) != deltaMagic {
+	switch string(magic) {
+	case deltaMagic:
+	case deltaMagicV1:
+		return nil, fmt.Errorf("%w %q: rebuild the shard", ErrDeltaVersion, magic[:len(magic)-1])
+	default:
 		return nil, fmt.Errorf("shard: not a shard-delta file (magic %q)", magic)
 	}
 	var d Delta
@@ -176,6 +194,9 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 	}
 	if d.D == nil {
 		return nil, fmt.Errorf("shard: delta file carries no record stream")
+	}
+	if err := d.D.Validate(); err != nil {
+		return nil, fmt.Errorf("shard %d: %w", d.Index, err)
 	}
 	return &d, nil
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"paragraph/internal/core"
 	"paragraph/internal/trace"
@@ -16,28 +17,29 @@ import (
 // with analysis, but analysis of shard i+1 still waits on shard i's exit
 // live-well, so the analyzer remains the wall. The speculative driver
 // breaks the chain: every shard is compiled concurrently — with no entry
-// state at all — into a relocatable core.ShardDelta by core.DeltaBuilder
-// (the expensive structural pass: validation, location-to-slot resolution,
-// record encoding), and a cheap sequential fix-up pass splices the deltas
-// in shard order onto one analyzer per config (core.Analyzer.ApplyDelta).
-// The splice is exact, so results are deep-equal to the chained and
-// monolithic runs — the differential battery in speculate_test.go and
+// state at all — into a relocatable core.ShardDelta by a shard resolution
+// (core.NewDeltaResolver: validation, location-to-slot resolution, record
+// encoding), and a cheap sequential fix-up pass splices the deltas in
+// shard order onto one analyzer per config (core.Analyzer.ApplyDelta). The
+// records are policy-free, so one delta per shard serves every config. The
+// splice is exact, so results are deep-equal to the chained and monolithic
+// runs — the differential battery in speculate_test.go and
 // internal/harness enforces it on clean, damaged and budget-governed
 // traces.
 
-// BuildShardDelta runs the speculative pass over one decoded shard. On a
-// validation failure the returned delta is non-nil and covers the events
-// before the bad one; callers splice that prefix before reporting the
-// error so failures surface in chained order (an earlier shard's budget
-// error must win over a later shard's bad event, and within one shard a
-// governor trip before the bad event must win too).
+// BuildShardDelta runs the speculative pass over one decoded shard. The
+// records are policy-free, so cfg is unused: any config splices the
+// result. On a validation failure the returned delta is non-nil and covers
+// the events before the bad one; callers splice that prefix before
+// reporting the error so failures surface in chained order (an earlier
+// shard's budget error must win over a later shard's bad event, and within
+// one shard a governor trip before the bad event must win too).
 func BuildShardDelta(ctx context.Context, buf *trace.EventBuffer, cfg core.Config, sh Shard) (*core.ShardDelta, error) {
-	b := core.NewDeltaBuilder(cfg, sh.StartEvent)
-	b.Grow(buf.Len())
-	if err := buf.ReplayBatches(ctx, b); err != nil {
-		return b.Delta(), fmt.Errorf("shard %d: %w", sh.Index, err)
+	r := core.NewDeltaResolver(sh.StartEvent, buf.Len())
+	if err := buf.ReplayBatches(ctx, r); err != nil {
+		return r.Delta(), fmt.Errorf("shard %d: %w", sh.Index, err)
 	}
-	return b.Delta(), nil
+	return r.Delta(), nil
 }
 
 // RunShardDelta is RunShard for a speculatively built shard: it splices the
@@ -77,44 +79,40 @@ func RunShardDelta(a *core.Analyzer, d *core.ShardDelta, cfg core.Config, rs tra
 }
 
 // analyzePlanSpeculative is the parallel in-process driver behind
-// Options.Speculate: shard byte ranges decode in one bounded pool, every
-// (config, shard) pair's speculative build runs in a second bounded pool as
-// soon as its shard is decoded, and one sequential splice chain per config
-// consumes the deltas in shard order, freeing each as it lands. The only
-// serial work left per config is the fix-up pass, so shards genuinely
-// analyze concurrently.
+// Options.Speculate: shard byte ranges decode in one bounded pool, each
+// shard's speculative build runs in a second bounded pool as soon as the
+// shard is decoded, and one sequential splice chain per config consumes
+// the deltas in shard order. Every chain splices the same delta, which is
+// freed once the last chain has spliced it. The only serial work left per
+// config is the fix-up pass, so shards genuinely analyze concurrently.
 func analyzePlanSpeculative(ctx context.Context, data []byte, cfgs []core.Config, plan *Plan, workers int) ([]*core.Result, trace.ReadStats, error) {
 	ns := len(plan.Shards)
 	bufs, decErrs, ready := startDecode(ctx, data, plan, workers)
 
-	// Build stage. Scheduled shard-major so every config's chain can start
-	// splicing shard 0 while later shards still build.
-	deltas := make([][]*core.ShardDelta, len(cfgs))
-	buildErrs := make([][]error, len(cfgs))
-	built := make([][]chan struct{}, len(cfgs))
-	for ci := range cfgs {
-		deltas[ci] = make([]*core.ShardDelta, ns)
-		buildErrs[ci] = make([]error, ns)
-		built[ci] = make([]chan struct{}, ns)
-		for si := range built[ci] {
-			built[ci][si] = make(chan struct{})
-		}
+	// Build stage, in shard order so every chain can start splicing
+	// shard 0 while later shards still build.
+	deltas := make([]*core.ShardDelta, ns)
+	buildErrs := make([]error, ns)
+	built := make([]chan struct{}, ns)
+	// pending[si] counts the chains still to splice shard si.
+	pending := make([]atomic.Int32, ns)
+	for si := range built {
+		built[si] = make(chan struct{})
+		pending[si].Store(int32(len(cfgs)))
 	}
 	buildSem := make(chan struct{}, workers)
 	go func() {
 		for si := range plan.Shards {
 			<-ready[si]
-			for ci := range cfgs {
-				if decErrs[si] != nil {
-					close(built[ci][si])
-					continue
-				}
-				buildSem <- struct{}{}
-				go func(ci, si int) {
-					defer func() { <-buildSem; close(built[ci][si]) }()
-					deltas[ci][si], buildErrs[ci][si] = BuildShardDelta(ctx, bufs[si], cfgs[ci], plan.Shards[si])
-				}(ci, si)
+			if decErrs[si] != nil {
+				close(built[si])
+				continue
 			}
+			buildSem <- struct{}{}
+			go func(si int) {
+				defer func() { <-buildSem; close(built[si]) }()
+				deltas[si], buildErrs[si] = BuildShardDelta(ctx, bufs[si], cfgs[0], plan.Shards[si])
+			}(si)
 		}
 	}()
 
@@ -135,13 +133,12 @@ func analyzePlanSpeculative(ctx context.Context, data []byte, cfgs []core.Config
 			a := core.NewAnalyzer(cfgs[ci])
 			parts := make([]*Result, ns)
 			for si := range plan.Shards {
-				<-built[ci][si]
+				<-built[si]
 				if decErrs[si] != nil {
 					errs[ci] = fmt.Errorf("config %d: %w", ci, decErrs[si])
 					return
 				}
-				d, berr := deltas[ci][si], buildErrs[ci][si]
-				deltas[ci][si] = nil // freed as the chain advances
+				d, berr := deltas[si], buildErrs[si]
 				if berr != nil {
 					// Splice the prefix before reporting: if the chained
 					// run would have tripped the governor before reaching
@@ -156,6 +153,9 @@ func analyzePlanSpeculative(ctx context.Context, data []byte, cfgs []core.Config
 					return
 				}
 				part, _, err := RunShardDelta(a, d, cfgs[ci], bufs[si].Stats(), si, ns, false)
+				if pending[si].Add(-1) == 0 {
+					deltas[si] = nil // every chain has spliced it
+				}
 				if err != nil {
 					errs[ci] = fmt.Errorf("config %d: %w", ci, err)
 					return
@@ -200,9 +200,8 @@ type Delta struct {
 	// Index and Shards place the delta in its plan.
 	Index  int
 	Shards int
-	// Config is the full analysis configuration (the delta itself only
-	// pins the build-relevant switches); the merger reconstructs the
-	// analyzer from it.
+	// Config is the full analysis configuration (the delta itself is
+	// policy-free); the merger reconstructs the analyzer from it.
 	Config core.Config
 	// ReadStats is the shard's decode accounting.
 	ReadStats trace.ReadStats

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"paragraph/internal/budget"
 	"paragraph/internal/core"
+	"paragraph/internal/trace"
 )
 
 // speculativeConfigs is the matrix the speculative differentials sweep: the
@@ -255,8 +257,10 @@ func TestSpliceValidation(t *testing.T) {
 	}
 }
 
-// TestDeltaFileFormat: the delta file magic is validated and result files
-// are not mistaken for delta files.
+// TestDeltaFileFormat: the delta file magic is validated, result files
+// are not mistaken for delta files, a retired v1 delta is refused by name,
+// and a decoded delta whose records do not add up is refused before any
+// splice could see it.
 func TestDeltaFileFormat(t *testing.T) {
 	if _, err := ReadDelta(bytes.NewReader([]byte("pgshard-result-v1\nxx"))); err == nil ||
 		!strings.Contains(err.Error(), "not a shard-delta file") {
@@ -264,5 +268,39 @@ func TestDeltaFileFormat(t *testing.T) {
 	}
 	if _, err := ReadDelta(bytes.NewReader(nil)); err == nil {
 		t.Error("empty file accepted")
+	}
+
+	buf := &trace.EventBuffer{}
+	if err := buf.Events(synthEvents(300, 5)); err != nil {
+		t.Fatal(err)
+	}
+	d, err := BuildShardDelta(context.Background(), buf, core.Config{}, Shard{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := WriteDelta(&b, &Delta{Shards: 1, D: d}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(b.String(), "pgshard-delta-v2\n") {
+		t.Fatalf("delta file starts %q, want the v2 magic", b.String()[:17])
+	}
+	if _, err := ReadDelta(bytes.NewReader(b.Bytes())); err != nil {
+		t.Fatalf("v2 round trip: %v", err)
+	}
+	v1 := append([]byte("pgshard-delta-v1\n"), b.Bytes()[len(deltaMagic):]...)
+	if _, err := ReadDelta(bytes.NewReader(v1)); !errors.Is(err, ErrDeltaVersion) ||
+		!strings.Contains(err.Error(), "pgshard-delta-v1") {
+		t.Errorf("v1 delta: err = %v, want ErrDeltaVersion naming the magic", err)
+	}
+
+	torn := *d
+	torn.Code = d.Code[:len(d.Code)-1]
+	b.Reset()
+	if err := WriteDelta(&b, &Delta{Shards: 1, D: &torn}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadDelta(&b); err == nil || !strings.Contains(err.Error(), "shard delta") {
+		t.Errorf("torn record stream: err = %v, want a validation error", err)
 	}
 }

@@ -10,10 +10,11 @@ import (
 )
 
 // Ring is a bounded, single-producer, multi-consumer broadcast buffer of
-// event batches: the constant-memory replacement for recording a whole
+// event batches: the constant-memory alternative to recording a whole
 // trace into an EventBuffer before fanning it out. The producer (a CPU
-// simulation or a trace reader) appends events while every consumer (one
-// analyzer per configuration) replays the identical sequence concurrently;
+// simulation or a trace reader) appends events while every consumer (for
+// example one analyzer per configuration) replays the identical sequence
+// concurrently;
 // when the slowest consumer falls Batches batches behind, the producer
 // blocks until it catches up. Memory held by the ring is therefore a
 // function of configuration — Batches × BatchEvents × sizeof(Event) — and
@@ -22,8 +23,8 @@ import (
 //
 // Batch slots are reused: once every consumer has advanced past a batch,
 // the producer refills its backing array in place. All handoffs are
-// mutex-synchronized, so the reuse is race-free by construction (the
-// differential battery runs the ring engine under -race to prove it). The
+// mutex-synchronized, so the reuse is race-free by construction (the ring
+// tests run under -race to prove it). The
 // slices handed to consumers follow the BatchSink contract — read-only,
 // invalid once the consumer asks for the next batch.
 //

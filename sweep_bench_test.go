@@ -5,10 +5,10 @@ package paragraph
 // 8-window sweep analyzes one stream under 8 configurations that differ
 // only in window size, so the expensive config-invariant half of analysis —
 // event validation, live-well hashing, slot resolution — is identical 8
-// times over. The ring engine pays it 8 times; the resolved engine pays it
-// once and broadcasts packed dependence records. `make bench` captures the
-// ratio in BENCH_sweep.json; the resolve-only and schedule-only cases
-// report the honest cost split behind it.
+// times over. Eight sequential analyzers pay it 8 times; the resolved
+// engine pays it once and broadcasts packed dependence records. `make
+// bench` captures the cases in BENCH_sweep.json; the resolve-only and
+// schedule-only cases report the honest cost split behind them.
 
 import (
 	"bytes"
@@ -33,16 +33,16 @@ func sweepBenchConfigs() []core.Config {
 	return cfgs
 }
 
-// BenchmarkWindowSweep pits the per-config engines against the shared
-// extraction on the 8-window sweep of one 2M-event synthetic trace:
+// BenchmarkWindowSweep times the shared extraction on the 8-window sweep of
+// one 2M-event synthetic trace, checked against 8 sequential analyzers
+// computed outside the timer:
 //
-//	ring-8        event ring, 8 full analyzers (the prior engine)
 //	resolved-8    one resolver, 8 record-replay schedulers
 //	resolve-only  the config-invariant half alone (hashing, validation)
 //	schedule-only the per-config half alone (8 schedulers, records cached)
 //
-// resolved-8 over ring-8 is the headline; resolve-only + schedule-only/8
-// bound what any further scheduling work can save.
+// resolve-only + schedule-only/8 bound what any further scheduling work
+// can save.
 func BenchmarkWindowSweep(b *testing.B) {
 	const nevents = 2_000_000
 	data := synthSpecStream(b, nevents)
@@ -60,36 +60,24 @@ func BenchmarkWindowSweep(b *testing.B) {
 	if err := decode(buf); err != nil {
 		b.Fatal(err)
 	}
-	ref, err := harness.FanOut(context.Background(), buf, cfgs, len(cfgs))
-	if err != nil {
-		b.Fatal(err)
+	ref := make([]*core.Result, len(cfgs))
+	for i, cfg := range cfgs {
+		a := core.NewAnalyzer(cfg)
+		if err := buf.ReplayBatches(context.Background(), a); err != nil {
+			b.Fatal(err)
+		}
+		ref[i] = a.MustFinish()
 	}
 	check := func(b *testing.B, res []*core.Result) {
 		b.Helper()
 		for i := range res {
 			if res[i].CriticalPath != ref[i].CriticalPath || res[i].Operations != ref[i].Operations {
-				b.Fatalf("config %d: sweep result drifted from buffered replay", i)
+				b.Fatalf("config %d: sweep result drifted from the sequential analyzer", i)
 			}
 		}
 	}
 	perSweep := float64(nevents) * float64(len(cfgs))
 
-	b.Run("ring-8", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		var res []*core.Result
-		for i := 0; i < b.N; i++ {
-			var err error
-			res, _, err = harness.FanOutStream(context.Background(), func(ring *trace.Ring) error {
-				return decode(ring)
-			}, cfgs, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		check(b, res)
-		b.ReportMetric(perSweep*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-	})
 	b.Run("resolved-8", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		var res []*core.Result
