@@ -64,18 +64,20 @@ type CPU struct {
 	exited      bool
 	exitCode    int
 
-	sink    trace.Sink
-	bbProf  *BBProfile
-	stdout  io.Writer
-	stdin   *bufio.Reader
-	sysArgs []string // unused hook for future syscall extensions
+	sink   trace.Sink
+	ev     trace.Event // the event Step delivers; reused every instruction
+	bbProf *BBProfile
+	stdout io.Writer
+	stdin  *bufio.Reader
 }
 
 // Option configures a CPU at construction time.
 type Option func(*CPU)
 
 // WithTrace attaches a trace sink; every executed instruction is reported to
-// it as a trace.Event.
+// it as a trace.Event. The CPU owns that Event and refills it every step, so
+// the pointer is valid only during the sink call: a sink that keeps an event
+// must copy *e (see trace.Sink).
 func WithTrace(s trace.Sink) Option { return func(c *CPU) { c.sink = s } }
 
 // WithStdout redirects the simulated program's output (print syscalls).
@@ -209,7 +211,11 @@ func (c *CPU) Step() error {
 	ins := &c.text[idx]
 	info := ins.Op.Info()
 
-	ev := trace.Event{PC: pc, Ins: *ins}
+	// Reset the CPU-owned event in full, so nothing a sink did to the
+	// previous one can leak into this one. A local would escape through
+	// the Sink interface: one heap allocation per instruction.
+	ev := &c.ev
+	*ev = trace.Event{PC: pc, Ins: *ins}
 	nextPC := pc + 4
 
 	switch ins.Op {
@@ -293,43 +299,43 @@ func (c *CPU) Step() error {
 
 	case isa.LB:
 		addr := c.ea(ins)
-		c.fillMemEvent(&ev, addr, 1)
+		c.fillMemEvent(ev, addr, 1)
 		c.setInt(ins.Rt, uint32(int32(int8(c.mem.LoadByte(addr)))))
 	case isa.LBU:
 		addr := c.ea(ins)
-		c.fillMemEvent(&ev, addr, 1)
+		c.fillMemEvent(ev, addr, 1)
 		c.setInt(ins.Rt, uint32(c.mem.LoadByte(addr)))
 	case isa.LH:
 		addr := c.ea(ins)
-		c.fillMemEvent(&ev, addr, 2)
+		c.fillMemEvent(ev, addr, 2)
 		c.setInt(ins.Rt, uint32(int32(int16(c.mem.ReadHalf(addr)))))
 	case isa.LHU:
 		addr := c.ea(ins)
-		c.fillMemEvent(&ev, addr, 2)
+		c.fillMemEvent(ev, addr, 2)
 		c.setInt(ins.Rt, uint32(c.mem.ReadHalf(addr)))
 	case isa.LW:
 		addr := c.ea(ins)
-		c.fillMemEvent(&ev, addr, 4)
+		c.fillMemEvent(ev, addr, 4)
 		c.setInt(ins.Rt, c.mem.ReadWord(addr))
 	case isa.SB:
 		addr := c.ea(ins)
-		c.fillMemEvent(&ev, addr, 1)
+		c.fillMemEvent(ev, addr, 1)
 		c.mem.StoreByte(addr, byte(c.intRegs[ins.Rt]))
 	case isa.SH:
 		addr := c.ea(ins)
-		c.fillMemEvent(&ev, addr, 2)
+		c.fillMemEvent(ev, addr, 2)
 		c.mem.WriteHalf(addr, uint16(c.intRegs[ins.Rt]))
 	case isa.SW:
 		addr := c.ea(ins)
-		c.fillMemEvent(&ev, addr, 4)
+		c.fillMemEvent(ev, addr, 4)
 		c.mem.WriteWord(addr, c.intRegs[ins.Rt])
 	case isa.LDC1:
 		addr := c.ea(ins)
-		c.fillMemEvent(&ev, addr, 8)
+		c.fillMemEvent(ev, addr, 8)
 		c.fpRegs[ins.Rt-isa.F0] = c.mem.ReadDouble(addr)
 	case isa.SDC1:
 		addr := c.ea(ins)
-		c.fillMemEvent(&ev, addr, 8)
+		c.fillMemEvent(ev, addr, 8)
 		c.mem.WriteDouble(addr, c.fpRegs[ins.Rt-isa.F0])
 
 	case isa.J:
@@ -433,7 +439,7 @@ func (c *CPU) Step() error {
 		c.bbProf.note(pc)
 	}
 	if c.sink != nil {
-		if err := c.sink.Event(&ev); err != nil {
+		if err := c.sink.Event(ev); err != nil {
 			return fmt.Errorf("cpu: trace sink: %w", err)
 		}
 	}

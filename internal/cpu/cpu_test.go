@@ -357,6 +357,154 @@ skip:   jr   $ra
 	}
 }
 
+// countLoop runs $a0 iterations of four instructions: a stack store and
+// load, an add and a taken branch, so every event kind that fills memory
+// or branch fields is on the path.
+const countLoop = `
+        .text
+main:   addiu $sp, $sp, -8
+loop:   sw    $a0, 0($sp)
+        lw    $t0, 0($sp)
+        addiu $a0, $t0, -1
+        bne   $a0, $zero, loop
+        addiu $sp, $sp, 8
+        jr    $ra
+`
+
+// TestStepAllocationFree is the allocation gate of the simulator: the heap
+// allocations of a whole run (New included) must not grow with the number
+// of instructions executed, with or without a sink. One allocation per
+// instruction shows up as ~90k extra between the two sizes.
+func TestStepAllocationFree(t *testing.T) {
+	p, err := asm.Assemble(countLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts func() []Option
+	}{
+		{"nosink", func() []Option { return nil }},
+		{"counter", func() []Option { return []Option{WithTrace(&trace.Counter{})} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := func(iters uint32) float64 {
+				return testing.AllocsPerRun(3, func() {
+					c, err := New(p, append(tc.opts(), withA0(iters))...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					n, err := c.Run(0)
+					if err != nil || n != 4*uint64(iters)+3 {
+						t.Fatalf("ran %d instructions (err %v), want %d", n, err, 4*iters+3)
+					}
+				})
+			}
+			small, large := allocs(2_500), allocs(25_000)
+			if large > small+8 {
+				t.Errorf("allocations grow with instructions: %.0f at ~10k, %.0f at ~100k", small, large)
+			}
+		})
+	}
+}
+
+// TestStepResetsEvent: the CPU reuses one Event for every step, so a sink
+// that scribbles over the event it was handed must not change what the
+// next instruction delivers.
+func TestStepResetsEvent(t *testing.T) {
+	collect := func(scribble bool) []trace.Event {
+		var events []trace.Event
+		c := run(t, countLoop, WithTrace(trace.SinkFunc(func(e *trace.Event) error {
+			events = append(events, *e)
+			if scribble {
+				*e = trace.Event{PC: 1, Ins: isa.Instruction{Op: isa.BREAK, Imm: 7},
+					MemAddr: 0xdead, MemSize: 8, Seg: trace.SegHeap, Taken: true}
+			}
+			return nil
+		})), withA0(3))
+		if uint64(len(events)) != c.ICount() {
+			t.Fatalf("%d events for %d instructions", len(events), c.ICount())
+		}
+		return events
+	}
+	clean, scribbled := collect(false), collect(true)
+	if len(clean) != len(scribbled) {
+		t.Fatalf("%d vs %d events", len(clean), len(scribbled))
+	}
+	for i := range clean {
+		if clean[i] != scribbled[i] {
+			t.Fatalf("event %d: %+v after a mutating sink, want %+v", i, scribbled[i], clean[i])
+		}
+	}
+}
+
+// withA0 sets $a0 before the run, as a harness passes an argument.
+func withA0(v uint32) Option { return func(c *CPU) { c.SetReg(isa.A0, v) } }
+
+// TestFaultDeliversNothing: an instruction that faults is not delivered to
+// the sink; every delivered event is a retired instruction.
+func TestFaultDeliversNothing(t *testing.T) {
+	for _, src := range []string{
+		".text\nmain: nop\n nop\n break\n",
+		".text\nmain: nop\n li $v0, 999\n syscall\n",
+	} {
+		p, err := asm.Assemble(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []trace.Event
+		c, err := New(p, WithTrace(trace.SinkFunc(func(e *trace.Event) error {
+			events = append(events, *e)
+			return nil
+		})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.Run(100)
+		var fault *Fault
+		if !errors.As(err, &fault) {
+			t.Fatalf("%q: err = %v, want *Fault", src, err)
+		}
+		if uint64(len(events)) != c.ICount() {
+			t.Errorf("%q: %d events for %d retired instructions", src, len(events), c.ICount())
+		}
+		for _, e := range events {
+			if e.PC == fault.PC {
+				t.Errorf("%q: faulting instruction at %#x was delivered", src, fault.PC)
+			}
+		}
+	}
+}
+
+// TestSinkErrorStopsAtInstruction: the CPU stops at the instruction whose
+// sink call failed; the PC stays on it and the error wraps the sink's.
+func TestSinkErrorStopsAtInstruction(t *testing.T) {
+	p, err := asm.Assemble(countLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errStop := errors.New("stop")
+	var last trace.Event
+	seen := 0
+	c, err := New(p, withA0(10), WithTrace(trace.SinkFunc(func(e *trace.Event) error {
+		seen++
+		last = *e
+		if seen == 7 {
+			return errStop
+		}
+		return nil
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(0); !errors.Is(err, errStop) {
+		t.Fatalf("err = %v, want the sink's error", err)
+	}
+	if seen != 7 || c.ICount() != 7 || c.PC() != last.PC {
+		t.Errorf("stopped after %d events, icount %d, pc %#x; want 7, 7, %#x", seen, c.ICount(), c.PC(), last.PC)
+	}
+}
+
 func TestHeapSegmentClassification(t *testing.T) {
 	var heapStores int
 	sink := trace.SinkFunc(func(e *trace.Event) error {

@@ -9,13 +9,13 @@ import "io"
 // events, CtxCheckEvery at a time, and the cancellation/budget guards that
 // used to be per-event integer tests hoist to one check per batch.
 //
-// The batch contract is stricter than Sink's: the slice and the events in
-// it are only valid for the duration of the Events call, and the sink must
-// not mutate or retain them — batches may alias the producer's decode
-// buffer, an EventBuffer recording shared by concurrent replays, or an
-// mmap-ed region. Trusted internal consumers (the analyzer, EventBuffer)
-// honour this; arbitrary Sinks get the old copying semantics through
-// AsBatch.
+// The batch contract is stricter than Sink's: as with a Sink's event, the
+// slice and the events in it are only valid for the duration of the Events
+// call, and in addition the sink must not mutate them — batches may alias
+// the producer's decode buffer, an EventBuffer recording shared by
+// concurrent replays, or an mmap-ed region. Trusted internal consumers
+// (the analyzer, EventBuffer) honour this; arbitrary Sinks get the old
+// copying semantics through AsBatch.
 
 // BatchSink consumes a stream of events delivered in slices.
 type BatchSink interface {
@@ -44,11 +44,12 @@ func AsBatch(s Sink) BatchSink {
 type sinkAdapter struct{ s Sink }
 
 // Events implements BatchSink by replaying the batch event by event. Each
-// event is copied so a sink that mutates or retains its argument cannot
-// corrupt the shared batch.
+// event is copied, into one variable per call, so a sink that mutates its
+// argument cannot corrupt the shared batch.
 func (a sinkAdapter) Events(batch []Event) error {
+	var e Event
 	for i := range batch {
-		e := batch[i]
+		e = batch[i]
 		if err := a.s.Event(&e); err != nil {
 			return err
 		}

@@ -18,9 +18,9 @@ import (
 // pass over a stored trace fills the buffer, and any number of analyzers —
 // possibly running concurrently — replay it without re-simulating or
 // re-decoding chunks. Replay hands each sink a pointer to a private copy of
-// the event, so concurrent replays never share mutable state; sinks must not
-// retain the pointer across calls (the same contract the CPU tracer and
-// trace.Reader already impose).
+// the event, so concurrent replays never share mutable state; that copy is
+// reused for the next event, so sinks must not retain the pointer across
+// calls (the Sink contract the CPU tracer and trace.Reader share).
 type EventBuffer struct {
 	events []Event
 	stats  ReadStats
@@ -87,15 +87,18 @@ const CtxCheckEvery = 1024
 // ctx.Err().
 func (b *EventBuffer) ReplayContext(ctx context.Context, sink Sink) error {
 	done := ctx.Done()
+	// Copy each event so a misbehaving sink mutating it cannot corrupt the
+	// recording or race with other replays. The copy is one variable per
+	// call: a per-iteration local escapes through the Sink interface and
+	// costs an allocation per event.
+	var e Event
 	for i := range b.events {
 		if done != nil && i%CtxCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("trace: replay canceled at event %d: %w", i, err)
 			}
 		}
-		// Copy so a misbehaving sink mutating the event cannot corrupt
-		// the recording or race with other replays.
-		e := b.events[i]
+		e = b.events[i]
 		if err := sink.Event(&e); err != nil {
 			return fmt.Errorf("trace: replay event %d: %w", i, err)
 		}

@@ -63,7 +63,14 @@ type Event struct {
 // IsSyscall reports whether the event is a system call.
 func (e *Event) IsSyscall() bool { return e.Ins.Op == isa.SYSCALL || e.Ins.Op == isa.BREAK }
 
-// Sink consumes a stream of events.
+// Sink consumes a stream of events, one Event call per instruction.
+//
+// The *Event is valid only for the duration of the call: producers reuse
+// its storage for the next event (the CPU owns one Event it refills every
+// step; replay copies into one variable per call), which is what keeps
+// event delivery free of per-instruction heap allocation. A sink that keeps
+// an event past the call must copy *e; retaining the pointer sees it
+// overwritten. Returning an error stops the producer at that event.
 type Sink interface {
 	Event(e *Event) error
 }

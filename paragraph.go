@@ -138,7 +138,9 @@ func NewMachine(p *Program, opts ...cpu.Option) (*Machine, error) {
 }
 
 // WithTraceSink attaches a trace sink to a Machine; each executed
-// instruction is delivered as a TraceEvent.
+// instruction is delivered as a TraceEvent. The Machine reuses one event's
+// storage for every instruction, so the pointer is valid only during the
+// call: a sink that keeps an event must copy *e.
 func WithTraceSink(s TraceSink) cpu.Option { return cpu.WithTrace(s) }
 
 // WithStdout redirects the simulated program's output.
