@@ -167,3 +167,76 @@ func TestGoldenFigure8(t *testing.T) {
 	}
 	checkGolden(t, "figure8.txt", buf.String())
 }
+
+// TestGoldenFigure8Full pins the whole Figure-8 sweep: all 22 windows of
+// DefaultWindowSizes, where figure8.txt pins a 6-window subset.
+func TestGoldenFigure8Full(t *testing.T) {
+	skipUnderRace(t)
+	series, err := NewSuite(1).Figure8(context.Background(), DefaultWindowSizes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := RenderFigure8(&buf, series); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "figure8_full.txt", buf.String())
+}
+
+// TestGoldenFunctionalUnits pins the E8 sweep at its default limits.
+func TestGoldenFunctionalUnits(t *testing.T) {
+	skipUnderRace(t)
+	rows, err := NewSuite(1).FunctionalUnits(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := RenderFunctionalUnits(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fus.txt", buf.String())
+}
+
+// TestGoldenLifetimes pins the E9 lifetime and sharing distributions.
+func TestGoldenLifetimes(t *testing.T) {
+	skipUnderRace(t)
+	rows, err := NewSuite(1).Lifetimes(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := RenderLifetimes(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "lifetimes.txt", buf.String())
+}
+
+// TestGoldenBranches pins the E10 branch-model sweep at its default
+// policies.
+func TestGoldenBranches(t *testing.T) {
+	skipUnderRace(t)
+	rows, err := NewSuite(1).BranchPrediction(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := RenderBranches(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "branches.txt", buf.String())
+}
+
+// TestGoldenUnroll pins the E7 unrolling ablation on naskerx, specrun's
+// default ablation workload.
+func TestGoldenUnroll(t *testing.T) {
+	skipUnderRace(t)
+	rows, err := NewSuite(1).AblationUnroll(context.Background(), "naskerx", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := RenderUnroll(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "unroll.txt", buf.String())
+}
