@@ -19,8 +19,13 @@
 //	-fig8             percent of parallelism vs window size
 //	-fus              functional-unit sweep (extension E8)
 //	-lifetimes        value lifetime / sharing distributions (extension E9)
-//	-ablation-unroll  compiler loop-unrolling ablation (extension E7)
 //	-branches         branch-prediction model sweep (extension E10)
+//	-ablation-unroll  compiler loop-unrolling ablation (extension E7)
+//
+// The selected experiments other than -table1 and -ablation-unroll run as
+// one plan: each workload is compiled, simulated and resolved once, and
+// every experiment builds its rows from that one analysis. Output follows
+// the order above whatever the flag order.
 //
 // Resilience:
 //
@@ -37,8 +42,9 @@
 //	                  append-only CRC-framed log, one fsynced record per
 //	                  row — so a killed run can pick up where it left
 //	-resume           with -autosave: reuse rows already in F instead of
-//	                  recomputing them; output is identical to a full run
-//	                  because workloads are deterministic
+//	                  recomputing them — a workload whose rows are all in
+//	                  F is not simulated — and output is identical to a
+//	                  full run because workloads are deterministic
 //
 // Ctrl-C / SIGTERM cancel the run promptly (partial autosave survives).
 //
@@ -58,6 +64,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -67,6 +74,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -83,6 +91,26 @@ func main() {
 	os.Exit(code)
 }
 
+// section is one experiment of specrun's output: the flag that selects
+// it, its title, the plan experiment it runs (nil for Table 1 and the
+// ablation, which run outside the plan), and its renderer, which gets the
+// experiment's plan rows.
+type section struct {
+	flag, usage, title string
+	exp                *harness.Experiment
+	load               func(st *store, key string) (any, bool)
+	render             func(rows []any) error
+}
+
+// experiment builds the section of a plan experiment whose rows are R. Its
+// flag is the experiment's name, which also keys its rows in the autosave
+// store.
+func experiment[R any](usage, title string, exp *harness.Experiment, render func([]R) error) section {
+	return section{flag: exp.Name, usage: usage, title: title, exp: exp,
+		load:   func(st *store, key string) (any, bool) { return getCached[R](st, key) },
+		render: func(rows []any) error { return render(harness.Rows[R](rows)) }}
+}
+
 // run is the testable entry point: it parses args, executes the selected
 // experiments, and returns the process exit code (0 success, 1 any failure —
 // including per-workload failures in keep-going mode — 2 usage error).
@@ -90,17 +118,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("specrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		all      = fs.Bool("all", false, "run every experiment")
-		table1   = fs.Bool("table1", false, "print Table 1 (operation times)")
-		table2   = fs.Bool("table2", false, "run Table 2 (benchmark inventory)")
-		table3   = fs.Bool("table3", false, "run Table 3 (dataflow limits)")
-		table4   = fs.Bool("table4", false, "run Table 4 (renaming conditions)")
-		fig7     = fs.Bool("fig7", false, "run Figure 7 (parallelism profiles)")
-		fig8     = fs.Bool("fig8", false, "run Figure 8 (window-size sweep)")
-		fus      = fs.Bool("fus", false, "run the functional-unit sweep (E8)")
-		lifet    = fs.Bool("lifetimes", false, "run lifetime/sharing distributions (E9)")
-		ablation = fs.Bool("ablation-unroll", false, "run the loop-unrolling ablation (E7)")
-		branches = fs.Bool("branches", false, "run the branch-prediction sweep (E10)")
+		all = fs.Bool("all", false, "run every experiment")
 
 		scale     = fs.Int("scale", 1, "workload scale factor")
 		maxInst   = fs.Uint64("max", 0, "per-run instruction budget (0 = unlimited)")
@@ -120,16 +138,105 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile at exit to this file")
 	)
+	s := harness.NewSuite(1)
+	var st *store
+	writeFile := func(name string, write func(io.Writer) error) error {
+		path := filepath.Join(*outDir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		if err := write(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", path)
+		return nil
+	}
+	sections := []section{
+		{flag: "table1", usage: "print Table 1 (operation times)", title: "Table 1: Instruction Class Operation Times",
+			render: func([]any) error { return harness.RenderTable1(stdout) }},
+		experiment("run Table 2 (benchmark inventory)", "Table 2: Benchmarks Analyzed",
+			harness.Table2Experiment(), func(rows []harness.Table2Row) error { return harness.RenderTable2(stdout, rows) }),
+		experiment("run Table 3 (dataflow limits)", "Table 3: Dataflow Results (conservative vs optimistic system calls)",
+			harness.Table3Experiment(), func(rows []harness.Table3Row) error { return harness.RenderTable3(stdout, rows) }),
+		experiment("run Table 4 (renaming conditions)", "Table 4: Available Parallelism under Different Renaming Conditions",
+			harness.Table4Experiment(), func(rows []harness.Table4Row) error { return harness.RenderTable4(stdout, rows) }),
+		experiment("run Figure 7 (parallelism profiles)", "Figure 7: Parallelism Profiles",
+			harness.Figure7Experiment(), func(profiles []harness.ProfileResult) error {
+				if err := harness.RenderFigure7(stdout, profiles); err != nil || *outDir == "" {
+					return err
+				}
+				for _, p := range profiles {
+					if p.Err != "" {
+						continue
+					}
+					if err := writeFile("fig7_"+p.Name+".csv", func(w io.Writer) error { return harness.WriteProfileCSV(w, p) }); err != nil {
+						return err
+					}
+				}
+				return nil
+			}),
+		experiment("run Figure 8 (window-size sweep)", "Figure 8: Window Size vs Percent of Total Available Parallelism",
+			harness.Figure8Experiment(nil), func(series []harness.WindowSeries) error {
+				if err := harness.RenderFigure8(stdout, series); err != nil || *outDir == "" {
+					return err
+				}
+				return writeFile("fig8.csv", func(w io.Writer) error { return harness.WriteFigure8CSV(w, series) })
+			}),
+		experiment("run the functional-unit sweep (E8)", "Extension E8: Functional-Unit Limits",
+			harness.FunctionalUnitsExperiment(nil), func(rows []harness.FURow) error { return harness.RenderFunctionalUnits(stdout, rows) }),
+		experiment("run lifetime/sharing distributions (E9)", "Extension E9: Value Lifetimes and Degree of Sharing",
+			harness.LifetimesExperiment(), func(rows []harness.LifetimeRow) error { return harness.RenderLifetimes(stdout, rows) }),
+		experiment("run the branch-prediction sweep (E10)", "Extension E10: Branch-Prediction Models",
+			harness.BranchPredictionExperiment(nil), func(rows []harness.BranchRow) error { return harness.RenderBranches(stdout, rows) }),
+		{flag: "ablation-unroll", usage: "run the loop-unrolling ablation (E7)", title: "Extension E7: Compiler Loop-Unrolling Ablation",
+			render: func([]any) error {
+				// The ablation sweeps unroll factors over one workload, so it
+				// caches as a single unit rather than per workload.
+				key := "ablation/" + *ablWork
+				rows, ok := getCached[[]harness.UnrollRow](st, key)
+				if !ok {
+					var err error
+					if rows, err = s.AblationUnroll(ctx, *ablWork, nil); err != nil {
+						return err
+					}
+					if st != nil {
+						if err := st.put(key, rows); err != nil {
+							return err
+						}
+					}
+				}
+				return harness.RenderUnroll(stdout, rows)
+			}},
+	}
+	selected := make([]*bool, len(sections))
+	for i, sec := range sections {
+		selected[i] = fs.Bool(sec.flag, false, sec.usage)
+	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	if !(*all || *table1 || *table2 || *table3 || *table4 || *fig7 || *fig8 || *fus || *lifet || *ablation || *branches) {
+	// The ablation's title names its workload, known only now.
+	sections[len(sections)-1].title += " (" + *ablWork + ")"
+	var picked []section
+	var plan []*harness.Experiment
+	for i, sec := range sections {
+		if *all || *selected[i] {
+			picked = append(picked, sec)
+			if sec.exp != nil {
+				plan = append(plan, sec.exp)
+			}
+		}
+	}
+	if len(picked) == 0 {
 		fs.Usage()
 		return 2
 	}
 
-	var st *store
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "specrun:", err)
 		// An interrupt mid-run is not lost work when autosave is on: every
@@ -152,7 +259,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		defer stop()
 	}
 
-	s := harness.NewSuite(*scale)
+	s.Scale = max(*scale, 1)
 	s.MaxInstr = *maxInst
 	s.ContinueOnError = *keepGoing
 	s.WorkloadTimeout = *timeout
@@ -197,6 +304,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *resume && *autosave == "" {
 		return fail(fmt.Errorf("-resume needs -autosave to name the row store"))
 	}
+
+	// The plan runs through the autosave store when there is one: saved
+	// rows are reused per (experiment, workload) pair, and each fresh row
+	// is saved the moment its workload finishes, so a kill loses at most
+	// the workloads still in flight. Failed rows are not saved, so a
+	// -resume rerun retries them.
+	var cached func(exp, workload string) (any, bool)
+	var saveErr error
 	if *autosave != "" {
 		var err error
 		st, err = openStore(*autosave, *resume)
@@ -204,209 +319,59 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		defer st.close()
+		var saveMu sync.Mutex
+		cached = func(exp, workload string) (any, bool) {
+			for _, sec := range picked {
+				if sec.exp != nil && sec.exp.Name == exp {
+					return sec.load(st, exp+"/"+workload)
+				}
+			}
+			return nil, false
+		}
+		s.OnRow = func(exp string, _ int, workload string, row any) {
+			if err := st.put(exp+"/"+workload, row); err != nil {
+				saveMu.Lock()
+				saveErr = cmp.Or(saveErr, err)
+				saveMu.Unlock()
+			}
+		}
 	}
 
+	start := time.Now()
 	exitCode := 0
-	// partial handles an experiment's error. A *SuiteError from a
-	// keep-going run is reported and remembered in the exit code while the
-	// partial rows still render; any other error is fatal.
-	partial := func(err error) bool {
-		if err == nil {
-			return true
-		}
+	var rows [][]any
+	if len(plan) > 0 {
+		var err error
+		rows, err = s.RunPlan(ctx, plan, cached)
+		// A *SuiteError from a keep-going run is reported and remembered
+		// in the exit code while the partial rows still render; any other
+		// error is fatal.
 		var se *harness.SuiteError
-		if errors.As(err, &se) {
+		switch {
+		case errors.As(err, &se):
 			fmt.Fprintln(stderr, "specrun:", err)
 			exitCode = 1
-			return true
-		}
-		return false
-	}
-	section := func(title string) { fmt.Fprintf(stdout, "\n== %s ==\n\n", title) }
-
-	if *all || *table1 {
-		section("Table 1: Instruction Class Operation Times")
-		if err := harness.RenderTable1(stdout); err != nil {
+		case err != nil:
 			return fail(err)
+		case saveErr != nil:
+			return fail(saveErr)
 		}
 	}
-	if *all || *table2 {
-		section("Table 2: Benchmarks Analyzed")
-		rows, err := timed(stderr, "table2", func() ([]harness.Table2Row, error) {
-			return cachedRows(st, "table2", s,
-				func(sub *harness.Suite) ([]harness.Table2Row, error) { return sub.Table2(ctx) },
-				func(r harness.Table2Row) bool { return r.Name != "" && r.Err == "" })
-		})
-		if !partial(err) {
-			return fail(err)
+	for _, sec := range picked {
+		fmt.Fprintf(stdout, "\n== %s ==\n\n", sec.title)
+		var secRows []any
+		if sec.exp != nil {
+			secRows, rows = rows[0], rows[1:]
 		}
-		if err := harness.RenderTable2(stdout, rows); err != nil {
+		if err := sec.render(secRows); err != nil {
 			return fail(err)
 		}
 	}
-	if *all || *table3 {
-		section("Table 3: Dataflow Results (conservative vs optimistic system calls)")
-		rows, err := timed(stderr, "table3", func() ([]harness.Table3Row, error) {
-			return cachedRows(st, "table3", s,
-				func(sub *harness.Suite) ([]harness.Table3Row, error) { return sub.Table3(ctx) },
-				func(r harness.Table3Row) bool { return r.Name != "" && r.Err == "" })
-		})
-		if !partial(err) {
-			return fail(err)
-		}
-		if err := harness.RenderTable3(stdout, rows); err != nil {
-			return fail(err)
-		}
-	}
-	if *all || *table4 {
-		section("Table 4: Available Parallelism under Different Renaming Conditions")
-		rows, err := timed(stderr, "table4", func() ([]harness.Table4Row, error) {
-			return cachedRows(st, "table4", s,
-				func(sub *harness.Suite) ([]harness.Table4Row, error) { return sub.Table4(ctx) },
-				func(r harness.Table4Row) bool { return r.Name != "" && r.Err == "" })
-		})
-		if !partial(err) {
-			return fail(err)
-		}
-		if err := harness.RenderTable4(stdout, rows); err != nil {
-			return fail(err)
-		}
-	}
-	if *all || *fig7 {
-		section("Figure 7: Parallelism Profiles")
-		profiles, err := timed(stderr, "fig7", func() ([]harness.ProfileResult, error) {
-			return cachedRows(st, "fig7", s,
-				func(sub *harness.Suite) ([]harness.ProfileResult, error) { return sub.Figure7(ctx) },
-				func(r harness.ProfileResult) bool { return r.Name != "" })
-		})
-		if !partial(err) {
-			return fail(err)
-		}
-		if err := harness.RenderFigure7(stdout, profiles); err != nil {
-			return fail(err)
-		}
-		if *outDir != "" {
-			for _, p := range profiles {
-				path := filepath.Join(*outDir, "fig7_"+p.Name+".csv")
-				f, err := os.Create(path)
-				if err != nil {
-					return fail(err)
-				}
-				if err := harness.WriteProfileCSV(f, p); err != nil {
-					return fail(err)
-				}
-				if err := f.Close(); err != nil {
-					return fail(err)
-				}
-				fmt.Fprintf(stdout, "wrote %s\n", path)
-			}
-		}
-	}
-	if *all || *fig8 {
-		section("Figure 8: Window Size vs Percent of Total Available Parallelism")
-		series, err := timed(stderr, "fig8", func() ([]harness.WindowSeries, error) {
-			return cachedRows(st, "fig8", s,
-				func(sub *harness.Suite) ([]harness.WindowSeries, error) { return sub.Figure8(ctx, nil) },
-				func(r harness.WindowSeries) bool { return r.Name != "" })
-		})
-		if !partial(err) {
-			return fail(err)
-		}
-		if err := harness.RenderFigure8(stdout, series); err != nil {
-			return fail(err)
-		}
-		if *outDir != "" {
-			path := filepath.Join(*outDir, "fig8.csv")
-			f, err := os.Create(path)
-			if err != nil {
-				return fail(err)
-			}
-			if err := harness.WriteFigure8CSV(f, series); err != nil {
-				return fail(err)
-			}
-			if err := f.Close(); err != nil {
-				return fail(err)
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", path)
-		}
-	}
-	if *all || *fus {
-		section("Extension E8: Functional-Unit Limits")
-		rows, err := timed(stderr, "fus", func() ([]harness.FURow, error) {
-			return cachedRows(st, "fus", s,
-				func(sub *harness.Suite) ([]harness.FURow, error) { return sub.FunctionalUnits(ctx, nil) },
-				func(r harness.FURow) bool { return r.Name != "" })
-		})
-		if !partial(err) {
-			return fail(err)
-		}
-		if err := harness.RenderFunctionalUnits(stdout, rows); err != nil {
-			return fail(err)
-		}
-	}
-	if *all || *lifet {
-		section("Extension E9: Value Lifetimes and Degree of Sharing")
-		rows, err := timed(stderr, "lifetimes", func() ([]harness.LifetimeRow, error) {
-			return cachedRows(st, "lifetimes", s,
-				func(sub *harness.Suite) ([]harness.LifetimeRow, error) { return sub.Lifetimes(ctx) },
-				func(r harness.LifetimeRow) bool { return r.Name != "" })
-		})
-		if !partial(err) {
-			return fail(err)
-		}
-		if err := harness.RenderLifetimes(stdout, rows); err != nil {
-			return fail(err)
-		}
-	}
-	if *all || *branches {
-		section("Extension E10: Branch-Prediction Models")
-		rows, err := timed(stderr, "branches", func() ([]harness.BranchRow, error) {
-			return cachedRows(st, "branches", s,
-				func(sub *harness.Suite) ([]harness.BranchRow, error) { return sub.BranchPrediction(ctx, nil) },
-				func(r harness.BranchRow) bool { return r.Name != "" })
-		})
-		if !partial(err) {
-			return fail(err)
-		}
-		if err := harness.RenderBranches(stdout, rows); err != nil {
-			return fail(err)
-		}
-	}
-	if *all || *ablation {
-		section("Extension E7: Compiler Loop-Unrolling Ablation (" + *ablWork + ")")
-		rows, err := timed(stderr, "ablation", func() ([]harness.UnrollRow, error) {
-			// The ablation sweeps unroll factors over one workload, so it
-			// caches as a single unit rather than per workload.
-			key := "ablation/" + *ablWork
-			if rows, ok := getCached[[]harness.UnrollRow](st, key); ok {
-				return rows, nil
-			}
-			rows, err := s.AblationUnroll(ctx, *ablWork, nil)
-			if err == nil && st != nil {
-				if perr := st.put(key, rows); perr != nil {
-					return rows, perr
-				}
-			}
-			return rows, err
-		})
-		if !partial(err) {
-			return fail(err)
-		}
-		if err := harness.RenderUnroll(stdout, rows); err != nil {
-			return fail(err)
-		}
-	}
+	fmt.Fprintf(stderr, "specrun: %d experiment(s) over %d workload(s) took %v\n",
+		len(picked), len(s.Workloads), time.Since(start).Round(time.Millisecond))
 
 	if exitCode != 0 {
 		fmt.Fprintln(stderr, "specrun: some workloads failed; results above are partial")
 	}
 	return exitCode
-}
-
-// timed runs fn, reporting its wall time to stderr.
-func timed[T any](stderr io.Writer, name string, fn func() (T, error)) (T, error) {
-	start := time.Now()
-	out, err := fn()
-	fmt.Fprintf(stderr, "specrun: %s took %v\n", name, time.Since(start).Round(time.Millisecond))
-	return out, err
 }

@@ -11,9 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-
-	"paragraph/internal/harness"
-	"paragraph/internal/workloads"
 )
 
 // store is specrun's autosave row store: a map of "experiment/workload"
@@ -323,76 +320,4 @@ func getCached[T any](st *store, key string) (T, bool) {
 		return v, false
 	}
 	return v, true
-}
-
-// cachedRows runs a per-workload experiment through the autosave store:
-// workloads whose rows were autosaved by an earlier run are spliced back in
-// from the store, the rest run on a sub-suite with the suite's OnRow hook
-// persisting each fresh row accepted by keep (i.e. complete, not a failure
-// marker) the moment its workload finishes — a kill loses at most the rows
-// still in flight, not the whole experiment. With no store configured it is
-// exactly run(s).
-//
-// Experiment errors (including a keep-going run's *SuiteError) pass through
-// with the partial rows, so failure rendering and exit codes are unchanged;
-// failed rows are simply not persisted, and a -resume rerun retries them.
-func cachedRows[T any](st *store, exp string, s *harness.Suite, run func(*harness.Suite) ([]T, error), keep func(T) bool) ([]T, error) {
-	if st == nil {
-		return run(s)
-	}
-	rows := make([]T, len(s.Workloads))
-	var missing []int
-	for i, w := range s.Workloads {
-		if row, ok := getCached[T](st, exp+"/"+w.Name); ok {
-			rows[i] = row
-		} else {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) == 0 {
-		return rows, nil
-	}
-	sub := *s
-	sub.Workloads = make([]*workloads.Workload, len(missing))
-	for j, i := range missing {
-		sub.Workloads[j] = s.Workloads[i]
-	}
-	var saveMu sync.Mutex
-	var saveErr error
-	sub.OnRow = func(_ int, workload string, row any) {
-		r, ok := row.(T)
-		if !ok || !keep(r) {
-			return
-		}
-		if perr := st.put(exp+"/"+workload, r); perr != nil {
-			saveMu.Lock()
-			if saveErr == nil {
-				saveErr = perr
-			}
-			saveMu.Unlock()
-		}
-	}
-	fresh, err := run(&sub)
-	for j, i := range missing {
-		if j < len(fresh) {
-			rows[i] = fresh[j]
-		}
-	}
-	// Safety net for drivers without row emission: persist anything
-	// finished that the hook did not already save.
-	for j, i := range missing {
-		if j < len(fresh) && keep(fresh[j]) {
-			key := exp + "/" + s.Workloads[i].Name
-			if st.has(key) {
-				continue
-			}
-			if perr := st.put(key, fresh[j]); perr != nil && err == nil {
-				err = perr
-			}
-		}
-	}
-	if err == nil {
-		err = saveErr
-	}
-	return rows, err
 }

@@ -161,7 +161,7 @@ func TestDifferentialStreamingVsBuffered(t *testing.T) {
 		}
 		streamSuite := NewSuite(1)
 		streamSuite.MaxInstr = 600_000
-		streamed, err := streamSuite.analyzeStreaming(context.Background(), w, cfgs)
+		streamed, _, err := streamSuite.analyzeStreaming(context.Background(), w, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -151,7 +151,7 @@ func TestEngineDowngrade(t *testing.T) {
 
 	reference := NewSuite(1)
 	reference.MaxInstr = 300_000
-	want, err := reference.analyzeStreaming(context.Background(), w, cfgs)
+	want, _, err := reference.analyzeStreaming(context.Background(), w, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestRingEngineAvoidsDowngrade(t *testing.T) {
 
 	reference := NewSuite(1)
 	reference.MaxInstr = 300_000
-	want, err := reference.analyzeStreaming(context.Background(), w, cfgs)
+	want, _, err := reference.analyzeStreaming(context.Background(), w, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,22 +3,31 @@
 // Paragraph analyzer (package core) and reshapes the results into the rows
 // and series of the paper's Tables 2-4 and Figures 7-8, plus the extension
 // experiments documented in DESIGN.md (functional-unit limits, lifetime and
-// sharing distributions, and the loop-unrolling ablation).
+// sharing distributions, branch models, and the loop-unrolling ablation).
+//
+// Each per-workload experiment is a declaration (Experiment): a name, the
+// analyzer configurations it needs, and one row builder. Suite.RunPlan runs
+// any set of them as one plan. Per workload it takes the union of their
+// configurations, merges those that differ only in the statistics they
+// collect, and makes one AnalyzeMulti call, so the workload is compiled,
+// simulated and resolved once however many experiments read it. Table2,
+// Table3 and the other experiment methods are one-experiment plans.
 //
 // One simulated execution feeds any number of analyzer configurations. A
 // single configuration streams events straight into its analyzer. More
 // resolve the simulation's dependences once (core.Resolver) and schedule
 // the resulting policy-free records under every configuration
-// (FanOutResolved), so a whole syscall, renaming or window sweep costs a
-// single simulation and a single resolution per workload and holds memory
-// proportional to configuration rather than trace length. The
-// differential tests hold both engines to per-config sequential analyzers.
+// (FanOutResolved), holding memory proportional to configuration rather
+// than trace length. The differential tests hold both engines to
+// per-config sequential analyzers, and plans to one-experiment runs.
 package harness
 
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,8 +53,8 @@ type Suite struct {
 	// Workloads lists the benchmarks to run; defaults to all ten.
 	Workloads []*workloads.Workload
 	// Parallelism bounds how many workloads run concurrently within one
-	// experiment; 0 selects GOMAXPROCS. Every workload's simulation and
-	// analysis is independent, so experiments parallelize perfectly.
+	// plan; 0 selects GOMAXPROCS. Every workload's simulation and
+	// analysis is independent, so plans parallelize perfectly.
 	Parallelism int
 	// Concurrency selects how a multi-configuration analysis schedules
 	// over one workload's trace. At 1 every configuration is scheduled
@@ -55,13 +64,13 @@ type Suite struct {
 	// produces deeply-equal Results for the same inputs (the differential
 	// tests enforce this).
 	Concurrency int
-	// ContinueOnError keeps an experiment going when a workload fails:
-	// the remaining workloads still run, the failed row reports its error,
-	// and the experiment returns a *SuiteError listing every failure
-	// alongside the partial results. When false (the default), the first
-	// failure aborts the experiment. In both modes a panicking workload is
-	// contained: it is recovered and reported as that workload's error,
-	// never unwound through the caller.
+	// ContinueOnError keeps a plan going when a workload fails: the
+	// remaining workloads still run, every experiment's row for the failed
+	// workload reports its error, and the plan returns a *SuiteError
+	// listing every failure alongside the partial results. When false (the
+	// default), the first failure aborts the plan. In both modes a
+	// panicking workload is contained: it is recovered and reported as that
+	// workload's error, never unwound through the caller.
 	ContinueOnError bool
 	// WorkloadTimeout bounds each workload's simulate+analyze wall-clock
 	// time; a workload over budget fails with ErrWorkloadTimeout (with
@@ -82,18 +91,21 @@ type Suite struct {
 	// core.Config.BudgetPolicy). Ignored when MemBudget is 0.
 	BudgetPolicy budget.Policy
 	// GlobalMemBudget divides one budget across every workload running
-	// concurrently within an experiment, via a budget.Pool: each admitted
-	// workload analyzes under its share (folded with MemBudget, smaller
-	// wins), shares re-expand as workloads finish, and effective
-	// Parallelism shrinks before any share drops below budget.MinShare. 0
-	// disables pooling; MemBudget then applies per workload as before.
+	// concurrently within a plan, via a budget.Pool. Each admitted
+	// workload's share bounds its whole analysis: the segment ring takes at
+	// most half of it and the analyzers split the rest, each still capped
+	// by MemBudget (smaller wins). Shares re-expand as workloads finish,
+	// and effective Parallelism shrinks before any share drops below
+	// budget.MinShare. 0 disables pooling; MemBudget then applies per
+	// analyzer as before.
 	GlobalMemBudget int64
-	// OnRow, when set, is called by the experiment drivers as each
-	// workload's result row completes, with the workload's index and name
-	// and the finished row value — the per-row autosave hook. It may be
-	// called concurrently from workload goroutines and must be safe for
-	// that; failed workloads produce no call.
-	OnRow func(index int, workload string, row any)
+	// OnRow, when set, is called by RunPlan as each experiment's row for a
+	// workload completes, with the experiment's name, the workload's index
+	// and name, and the finished row value — the per-row autosave hook. It
+	// may be called concurrently from workload goroutines and must be safe
+	// for that; failed workloads and rows supplied by the plan's cache
+	// produce no call.
+	OnRow func(experiment string, index int, workload string, row any)
 }
 
 // NewSuite returns the default suite: all ten analogues at the given scale.
@@ -108,158 +120,40 @@ func (s *Suite) options() minic.Options {
 	return minic.Options{Unroll: s.Unroll}
 }
 
-// forEachWorkload runs fn once per suite workload, concurrently up to the
-// suite's parallelism bound, preserving result order. Each invocation runs
-// under panic recovery, so one broken workload cannot take down the
-// experiment. Without ContinueOnError the lowest-indexed failure is
-// returned (as a *WorkloadError) and no further workloads are launched once
-// a failure is observed — in serial and parallel mode alike; with it, every
-// workload runs and all failures are aggregated into a *SuiteError.
-//
-// fn receives a per-workload context. Under GlobalMemBudget it carries the
-// workload's byte share of the pooled budget (budget.WithShare), which
-// AnalyzeMulti folds into its effective MemBudget; the pool may also
-// shrink the effective parallelism so no share drops below
-// budget.MinShare, and shares re-expand as workloads finish.
-//
-// Cancelling ctx stops launching new workloads in either mode — a
-// cancellation is user intent, which ContinueOnError does not override —
-// and the workloads already in flight abort promptly through their guards.
-func (s *Suite) forEachWorkload(ctx context.Context, fn func(ctx context.Context, i int, w *workloads.Workload) error) error {
-	limit := s.Parallelism
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
-	if limit > len(s.Workloads) {
-		limit = len(s.Workloads)
-	}
-	var pool *budget.Pool
-	if s.GlobalMemBudget > 0 {
-		pool = budget.NewPool(s.GlobalMemBudget, limit)
-		if p := pool.Parallelism(); p < limit {
-			limit = p
-		}
-	}
-	var completed atomic.Int64
-	run := func(i int, w *workloads.Workload) (werr *WorkloadError) {
-		defer func() {
-			if v := recover(); v != nil {
-				werr = &WorkloadError{Index: i, Workload: w.Name,
-					Err: fmt.Errorf("%v", v), Panicked: true}
-			}
-		}()
-		defer completed.Add(1)
-		wctx := ctx
-		if pool != nil {
-			remaining := len(s.Workloads) - int(completed.Load())
-			if remaining < 1 {
-				remaining = 1
-			}
-			share, release := pool.Acquire(remaining)
-			defer release()
-			wctx = budget.WithShare(ctx, share)
-		}
-		if err := fn(wctx, i, w); err != nil {
-			return &WorkloadError{Index: i, Workload: w.Name, Err: err}
-		}
-		return nil
-	}
-	failures := make([]*WorkloadError, len(s.Workloads))
-	if limit <= 1 {
-		for i, w := range s.Workloads {
-			if ctx.Err() != nil {
-				break
-			}
-			failures[i] = run(i, w)
-			if failures[i] != nil && !s.ContinueOnError {
-				break
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		var failed atomic.Bool
-		sem := make(chan struct{}, limit)
-		for i, w := range s.Workloads {
-			if ctx.Err() != nil {
-				break
-			}
-			if !s.ContinueOnError && failed.Load() {
-				// Fail-fast: a failure has been observed, so stop
-				// launching. Workloads already in flight complete, and
-				// because launches happen in index order, the
-				// lowest-indexed failure — the one reported — is always
-				// among them.
-				break
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				failures[i] = run(i, w)
-				if failures[i] != nil {
-					failed.Store(true)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	var collected []*WorkloadError
-	for _, f := range failures {
-		if f != nil {
-			collected = append(collected, f)
-		}
-	}
-	if len(collected) == 0 {
-		if err := ctx.Err(); err != nil {
-			// Cancelled before any workload could fail (e.g. between
-			// launches): surface the cancellation itself.
-			return fmt.Errorf("harness: experiment canceled: %w", err)
-		}
-		return nil
-	}
-	if !s.ContinueOnError {
-		return collected[0]
-	}
-	return &SuiteError{Total: len(s.Workloads), Failures: collected}
-}
-
-// applyBudget stamps a memory budget onto every configuration that does
-// not already carry its own.
-func (s *Suite) applyBudget(cfgs []core.Config, memBudget int64) []core.Config {
-	if memBudget <= 0 {
-		return cfgs
-	}
-	out := make([]core.Config, len(cfgs))
-	for i, c := range cfgs {
-		if c.MemBudget == 0 {
-			c.MemBudget = memBudget
-			c.BudgetPolicy = s.BudgetPolicy
-		}
-		out[i] = c
-	}
-	return out
-}
-
-// effectiveMemBudget folds the suite's per-workload MemBudget with the
-// budget.Pool share carried by a forEachWorkload context, the smaller
-// winning — a workload never analyzes under more memory than its slice of
-// the global budget allows.
+// effectiveMemBudget folds the suite's MemBudget with the budget.Pool
+// share carried by a plan's per-workload context, the smaller winning. The
+// resolved engine's segment ring may hold half of it.
 func (s *Suite) effectiveMemBudget(ctx context.Context) int64 {
 	b := s.MemBudget
-	if share, ok := budget.ShareFromContext(ctx); ok && share > 0 {
-		if b <= 0 || share < b {
-			b = share
-		}
+	if share, ok := budget.ShareFromContext(ctx); ok && share > 0 && (b <= 0 || share < b) {
+		b = share
 	}
 	return b
 }
 
-// emitRow hands a completed result row to the OnRow autosave hook.
-func (s *Suite) emitRow(i int, workload string, row any) {
-	if s.OnRow != nil {
-		s.OnRow(i, workload, row)
+// budgeted stamps a memory budget onto every configuration that does not
+// already carry its own, once ring bytes have gone to the segment ring:
+// what the workload's budget.Pool share on ctx has left, split across the
+// configurations and capped by MemBudget (the smaller limit wins), so a
+// workload's whole analysis commits no more than its share.
+func (s *Suite) budgeted(ctx context.Context, cfgs []core.Config, ring int64) []core.Config {
+	b := s.MemBudget
+	if share, ok := budget.ShareFromContext(ctx); ok && share > 0 {
+		if split := max((share-ring)/int64(len(cfgs)), 1); b <= 0 || split < b {
+			b = split
+		}
 	}
+	if b <= 0 {
+		return cfgs
+	}
+	out := slices.Clone(cfgs)
+	for i := range out {
+		if out[i].MemBudget == 0 {
+			out[i].MemBudget = b
+			out[i].BudgetPolicy = s.BudgetPolicy
+		}
+	}
+	return out
 }
 
 // AnalyzeMulti executes one workload once and runs every analyzer
@@ -274,28 +168,37 @@ func (s *Suite) emitRow(i int, workload string, row any) {
 //
 // Cancelling ctx aborts simulation and analysis within one guard stride
 // (guardEvery events); Suite.WorkloadTimeout expiry surfaces as
-// ErrWorkloadTimeout with context.DeadlineExceeded in the chain. The
-// workload's effective memory budget is MemBudget folded with any
-// budget.Pool share on ctx (smaller wins). Under the Degrade policy, a
-// budget too small for the resolved engine's minimum segment ring
-// re-simulates the workload on the streaming engine instead, marking
-// EngineDowngraded in every result's GovernorStats.
+// ErrWorkloadTimeout with context.DeadlineExceeded in the chain. Memory
+// governance follows MemBudget and any budget.Pool share on ctx (see
+// effectiveMemBudget and budgeted). Under the Degrade policy, a budget too
+// small for the resolved engine's minimum segment ring re-simulates the
+// workload on the streaming engine instead, marking EngineDowngraded in
+// every result's GovernorStats.
 func (s *Suite) AnalyzeMulti(ctx context.Context, w *workloads.Workload, cfgs []core.Config) ([]*core.Result, error) {
-	memBudget := s.effectiveMemBudget(ctx)
-	cfgs = s.applyBudget(cfgs, memBudget)
+	rs, _, err := s.analyze(ctx, w, cfgs)
+	return rs, err
+}
+
+// analyze is AnalyzeMulti that also returns the simulation's RunResult;
+// with no configurations it only simulates.
+func (s *Suite) analyze(ctx context.Context, w *workloads.Workload, cfgs []core.Config) ([]*core.Result, *workloads.RunResult, error) {
 	wctx, cancel := s.workloadContext(ctx)
 	defer cancel()
-	if len(cfgs) == 1 {
-		return s.analyzeStreaming(wctx, w, cfgs)
+	switch len(cfgs) {
+	case 0:
+		run, err := w.Run(s.Scale, s.options(), guardSink(wctx, nil), s.MaxInstr)
+		return nil, run, err
+	case 1:
+		return s.analyzeStreaming(wctx, w, s.budgeted(wctx, cfgs, 0))
 	}
-	return s.analyzeResolved(wctx, w, cfgs, memBudget)
+	return s.analyzeResolved(wctx, w, cfgs)
 }
 
 // analyzeStreaming is the single-configuration engine, and the fallback
 // when the resolved engine's segment ring cannot fit the memory budget:
 // one simulation pass feeds every analyzer in lockstep through trace.Tee,
 // with no intermediate buffer.
-func (s *Suite) analyzeStreaming(ctx context.Context, w *workloads.Workload, cfgs []core.Config) ([]*core.Result, error) {
+func (s *Suite) analyzeStreaming(ctx context.Context, w *workloads.Workload, cfgs []core.Config) ([]*core.Result, *workloads.RunResult, error) {
 	analyzers := make([]*core.Analyzer, len(cfgs))
 	sinks := make([]trace.Sink, len(cfgs))
 	for i, cfg := range cfgs {
@@ -303,18 +206,19 @@ func (s *Suite) analyzeStreaming(ctx context.Context, w *workloads.Workload, cfg
 		sinks[i] = analyzers[i]
 	}
 	sink := guardSink(ctx, trace.Tee(sinks...))
-	if _, err := w.Run(s.Scale, s.options(), sink, s.MaxInstr); err != nil {
-		return nil, err
+	run, err := w.Run(s.Scale, s.options(), sink, s.MaxInstr)
+	if err != nil {
+		return nil, nil, err
 	}
 	results := make([]*core.Result, len(cfgs))
 	for i, a := range analyzers {
 		r, err := a.Finish()
 		if err != nil {
-			return nil, fmt.Errorf("config %d: %w", i, err)
+			return nil, nil, fmt.Errorf("config %d: %w", i, err)
 		}
 		results[i] = r
 	}
-	return results, nil
+	return results, run, nil
 }
 
 // Analyze runs a single configuration.
@@ -324,6 +228,218 @@ func (s *Suite) Analyze(ctx context.Context, w *workloads.Workload, cfg core.Con
 		return nil, err
 	}
 	return rs[0], nil
+}
+
+// Experiment declares one per-workload experiment for RunPlan.
+type Experiment struct {
+	// Name keys the experiment's rows, e.g. in OnRow and in specrun's
+	// autosave store ("<Name>/<workload>").
+	Name string
+	// Configs are analyzed for every workload; none means the experiment
+	// reads only the simulation (Table 2).
+	Configs []core.Config
+	// Row builds one workload's row from its simulation and the results of
+	// Configs, in order. When err is non-nil the workload failed, and Row
+	// builds the failed row: the workload's name and err, nothing else.
+	Row func(w *workloads.Workload, run *workloads.RunResult, rs []*core.Result, err error) any
+}
+
+// RunPlan runs every experiment in exps over the suite's workloads as one
+// plan and returns rows[e][i], experiment e's row for workload i. Per
+// workload it takes the union of the experiments' configurations, merges
+// configurations that differ only in the statistics they collect (Profile,
+// Lifetimes, Sharing) into one that collects every statistic any of them
+// asks for, and makes one AnalyzeMulti call whose results every
+// experiment builds its row from.
+//
+// cached, when set, returns a row an earlier run already finished for an
+// (experiment, workload) pair: the plan uses it instead of recomputing,
+// analyzes a workload only under the configurations of its missing
+// experiments, and does not simulate a workload whose rows are all cached.
+//
+// Workloads run concurrently up to Parallelism, each under panic recovery,
+// so one broken workload cannot take down the plan. A failed workload
+// fails every experiment that needed it, and each builds its failed row.
+// Without ContinueOnError the lowest-indexed failure is returned as a
+// *WorkloadError and no further workloads are launched once a failure is
+// observed (their rows stay nil); with it, every workload runs and all
+// failures are aggregated into a *SuiteError. Cancelling ctx stops
+// launching new workloads in either mode — a cancellation is user intent,
+// which ContinueOnError does not override — and the workloads in flight
+// abort promptly through their guards.
+//
+// Under GlobalMemBudget each workload runs on its byte share of a
+// budget.Pool, carried on its context (budget.WithShare); the pool may
+// shrink the effective parallelism so no share drops below
+// budget.MinShare, and shares re-expand as workloads finish.
+func (s *Suite) RunPlan(ctx context.Context, exps []*Experiment, cached func(experiment, workload string) (any, bool)) ([][]any, error) {
+	rows := make([][]any, len(exps))
+	for e := range rows {
+		rows[e] = make([]any, len(s.Workloads))
+	}
+	plan := func(ctx context.Context, i int, w *workloads.Workload) error {
+		var todo []int
+		for e, x := range exps {
+			if cached != nil {
+				if row, ok := cached(x.Name, w.Name); ok {
+					rows[e][i] = row
+					continue
+				}
+			}
+			todo = append(todo, e)
+		}
+		if len(todo) == 0 {
+			return nil
+		}
+		cfgs, index := planConfigs(exps, todo)
+		rs, run, err := s.analyze(ctx, w, cfgs)
+		if err != nil {
+			return err
+		}
+		for k, e := range todo {
+			mine := make([]*core.Result, len(index[k]))
+			for j, u := range index[k] {
+				mine[j] = rs[u]
+			}
+			rows[e][i] = exps[e].Row(w, run, mine, nil)
+			if s.OnRow != nil {
+				s.OnRow(exps[e].Name, i, w.Name, rows[e][i])
+			}
+		}
+		return nil
+	}
+
+	limit := s.Parallelism
+	if limit <= 0 {
+		limit = runtime.GOMAXPROCS(0)
+	}
+	limit = max(min(limit, len(s.Workloads)), 1)
+	var pool *budget.Pool
+	if s.GlobalMemBudget > 0 {
+		pool = budget.NewPool(s.GlobalMemBudget, limit)
+		limit = min(limit, pool.Parallelism())
+	}
+	var completed atomic.Int64
+	run := func(i int, w *workloads.Workload) (werr *WorkloadError) {
+		defer func() {
+			if v := recover(); v != nil {
+				werr = &WorkloadError{Index: i, Workload: w.Name, Err: fmt.Errorf("%v", v), Panicked: true}
+			}
+		}()
+		defer completed.Add(1)
+		wctx := ctx
+		if pool != nil {
+			share, release := pool.Acquire(max(len(s.Workloads)-int(completed.Load()), 1))
+			defer release()
+			wctx = budget.WithShare(ctx, share)
+		}
+		if err := plan(wctx, i, w); err != nil {
+			return &WorkloadError{Index: i, Workload: w.Name, Err: err}
+		}
+		return nil
+	}
+	failures := make([]*WorkloadError, len(s.Workloads))
+	var wg sync.WaitGroup
+	var failed atomic.Bool
+	sem := make(chan struct{}, limit)
+	for i, w := range s.Workloads {
+		// Launches wait for a slot before checking for failures, so a
+		// fail-fast plan at Parallelism 1 runs nothing after a failure,
+		// and at any parallelism the lowest-indexed failure — the one
+		// reported — is among the workloads launched.
+		sem <- struct{}{}
+		if ctx.Err() != nil || (!s.ContinueOnError && failed.Load()) {
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			if failures[i] = run(i, w); failures[i] != nil {
+				failed.Store(true)
+			}
+		}()
+	}
+	wg.Wait()
+
+	var collected []*WorkloadError
+	for _, f := range failures {
+		if f == nil {
+			continue
+		}
+		collected = append(collected, f)
+		for e, x := range exps {
+			if rows[e][f.Index] == nil {
+				rows[e][f.Index] = x.Row(s.Workloads[f.Index], nil, nil, f.Err)
+			}
+		}
+	}
+	switch {
+	case len(collected) == 0 && ctx.Err() != nil:
+		// Cancelled before any workload could fail (e.g. between
+		// launches): surface the cancellation itself.
+		return rows, fmt.Errorf("harness: experiment canceled: %w", ctx.Err())
+	case len(collected) == 0:
+		return rows, nil
+	case !s.ContinueOnError:
+		return rows, collected[0]
+	}
+	return rows, &SuiteError{Total: len(s.Workloads), Failures: collected}
+}
+
+// planConfigs returns the union of the configurations of exps[todo...],
+// configurations that differ only in collected statistics merged into one,
+// and index[k][j], the union position of exps[todo[k]].Configs[j].
+func planConfigs(exps []*Experiment, todo []int) (union []core.Config, index [][]int) {
+	index = make([][]int, len(todo))
+	for k, e := range todo {
+		for _, c := range exps[e].Configs {
+			j := slices.IndexFunc(union, func(u core.Config) bool { return sameSchedule(u, c) })
+			if j < 0 {
+				j = len(union)
+				union = append(union, c)
+			}
+			u := &union[j]
+			u.Profile = u.Profile || c.Profile
+			u.Lifetimes = u.Lifetimes || c.Lifetimes
+			u.Sharing = u.Sharing || c.Sharing
+			index[k] = append(index[k], j)
+		}
+	}
+	return union, index
+}
+
+// sameSchedule reports whether a and b differ at most in the statistics
+// they collect, so one schedule can serve both.
+func sameSchedule(a, b core.Config) bool {
+	a.Profile, a.Lifetimes, a.Sharing = b.Profile, b.Lifetimes, b.Sharing
+	return reflect.DeepEqual(a, b)
+}
+
+// Rows converts one experiment's plan rows to its row type R; a nil row (a
+// workload a fail-fast plan never reached) becomes R's zero value.
+func Rows[R any](rows []any) []R {
+	out := make([]R, len(rows))
+	for i, r := range rows {
+		if r != nil {
+			out[i] = r.(R)
+		}
+	}
+	return out
+}
+
+// runOne runs a one-experiment plan.
+func runOne[R any](ctx context.Context, s *Suite, x *Experiment) ([]R, error) {
+	rows, err := s.RunPlan(ctx, []*Experiment{x}, nil)
+	return Rows[R](rows[0]), err
+}
+
+// dataflow is the paper's upper-bound configuration without a profile:
+// conservative system calls, full renaming, unlimited window and units.
+func dataflow() core.Config {
+	cfg := core.Dataflow(core.SyscallConservative)
+	cfg.Profile = false
+	return cfg
 }
 
 // Table2Row is one row of the paper's Table 2 (benchmark inventory).
@@ -339,33 +455,21 @@ type Table2Row struct {
 	Err string
 }
 
+// Table2Experiment is the benchmark inventory: it reads only the
+// simulation.
+func Table2Experiment() *Experiment {
+	return &Experiment{Name: "table2", Row: func(w *workloads.Workload, run *workloads.RunResult, _ []*core.Result, err error) any {
+		if err != nil {
+			return Table2Row{Name: w.Name, Original: w.Original, Err: err.Error()}
+		}
+		return Table2Row{Name: w.Name, Original: w.Original, Language: w.Language, BenchType: w.BenchType,
+			Instructions: run.Instructions, Output: run.Output}
+	}}
+}
+
 // Table2 runs every workload (without analysis) and reports the inventory.
 func (s *Suite) Table2(ctx context.Context) ([]Table2Row, error) {
-	rows := make([]Table2Row, len(s.Workloads))
-	err := s.forEachWorkload(ctx, func(ctx context.Context, i int, w *workloads.Workload) error {
-		wctx, cancel := s.workloadContext(ctx)
-		defer cancel()
-		res, err := w.Run(s.Scale, s.options(), guardSink(wctx, nil), s.MaxInstr)
-		if err != nil {
-			return err
-		}
-		rows[i] = Table2Row{
-			Name:         w.Name,
-			Original:     w.Original,
-			Language:     w.Language,
-			BenchType:    w.BenchType,
-			Instructions: res.Instructions,
-			Output:       res.Output,
-		}
-		s.emitRow(i, w.Name, rows[i])
-		return nil
-	})
-	markFailures(err, func(i int, msg string) {
-		rows[i].Name = s.Workloads[i].Name
-		rows[i].Original = s.Workloads[i].Original
-		rows[i].Err = msg
-	})
-	return rows, err
+	return runOne[Table2Row](ctx, s, Table2Experiment())
 }
 
 // Table3Row is one row of the paper's Table 3 (dataflow limit under the
@@ -385,43 +489,35 @@ type Table3Row struct {
 	Err string
 }
 
-// Table3 reproduces Table 3: full renaming, unlimited window and
+// Table3Experiment is Table 3: full renaming, unlimited window and
 // functional units, conservative vs optimistic system calls.
+func Table3Experiment() *Experiment {
+	opt := dataflow()
+	opt.Syscalls = core.SyscallOptimistic
+	return &Experiment{Name: "table3", Configs: []core.Config{dataflow(), opt},
+		Row: func(w *workloads.Workload, _ *workloads.RunResult, rs []*core.Result, err error) any {
+			if err != nil {
+				return Table3Row{Name: w.Name, Err: err.Error()}
+			}
+			cons, opt := rs[0], rs[1]
+			row := Table3Row{
+				Name:             w.Name,
+				Syscalls:         cons.Syscalls,
+				ConsCriticalPath: cons.CriticalPath,
+				ConsAvailable:    cons.Available,
+				OptCriticalPath:  opt.CriticalPath,
+				OptAvailable:     opt.Available,
+			}
+			if opt.Available > 0 {
+				row.MaxError = (opt.Available - cons.Available) / opt.Available
+			}
+			return row
+		}}
+}
+
+// Table3 reproduces Table 3 (see Table3Experiment).
 func (s *Suite) Table3(ctx context.Context) ([]Table3Row, error) {
-	cfgs := []core.Config{
-		core.Dataflow(core.SyscallConservative),
-		core.Dataflow(core.SyscallOptimistic),
-	}
-	// The profile is not needed for the table itself.
-	cfgs[0].Profile = false
-	cfgs[1].Profile = false
-	rows := make([]Table3Row, len(s.Workloads))
-	err := s.forEachWorkload(ctx, func(ctx context.Context, i int, w *workloads.Workload) error {
-		rs, err := s.AnalyzeMulti(ctx, w, cfgs)
-		if err != nil {
-			return err
-		}
-		cons, opt := rs[0], rs[1]
-		row := Table3Row{
-			Name:             w.Name,
-			Syscalls:         cons.Syscalls,
-			ConsCriticalPath: cons.CriticalPath,
-			ConsAvailable:    cons.Available,
-			OptCriticalPath:  opt.CriticalPath,
-			OptAvailable:     opt.Available,
-		}
-		if opt.Available > 0 {
-			row.MaxError = (opt.Available - cons.Available) / opt.Available
-		}
-		rows[i] = row
-		s.emitRow(i, w.Name, rows[i])
-		return nil
-	})
-	markFailures(err, func(i int, msg string) {
-		rows[i].Name = s.Workloads[i].Name
-		rows[i].Err = msg
-	})
-	return rows, err
+	return runOne[Table3Row](ctx, s, Table3Experiment())
 }
 
 // ProfileResult is one benchmark's Figure-7 parallelism profile.
@@ -432,30 +528,27 @@ type ProfileResult struct {
 	CriticalPath int64
 	Available    float64
 	PeakOps      float64
+	// Err is the workload's failure, when it has one.
+	Err string
 }
 
-// Figure7 reproduces the parallelism profiles: conservative system calls,
-// full renaming, whole-trace window.
+// Figure7Experiment is the parallelism profiles: conservative system
+// calls, full renaming, whole-trace window.
+func Figure7Experiment() *Experiment {
+	return &Experiment{Name: "fig7", Configs: []core.Config{core.Dataflow(core.SyscallConservative)},
+		Row: func(w *workloads.Workload, _ *workloads.RunResult, rs []*core.Result, err error) any {
+			if err != nil {
+				return ProfileResult{Name: w.Name, Err: err.Error()}
+			}
+			r := rs[0]
+			return ProfileResult{Name: w.Name, Profile: r.Profile, BucketWidth: r.ProfileBucketWidth,
+				CriticalPath: r.CriticalPath, Available: r.Available, PeakOps: r.PeakOps}
+		}}
+}
+
+// Figure7 reproduces the parallelism profiles (see Figure7Experiment).
 func (s *Suite) Figure7(ctx context.Context) ([]ProfileResult, error) {
-	out := make([]ProfileResult, len(s.Workloads))
-	err := s.forEachWorkload(ctx, func(ctx context.Context, i int, w *workloads.Workload) error {
-		cfg := core.Dataflow(core.SyscallConservative)
-		r, err := s.Analyze(ctx, w, cfg)
-		if err != nil {
-			return err
-		}
-		out[i] = ProfileResult{
-			Name:         w.Name,
-			Profile:      r.Profile,
-			BucketWidth:  r.ProfileBucketWidth,
-			CriticalPath: r.CriticalPath,
-			Available:    r.Available,
-			PeakOps:      r.PeakOps,
-		}
-		s.emitRow(i, w.Name, out[i])
-		return nil
-	})
-	return out, err
+	return runOne[ProfileResult](ctx, s, Figure7Experiment())
 }
 
 // Table4Row is one row of the paper's Table 4 (renaming conditions).
@@ -470,37 +563,27 @@ type Table4Row struct {
 	Err string
 }
 
-// Table4 reproduces Table 4: available parallelism under the four renaming
-// conditions, conservative system calls, whole-trace window, no functional
-// unit limits.
-func (s *Suite) Table4(ctx context.Context) ([]Table4Row, error) {
-	cfgs := []core.Config{
+// Table4Experiment is Table 4: available parallelism under the four
+// renaming conditions, conservative system calls, whole-trace window, no
+// functional unit limits.
+func Table4Experiment() *Experiment {
+	return &Experiment{Name: "table4", Configs: []core.Config{
 		{Syscalls: core.SyscallConservative},
 		{Syscalls: core.SyscallConservative, RenameRegisters: true},
 		{Syscalls: core.SyscallConservative, RenameRegisters: true, RenameStack: true},
 		{Syscalls: core.SyscallConservative, RenameRegisters: true, RenameStack: true, RenameData: true},
-	}
-	rows := make([]Table4Row, len(s.Workloads))
-	err := s.forEachWorkload(ctx, func(ctx context.Context, i int, w *workloads.Workload) error {
-		rs, err := s.AnalyzeMulti(ctx, w, cfgs)
+	}, Row: func(w *workloads.Workload, _ *workloads.RunResult, rs []*core.Result, err error) any {
 		if err != nil {
-			return err
+			return Table4Row{Name: w.Name, Err: err.Error()}
 		}
-		rows[i] = Table4Row{
-			Name:       w.Name,
-			NoRenaming: rs[0].Available,
-			Regs:       rs[1].Available,
-			RegsStack:  rs[2].Available,
-			RegsMem:    rs[3].Available,
-		}
-		s.emitRow(i, w.Name, rows[i])
-		return nil
-	})
-	markFailures(err, func(i int, msg string) {
-		rows[i].Name = s.Workloads[i].Name
-		rows[i].Err = msg
-	})
-	return rows, err
+		return Table4Row{Name: w.Name, NoRenaming: rs[0].Available, Regs: rs[1].Available,
+			RegsStack: rs[2].Available, RegsMem: rs[3].Available}
+	}}
+}
+
+// Table4 reproduces Table 4 (see Table4Experiment).
+func (s *Suite) Table4(ctx context.Context) ([]Table4Row, error) {
+	return runOne[Table4Row](ctx, s, Table4Experiment())
 }
 
 // DefaultWindowSizes is the Figure-8 sweep: powers of two from 1 to 2^20,
@@ -526,28 +609,26 @@ type WindowPoint struct {
 type WindowSeries struct {
 	Name   string
 	Points []WindowPoint
+	// Err is the workload's failure, when it has one; Points is then
+	// empty.
+	Err string
 }
 
-// Figure8 reproduces the window-size sweep: conservative system calls,
-// full renaming, no functional-unit limits, window sizes as given (use
-// DefaultWindowSizes for the paper's log-scale axis). Each workload is
-// simulated once; all window sizes analyze the same trace.
-func (s *Suite) Figure8(ctx context.Context, sizes []int) ([]WindowSeries, error) {
+// Figure8Experiment is the window-size sweep: conservative system calls,
+// full renaming, no functional-unit limits, window sizes as given (nil
+// selects DefaultWindowSizes, the paper's log-scale axis).
+func Figure8Experiment(sizes []int) *Experiment {
 	if len(sizes) == 0 {
 		sizes = DefaultWindowSizes()
 	}
-	out := make([]WindowSeries, len(s.Workloads))
-	err := s.forEachWorkload(ctx, func(ctx context.Context, wi int, w *workloads.Workload) error {
-		cfgs := make([]core.Config, len(sizes))
-		for i, size := range sizes {
-			cfg := core.Dataflow(core.SyscallConservative)
-			cfg.Profile = false
-			cfg.WindowSize = size
-			cfgs[i] = cfg
-		}
-		rs, err := s.AnalyzeMulti(ctx, w, cfgs)
+	cfgs := make([]core.Config, len(sizes))
+	for i, size := range sizes {
+		cfgs[i] = dataflow()
+		cfgs[i].WindowSize = size
+	}
+	return &Experiment{Name: "fig8", Configs: cfgs, Row: func(w *workloads.Workload, _ *workloads.RunResult, rs []*core.Result, err error) any {
 		if err != nil {
-			return err
+			return WindowSeries{Name: w.Name, Err: err.Error()}
 		}
 		var total float64
 		for i, size := range sizes {
@@ -559,9 +640,7 @@ func (s *Suite) Figure8(ctx context.Context, sizes []int) ([]WindowSeries, error
 			// No whole-trace point requested; normalize against the
 			// largest window.
 			for _, r := range rs {
-				if r.Available > total {
-					total = r.Available
-				}
+				total = max(total, r.Available)
 			}
 		}
 		series := WindowSeries{Name: w.Name}
@@ -572,11 +651,13 @@ func (s *Suite) Figure8(ctx context.Context, sizes []int) ([]WindowSeries, error
 			}
 			series.Points = append(series.Points, pt)
 		}
-		out[wi] = series
-		s.emitRow(wi, w.Name, out[wi])
-		return nil
-	})
-	return out, err
+		return series
+	}}
+}
+
+// Figure8 reproduces the window-size sweep (see Figure8Experiment).
+func (s *Suite) Figure8(ctx context.Context, sizes []int) ([]WindowSeries, error) {
+	return runOne[WindowSeries](ctx, s, Figure8Experiment(sizes))
 }
 
 // FURow is one row of the functional-unit extension experiment (E8).
@@ -584,37 +665,37 @@ type FURow struct {
 	Name   string
 	Limits []int
 	Avail  []float64
+	// Err is the workload's failure, when it has one.
+	Err string
 }
 
-// FunctionalUnits sweeps generic functional-unit counts (Figure 4's
-// resource dependencies, quantified): full renaming, conservative
-// syscalls.
-func (s *Suite) FunctionalUnits(ctx context.Context, limits []int) ([]FURow, error) {
+// FunctionalUnitsExperiment sweeps generic functional-unit counts (Figure
+// 4's resource dependencies, quantified): full renaming, conservative
+// syscalls. nil limits select 1 to 64 units and unlimited.
+func FunctionalUnitsExperiment(limits []int) *Experiment {
 	if len(limits) == 0 {
 		limits = []int{1, 2, 4, 8, 16, 32, 64, 0}
 	}
-	rows := make([]FURow, len(s.Workloads))
-	err := s.forEachWorkload(ctx, func(ctx context.Context, i int, w *workloads.Workload) error {
-		cfgs := make([]core.Config, len(limits))
-		for j, f := range limits {
-			cfg := core.Dataflow(core.SyscallConservative)
-			cfg.Profile = false
-			cfg.FunctionalUnits = f
-			cfgs[j] = cfg
-		}
-		rs, err := s.AnalyzeMulti(ctx, w, cfgs)
+	cfgs := make([]core.Config, len(limits))
+	for i, f := range limits {
+		cfgs[i] = dataflow()
+		cfgs[i].FunctionalUnits = f
+	}
+	return &Experiment{Name: "fus", Configs: cfgs, Row: func(w *workloads.Workload, _ *workloads.RunResult, rs []*core.Result, err error) any {
 		if err != nil {
-			return err
+			return FURow{Name: w.Name, Err: err.Error()}
 		}
 		row := FURow{Name: w.Name, Limits: limits}
 		for _, r := range rs {
 			row.Avail = append(row.Avail, r.Available)
 		}
-		rows[i] = row
-		s.emitRow(i, w.Name, rows[i])
-		return nil
-	})
-	return rows, err
+		return row
+	}}
+}
+
+// FunctionalUnits runs the E8 sweep (see FunctionalUnitsExperiment).
+func (s *Suite) FunctionalUnits(ctx context.Context, limits []int) ([]FURow, error) {
+	return runOne[FURow](ctx, s, FunctionalUnitsExperiment(limits))
 }
 
 // LifetimeRow carries the E9 extension distributions for one benchmark.
@@ -623,32 +704,29 @@ type LifetimeRow struct {
 	Lifetimes     stats.LogDist
 	Sharing       stats.LogDist
 	MaxLiveMemory int
+	// Err is the workload's failure, when it has one.
+	Err string
 }
 
-// Lifetimes collects value-lifetime and degree-of-sharing distributions
-// (Section 2.3's "distribution of value lifetimes" and "degree of sharing
-// of each computed value").
+// LifetimesExperiment collects value-lifetime and degree-of-sharing
+// distributions (Section 2.3's "distribution of value lifetimes" and
+// "degree of sharing of each computed value").
+func LifetimesExperiment() *Experiment {
+	cfg := dataflow()
+	cfg.Lifetimes, cfg.Sharing = true, true
+	return &Experiment{Name: "lifetimes", Configs: []core.Config{cfg},
+		Row: func(w *workloads.Workload, _ *workloads.RunResult, rs []*core.Result, err error) any {
+			if err != nil {
+				return LifetimeRow{Name: w.Name, Err: err.Error()}
+			}
+			return LifetimeRow{Name: w.Name, Lifetimes: rs[0].Lifetimes, Sharing: rs[0].Sharing,
+				MaxLiveMemory: rs[0].MaxLiveMemoryWords}
+		}}
+}
+
+// Lifetimes runs the E9 distributions (see LifetimesExperiment).
 func (s *Suite) Lifetimes(ctx context.Context) ([]LifetimeRow, error) {
-	rows := make([]LifetimeRow, len(s.Workloads))
-	err := s.forEachWorkload(ctx, func(ctx context.Context, i int, w *workloads.Workload) error {
-		cfg := core.Dataflow(core.SyscallConservative)
-		cfg.Profile = false
-		cfg.Lifetimes = true
-		cfg.Sharing = true
-		r, err := s.Analyze(ctx, w, cfg)
-		if err != nil {
-			return err
-		}
-		rows[i] = LifetimeRow{
-			Name:          w.Name,
-			Lifetimes:     r.Lifetimes,
-			Sharing:       r.Sharing,
-			MaxLiveMemory: r.MaxLiveMemoryWords,
-		}
-		s.emitRow(i, w.Name, rows[i])
-		return nil
-	})
-	return rows, err
+	return runOne[LifetimeRow](ctx, s, LifetimesExperiment())
 }
 
 // UnrollRow is one row of the E7 compiler ablation.
@@ -663,7 +741,9 @@ type UnrollRow struct {
 // AblationUnroll measures the compiler's second-order effect (Section
 // 3.1's caveat): the same workload compiled with and without loop
 // unrolling, analyzed under full renaming and under register-only
-// renaming (where loop-counter recurrences matter most).
+// renaming (where loop-counter recurrences matter most). Each factor
+// compiles a different program, so it is not a plan experiment: every
+// factor gets its own simulation.
 func (s *Suite) AblationUnroll(ctx context.Context, name string, factors []int) ([]UnrollRow, error) {
 	w, ok := workloads.ByName(name)
 	if !ok {
@@ -676,10 +756,8 @@ func (s *Suite) AblationUnroll(ctx context.Context, name string, factors []int) 
 	for _, f := range factors {
 		sub := *s
 		sub.Unroll = f
-		full := core.Dataflow(core.SyscallConservative)
-		full.Profile = false
 		regsOnly := core.Config{Syscalls: core.SyscallConservative, RenameRegisters: true}
-		rs, err := sub.AnalyzeMulti(ctx, w, []core.Config{full, regsOnly})
+		rs, err := sub.AnalyzeMulti(ctx, w, []core.Config{dataflow(), regsOnly})
 		if err != nil {
 			return nil, err
 		}
@@ -702,30 +780,28 @@ type BranchRow struct {
 	Policies []core.BranchPolicy
 	Avail    []float64
 	MissRate []float64 // mispredictions / branches, per policy
+	// Err is the workload's failure, when it has one.
+	Err string
 }
 
-// BranchPrediction sweeps the control-dependency models (perfect, two-bit,
-// static BTFN, stall), quantifying Section 3.2's observation that the
-// firewall can model mispredicted branches. Renaming is full and windows
-// unlimited, so control is the only constraint varied.
-func (s *Suite) BranchPrediction(ctx context.Context, policies []core.BranchPolicy) ([]BranchRow, error) {
+// BranchPredictionExperiment sweeps the control-dependency models (nil selects
+// stall, static BTFN, two-bit and perfect), quantifying Section 3.2's
+// observation that the firewall can model mispredicted branches. Renaming
+// is full and windows unlimited, so control is the only constraint varied.
+func BranchPredictionExperiment(policies []core.BranchPolicy) *Experiment {
 	if len(policies) == 0 {
 		policies = []core.BranchPolicy{
 			core.BranchStall, core.BranchStatic, core.BranchTwoBit, core.BranchPerfect,
 		}
 	}
-	rows := make([]BranchRow, len(s.Workloads))
-	err := s.forEachWorkload(ctx, func(ctx context.Context, i int, w *workloads.Workload) error {
-		cfgs := make([]core.Config, len(policies))
-		for j, p := range policies {
-			cfg := core.Dataflow(core.SyscallConservative)
-			cfg.Profile = false
-			cfg.Branches = p
-			cfgs[j] = cfg
-		}
-		rs, err := s.AnalyzeMulti(ctx, w, cfgs)
+	cfgs := make([]core.Config, len(policies))
+	for i, p := range policies {
+		cfgs[i] = dataflow()
+		cfgs[i].Branches = p
+	}
+	return &Experiment{Name: "branches", Configs: cfgs, Row: func(w *workloads.Workload, _ *workloads.RunResult, rs []*core.Result, err error) any {
 		if err != nil {
-			return err
+			return BranchRow{Name: w.Name, Err: err.Error()}
 		}
 		row := BranchRow{Name: w.Name, Policies: policies}
 		for _, r := range rs {
@@ -736,11 +812,13 @@ func (s *Suite) BranchPrediction(ctx context.Context, policies []core.BranchPoli
 			}
 			row.MissRate = append(row.MissRate, rate)
 		}
-		rows[i] = row
-		s.emitRow(i, w.Name, rows[i])
-		return nil
-	})
-	return rows, err
+		return row
+	}}
+}
+
+// BranchPrediction runs the E10 sweep (see BranchPredictionExperiment).
+func (s *Suite) BranchPrediction(ctx context.Context, policies []core.BranchPolicy) ([]BranchRow, error) {
+	return runOne[BranchRow](ctx, s, BranchPredictionExperiment(policies))
 }
 
 // Table1Row describes one instruction latency class (the paper's Table 1).

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"paragraph/internal/stats"
 )
@@ -31,11 +32,11 @@ func RenderTable2(w io.Writer, rows []Table2Row) error {
 
 // RenderTable3 prints the dataflow-limit table.
 func RenderTable3(w io.Writer, rows []Table3Row) error {
-	t := stats.NewTable("Benchmark", "Syscalls",
-		"Cons CP", "Cons Avail", "Opt CP", "Opt Avail", "Max Error")
+	header := []string{"Benchmark", "Syscalls", "Cons CP", "Cons Avail", "Opt CP", "Opt Avail", "Max Error"}
+	t := stats.NewTable(header...)
 	for _, r := range rows {
 		if r.Err != "" {
-			t.AddRow(r.Name, "-", "-", "-", "-", "-", "FAILED: "+r.Err)
+			t.AddRow(failedRow(r.Name, r.Err, len(header))...)
 			continue
 		}
 		t.AddRow(r.Name, stats.FormatInt(int64(r.Syscalls)),
@@ -48,10 +49,11 @@ func RenderTable3(w io.Writer, rows []Table3Row) error {
 
 // RenderTable4 prints the renaming-conditions table.
 func RenderTable4(w io.Writer, rows []Table4Row) error {
-	t := stats.NewTable("Benchmark", "No Renaming", "Regs Renamed", "Regs/Stack Renamed", "Reg/Mem Renamed")
+	header := []string{"Benchmark", "No Renaming", "Regs Renamed", "Regs/Stack Renamed", "Reg/Mem Renamed"}
+	t := stats.NewTable(header...)
 	for _, r := range rows {
 		if r.Err != "" {
-			t.AddRow(r.Name, "-", "-", "-", "FAILED: "+r.Err)
+			t.AddRow(failedRow(r.Name, r.Err, len(header))...)
 			continue
 		}
 		t.AddRow(r.Name, r.NoRenaming, r.Regs, r.RegsStack, r.RegsMem)
@@ -63,6 +65,10 @@ func RenderTable4(w io.Writer, rows []Table4Row) error {
 // the series via WriteProfileCSV.
 func RenderFigure7(w io.Writer, profiles []ProfileResult) error {
 	for _, p := range profiles {
+		if p.Err != "" {
+			fmt.Fprintf(w, "%s parallelism profile: FAILED: %s\n\n", p.Name, p.Err)
+			continue
+		}
 		title := fmt.Sprintf("%s parallelism profile (critical path %s, available %.2f, bucket %d levels)",
 			p.Name, stats.FormatInt(p.CriticalPath), p.Available, p.BucketWidth)
 		if err := stats.AsciiPlot(w, title, p.Profile, 24, 56); err != nil {
@@ -80,49 +86,68 @@ func WriteProfileCSV(w io.Writer, p ProfileResult) error {
 
 // RenderFigure8 prints the window sweep as a table: one row per window
 // size, one column per benchmark (percent of total available parallelism).
+// A failed benchmark gets no column; its failure is printed below the
+// table.
 func RenderFigure8(w io.Writer, series []WindowSeries) error {
+	good := slices.DeleteFunc(slices.Clone(series), func(s WindowSeries) bool { return s.Err != "" })
 	header := []string{"Window"}
-	for _, s := range series {
+	for _, s := range good {
 		header = append(header, s.Name)
 	}
 	t := stats.NewTable(header...)
-	if len(series) == 0 {
-		return t.Render(w)
-	}
-	for i := range series[0].Points {
-		row := make([]any, 0, len(series)+1)
-		win := series[0].Points[i].Window
-		if win == 0 {
-			row = append(row, "full")
-		} else {
-			row = append(row, stats.FormatInt(int64(win)))
+	if len(good) > 0 {
+		for i, pt := range good[0].Points {
+			row := []any{"full"}
+			if pt.Window != 0 {
+				row[0] = stats.FormatInt(int64(pt.Window))
+			}
+			for _, s := range good {
+				row = append(row, fmt.Sprintf("%.2f%%", s.Points[i].Percent))
+			}
+			t.AddRow(row...)
 		}
-		for _, s := range series {
-			row = append(row, fmt.Sprintf("%.2f%%", s.Points[i].Percent))
-		}
-		t.AddRow(row...)
 	}
-	return t.Render(w)
+	if err := t.Render(w); err != nil {
+		return err
+	}
+	for _, s := range series {
+		if s.Err != "" {
+			fmt.Fprintf(w, "%s: FAILED: %s\n", s.Name, s.Err)
+		}
+	}
+	return nil
 }
 
-// WriteFigure8CSV emits the sweep as CSV (window, one column per series).
+// WriteFigure8CSV emits the sweep as CSV (window, one column per series),
+// skipping failed series.
 func WriteFigure8CSV(w io.Writer, series []WindowSeries) error {
+	good := slices.DeleteFunc(slices.Clone(series), func(s WindowSeries) bool { return s.Err != "" })
 	fmt.Fprint(w, "window")
-	for _, s := range series {
+	for _, s := range good {
 		fmt.Fprintf(w, ",%s", s.Name)
 	}
 	fmt.Fprintln(w)
-	if len(series) == 0 {
+	if len(good) == 0 {
 		return nil
 	}
-	for i := range series[0].Points {
-		fmt.Fprintf(w, "%d", series[0].Points[i].Window)
-		for _, s := range series {
+	for i := range good[0].Points {
+		fmt.Fprintf(w, "%d", good[0].Points[i].Window)
+		for _, s := range good {
 			fmt.Fprintf(w, ",%g", s.Points[i].Percent)
 		}
 		fmt.Fprintln(w)
 	}
 	return nil
+}
+
+// failedRow is a table row marking a failed benchmark: its name, "-" in
+// the metric columns, and the failure in the last column.
+func failedRow(name, err string, columns int) []any {
+	row := []any{name}
+	for i := 2; i < columns; i++ {
+		row = append(row, "-")
+	}
+	return append(row, "FAILED: "+err)
 }
 
 // RenderFunctionalUnits prints the E8 sweep.
@@ -131,17 +156,22 @@ func RenderFunctionalUnits(w io.Writer, rows []FURow) error {
 		return nil
 	}
 	header := []string{"Benchmark"}
-	for _, f := range rows[0].Limits {
-		if f == 0 {
-			header = append(header, "unlimited")
-		} else {
-			header = append(header, fmt.Sprintf("%d FUs", f))
+	if i := slices.IndexFunc(rows, func(r FURow) bool { return r.Err == "" }); i >= 0 {
+		for _, f := range rows[i].Limits {
+			if f == 0 {
+				header = append(header, "unlimited")
+			} else {
+				header = append(header, fmt.Sprintf("%d FUs", f))
+			}
 		}
 	}
 	t := stats.NewTable(header...)
 	for _, r := range rows {
-		row := make([]any, 0, len(r.Avail)+1)
-		row = append(row, r.Name)
+		if r.Err != "" {
+			t.AddRow(failedRow(r.Name, r.Err, len(header))...)
+			continue
+		}
+		row := []any{r.Name}
 		for _, a := range r.Avail {
 			row = append(row, a)
 		}
@@ -155,6 +185,10 @@ func RenderLifetimes(w io.Writer, rows []LifetimeRow) error {
 	t := stats.NewTable("Benchmark", "Values", "Mean Lifetime", "P90 Lifetime", "Max Lifetime",
 		"Mean Sharing", "Max Sharing", "Peak Live Words")
 	for _, r := range rows {
+		if r.Err != "" {
+			t.AddRow(failedRow(r.Name, r.Err, 8)...)
+			continue
+		}
 		t.AddRow(r.Name,
 			stats.FormatInt(int64(r.Lifetimes.Count())),
 			r.Lifetimes.Mean(),
@@ -173,13 +207,18 @@ func RenderBranches(w io.Writer, rows []BranchRow) error {
 		return nil
 	}
 	header := []string{"Benchmark"}
-	for _, p := range rows[0].Policies {
-		header = append(header, p.String(), "miss%")
+	if i := slices.IndexFunc(rows, func(r BranchRow) bool { return r.Err == "" }); i >= 0 {
+		for _, p := range rows[i].Policies {
+			header = append(header, p.String(), "miss%")
+		}
 	}
 	t := stats.NewTable(header...)
 	for _, r := range rows {
-		row := make([]any, 0, 2*len(r.Avail)+1)
-		row = append(row, r.Name)
+		if r.Err != "" {
+			t.AddRow(failedRow(r.Name, r.Err, len(header))...)
+			continue
+		}
+		row := []any{r.Name}
 		for i := range r.Avail {
 			row = append(row, r.Avail[i], fmt.Sprintf("%.1f%%", r.MissRate[i]*100))
 		}

@@ -66,22 +66,6 @@ func (e *SuiteError) Unwrap() []error {
 	return out
 }
 
-// markFailures invokes mark for every per-workload failure in err (if any),
-// letting an experiment stamp its result rows with what went wrong.
-func markFailures(err error, mark func(i int, msg string)) {
-	var se *SuiteError
-	if errors.As(err, &se) {
-		for _, f := range se.Failures {
-			mark(f.Index, f.Err.Error())
-		}
-		return
-	}
-	var we *WorkloadError
-	if errors.As(err, &we) {
-		mark(we.Index, we.Err.Error())
-	}
-}
-
 // guardEvery is how many events pass between context checks; consulting the
 // context on every event would measurably tax the simulation's hot loop
 // (BenchmarkGuard quantifies the difference), while a 1024-event stride

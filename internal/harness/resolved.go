@@ -44,6 +44,17 @@ func (rs *ResolverStream) SetStats(st trace.ReadStats) {
 	rs.st = st
 }
 
+// drive runs produce into the stream and flushes the resolver's last
+// segment, returning a panic in either as an error.
+func (rs *ResolverStream) drive(produce func(*ResolverStream) error) error {
+	return contain("producer panic", func() error {
+		if err := produce(rs); err != nil {
+			return err
+		}
+		return rs.res.Flush()
+	})
+}
+
 // FanOutResolved analyzes one event stream under every configuration by
 // resolving dependencies once and scheduling per config: produce feeds
 // events into a ResolverStream, whose resolver compiles them into compact
@@ -97,17 +108,7 @@ func fanOutResolved(ctx context.Context, produce func(*ResolverStream) error, cf
 	var totals core.ResolveTotals
 	prodCh := make(chan error, 1)
 	go func() {
-		err := func() (err error) {
-			defer func() {
-				if v := recover(); v != nil {
-					err = fmt.Errorf("producer panic: %v", v)
-				}
-			}()
-			if perr := produce(rs); perr != nil {
-				return perr
-			}
-			return rs.res.Flush()
-		}()
+		err := rs.drive(produce)
 		if err == nil {
 			totals = rs.res.Totals()
 		}
@@ -122,7 +123,7 @@ func fanOutResolved(ctx context.Context, produce func(*ResolverStream) error, cf
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = scheduleOne(ring, i, cfgs[i], results, &totals)
+			errs[i] = contain("panic", func() error { return scheduleOne(ring, i, cfgs[i], results, &totals) })
 		}(i)
 	}
 	wg.Wait()
@@ -130,50 +131,50 @@ func fanOutResolved(ctx context.Context, produce func(*ResolverStream) error, cf
 	perr := <-prodCh
 	stats := ring.Stats()
 
-	// Lowest-index scheduler failure that is the scheduler's own — echoes
-	// of the producer's failure (RingProducerError) don't count, so a
-	// broken simulation is reported once rather than len(cfgs) times.
-	firstIdx, firstErr := -1, error(nil)
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		var echo *trace.RingProducerError
-		if errors.As(err, &echo) {
-			continue
-		}
-		firstIdx, firstErr = i, err
-		break
+	if errors.Is(perr, trace.ErrRingDrained) || (ctx.Err() == nil && errors.Is(perr, context.Canceled)) {
+		// The schedulers left first and their errors explain why, or
+		// this is our own post-consumer cancel, not the caller's.
+		perr = nil
 	}
-	if perr != nil {
-		if errors.Is(perr, trace.ErrRingDrained) {
-			perr = nil // schedulers left first; their errors explain why
-		} else if ctx.Err() == nil && errors.Is(perr, context.Canceled) {
-			perr = nil // our own post-consumer cancel, not the caller's
-		}
-	}
-	switch {
-	case firstErr != nil && ctx.Err() != nil:
-		// Under the caller's cancellation or deadline every side fails;
-		// the lowest-index configuration decides.
-		return nil, stats, fmt.Errorf("config %d: %w", firstIdx, firstErr)
-	case perr != nil:
-		return nil, stats, perr
-	case firstErr != nil:
-		return nil, stats, fmt.Errorf("config %d: %w", firstIdx, firstErr)
+	if err := fanOutError(ctx, perr, errs); err != nil {
+		return nil, stats, err
 	}
 	return results, stats, nil
+}
+
+// fanOutError picks the error a fan-out reports from its producer's and
+// its schedulers' errors. Under the caller's cancellation or deadline every
+// side fails, and the lowest-index configuration decides; otherwise a
+// producer failure is reported once, as itself, ahead of the
+// configurations, whose echoes of it (RingProducerError) never count.
+func fanOutError(ctx context.Context, perr error, errs []error) error {
+	for i, err := range errs {
+		var echo *trace.RingProducerError
+		if err == nil || errors.As(err, &echo) {
+			continue
+		}
+		if perr == nil || ctx.Err() != nil {
+			return fmt.Errorf("config %d: %w", i, err)
+		}
+		break
+	}
+	return perr
+}
+
+// contain runs fn, returning a panic in it as an error prefixed by what.
+func contain(what string, fn func() error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("%s: %v", what, v)
+		}
+	}()
+	return fn()
 }
 
 // scheduleOne drains one ring consumer into one scheduler. It retains
 // nothing from a segment after asking for the next one, which is what lets
 // the resolver recycle displaced segments.
-func scheduleOne(ring *trace.SegRing[*core.DepSegment], i int, cfg core.Config, results []*core.Result, totals *core.ResolveTotals) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("panic: %v", v)
-		}
-	}()
+func scheduleOne(ring *trace.SegRing[*core.DepSegment], i int, cfg core.Config, results []*core.Result, totals *core.ResolveTotals) error {
 	c := ring.Consumer(i)
 	defer c.Close()
 	sched := core.NewScheduler(cfg)
@@ -254,7 +255,7 @@ func fanOutResolvedSerial(ctx context.Context, produce func(*ResolverStream) err
 				continue
 			}
 			for j := 0; j < nbatch; j++ {
-				if aerr := applySegment(scheds[i], &batch[j]); aerr != nil {
+				if aerr := contain("panic", func() error { return scheds[i].Apply(&batch[j]) }); aerr != nil {
 					errs[i] = aerr
 					scheds[i] = nil
 					live--
@@ -305,17 +306,7 @@ func fanOutResolvedSerial(ctx context.Context, produce func(*ResolverStream) err
 	}
 	rs.res = core.NewResolver(cfgs[0], emit)
 
-	perr := func() (err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				err = fmt.Errorf("producer panic: %v", v)
-			}
-		}()
-		if perr := produce(rs); perr != nil {
-			return perr
-		}
-		return rs.res.Flush()
-	}()
+	perr := rs.drive(produce)
 	if errors.Is(perr, errSchedulersDone) {
 		perr = nil // the schedulers' own errors explain the early stop
 	}
@@ -333,89 +324,51 @@ func fanOutResolvedSerial(ctx context.Context, produce func(*ResolverStream) err
 			if scheds[i] == nil {
 				continue
 			}
-			if r, ferr := finishScheduler(scheds[i], totals); ferr != nil {
-				errs[i] = ferr
-			} else {
-				results[i] = r
-			}
+			errs[i] = contain("panic", func() (err error) {
+				results[i], err = scheds[i].Finish(totals)
+				return err
+			})
 		}
 	}
 
-	firstIdx, firstErr := -1, error(nil)
-	for i, err := range errs {
-		if err != nil {
-			firstIdx, firstErr = i, err
-			break
-		}
+	if errors.Is(perr, context.DeadlineExceeded) && !errors.Is(perr, ErrWorkloadTimeout) {
+		perr = fmt.Errorf("%w: %w", ErrWorkloadTimeout, perr)
 	}
-	switch {
-	case firstErr != nil && ctx.Err() != nil:
-		return nil, rs.st, fmt.Errorf("config %d: %w", firstIdx, firstErr)
-	case perr != nil:
-		if errors.Is(perr, context.DeadlineExceeded) && !errors.Is(perr, ErrWorkloadTimeout) {
-			perr = fmt.Errorf("%w: %w", ErrWorkloadTimeout, perr)
-		}
-		return nil, rs.st, perr
-	case firstErr != nil:
-		return nil, rs.st, fmt.Errorf("config %d: %w", firstIdx, firstErr)
+	if err := fanOutError(ctx, perr, errs); err != nil {
+		return nil, rs.st, err
 	}
 	return results, rs.st, nil
-}
-
-// applySegment applies one segment with the same panic containment a
-// scheduler goroutine gets on the ring path.
-func applySegment(s *core.Scheduler, seg *core.DepSegment) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("panic: %v", v)
-		}
-	}()
-	return s.Apply(seg)
-}
-
-// finishScheduler finalizes one scheduler with panic containment.
-func finishScheduler(s *core.Scheduler, totals core.ResolveTotals) (r *core.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("panic: %v", v)
-		}
-	}()
-	return s.Finish(totals)
 }
 
 // analyzeResolved is AnalyzeMulti's multi-configuration engine: the
 // workload is simulated once, its dependences resolved once, and the
 // record segments scheduled under every config. Scheduling runs inline
 // when the suite's Concurrency is 1 or the runtime has one CPU, and on one
-// goroutine per config otherwise. memBudget is this workload's effective
-// budget (already folded with any Pool share): the segment ring may spend
-// at most half of it, the schedulers' governed working sets get the rest,
-// and a budget too small for even a trace.MinSegRingDepth ring falls back
-// by policy — Degrade re-runs on the streaming engine and marks
+// goroutine per config otherwise. The segment ring gets at most half the
+// effective budget and the schedulers' governed working sets split the
+// rest of a pool share (see budgeted), so
+// under a budget.Pool share the whole workload commits no more than the
+// share. A ring limit too small for even a trace.MinSegRingDepth ring
+// falls back by policy — Degrade re-runs on the streaming engine and marks
 // EngineDowngraded, FailFast returns a structured budget error, WarnOnly
 // proceeds at the floor.
-func (s *Suite) analyzeResolved(wctx context.Context, w *workloads.Workload, cfgs []core.Config, memBudget int64) ([]*core.Result, error) {
+func (s *Suite) analyzeResolved(wctx context.Context, w *workloads.Workload, cfgs []core.Config) ([]*core.Result, *workloads.RunResult, error) {
 	depth := trace.DefaultSegRingDepth
-	if memBudget > 0 {
-		limit := memBudget / 2
-		if fit := int(limit / core.ResolveSegmentBytes); fit < depth {
-			depth = fit
-		}
+	if b := s.effectiveMemBudget(wctx); b > 0 {
+		limit := b / 2
+		depth = min(depth, int(limit/core.ResolveSegmentBytes))
 		if depth < trace.MinSegRingDepth {
 			switch s.BudgetPolicy {
 			case budget.Degrade:
-				results, err := s.analyzeStreaming(wctx, w, cfgs)
-				if err != nil {
-					return nil, err
-				}
+				results, run, err := s.analyzeStreaming(wctx, w, s.budgeted(wctx, cfgs, 0))
 				for _, r := range results {
 					if r.Governor != nil {
 						r.Governor.EngineDowngraded = true
 					}
 				}
-				return results, nil
+				return results, run, err
 			case budget.FailFast:
-				return nil, &budget.Error{
+				return nil, nil, &budget.Error{
 					Resource:   budget.EventBuffer,
 					UsageBytes: int64(trace.MinSegRingDepth) * core.ResolveSegmentBytes,
 					LimitBytes: limit,
@@ -425,10 +378,12 @@ func (s *Suite) analyzeResolved(wctx context.Context, w *workloads.Workload, cfg
 			}
 		}
 	}
-	produce := func(rs *ResolverStream) error {
-		_, err := w.Run(s.Scale, s.options(), guardSink(wctx, rs), s.MaxInstr)
+	cfgs = s.budgeted(wctx, cfgs, int64(depth)*core.ResolveSegmentBytes)
+	var run *workloads.RunResult
+	produce := func(rs *ResolverStream) (err error) {
+		run, err = w.Run(s.Scale, s.options(), guardSink(wctx, rs), s.MaxInstr)
 		return err
 	}
 	results, _, err := fanOutResolved(wctx, produce, cfgs, depth, s.Concurrency == 1 || resolvedSerial())
-	return results, err
+	return results, run, err
 }

@@ -204,7 +204,7 @@ func TestDifferentialResolvedMixedPolicies(t *testing.T) {
 	cfgs := sweepConfigs()
 	ref := NewSuite(1)
 	ref.MaxInstr = 300_000
-	want, err := ref.analyzeStreaming(context.Background(), w, cfgs)
+	want, _, err := ref.analyzeStreaming(context.Background(), w, cfgs)
 	if err != nil {
 		t.Fatalf("streaming reference: %v", err)
 	}
@@ -508,7 +508,7 @@ func TestAnalyzeMultiAutoPicksResolved(t *testing.T) {
 	for name, cfgs := range map[string][]core.Config{"shared": windowSweepConfigs(), "distinct": distinct} {
 		ref := NewSuite(1)
 		ref.MaxInstr = 200_000
-		want, err := ref.analyzeStreaming(context.Background(), w, cfgs)
+		want, _, err := ref.analyzeStreaming(context.Background(), w, cfgs)
 		if err != nil {
 			t.Fatalf("%s: streaming reference: %v", name, err)
 		}
