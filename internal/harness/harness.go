@@ -240,7 +240,7 @@ type Experiment struct {
 	Configs []core.Config
 	// Row builds one workload's row from its simulation and the results of
 	// Configs, in order. When err is non-nil the workload failed, and Row
-	// builds the failed row: the workload's name and err, nothing else.
+	// builds the failed row, which names the workload and carries err.
 	Row func(w *workloads.Workload, run *workloads.RunResult, rs []*core.Result, err error) any
 }
 

@@ -95,17 +95,18 @@ func RenderFigure8(w io.Writer, series []WindowSeries) error {
 		header = append(header, s.Name)
 	}
 	t := stats.NewTable(header...)
-	if len(good) > 0 {
-		for i, pt := range good[0].Points {
-			row := []any{"full"}
-			if pt.Window != 0 {
-				row[0] = stats.FormatInt(int64(pt.Window))
-			}
-			for _, s := range good {
-				row = append(row, fmt.Sprintf("%.2f%%", s.Points[i].Percent))
-			}
-			t.AddRow(row...)
+	for i := 0; len(good) > 0 && i < len(good[0].Points); i++ {
+		row := make([]any, 0, len(good)+1)
+		win := good[0].Points[i].Window
+		if win == 0 {
+			row = append(row, "full")
+		} else {
+			row = append(row, stats.FormatInt(int64(win)))
 		}
+		for _, s := range good {
+			row = append(row, fmt.Sprintf("%.2f%%", s.Points[i].Percent))
+		}
+		t.AddRow(row...)
 	}
 	if err := t.Render(w); err != nil {
 		return err
@@ -171,7 +172,8 @@ func RenderFunctionalUnits(w io.Writer, rows []FURow) error {
 			t.AddRow(failedRow(r.Name, r.Err, len(header))...)
 			continue
 		}
-		row := []any{r.Name}
+		row := make([]any, 0, len(r.Avail)+1)
+		row = append(row, r.Name)
 		for _, a := range r.Avail {
 			row = append(row, a)
 		}
@@ -182,11 +184,12 @@ func RenderFunctionalUnits(w io.Writer, rows []FURow) error {
 
 // RenderLifetimes prints the E9 distributions.
 func RenderLifetimes(w io.Writer, rows []LifetimeRow) error {
-	t := stats.NewTable("Benchmark", "Values", "Mean Lifetime", "P90 Lifetime", "Max Lifetime",
-		"Mean Sharing", "Max Sharing", "Peak Live Words")
+	header := []string{"Benchmark", "Values", "Mean Lifetime", "P90 Lifetime", "Max Lifetime",
+		"Mean Sharing", "Max Sharing", "Peak Live Words"}
+	t := stats.NewTable(header...)
 	for _, r := range rows {
 		if r.Err != "" {
-			t.AddRow(failedRow(r.Name, r.Err, 8)...)
+			t.AddRow(failedRow(r.Name, r.Err, len(header))...)
 			continue
 		}
 		t.AddRow(r.Name,
@@ -218,7 +221,8 @@ func RenderBranches(w io.Writer, rows []BranchRow) error {
 			t.AddRow(failedRow(r.Name, r.Err, len(header))...)
 			continue
 		}
-		row := []any{r.Name}
+		row := make([]any, 0, 2*len(r.Avail)+1)
+		row = append(row, r.Name)
 		for i := range r.Avail {
 			row = append(row, r.Avail[i], fmt.Sprintf("%.1f%%", r.MissRate[i]*100))
 		}

@@ -345,13 +345,12 @@ func fanOutResolvedSerial(ctx context.Context, produce func(*ResolverStream) err
 // record segments scheduled under every config. Scheduling runs inline
 // when the suite's Concurrency is 1 or the runtime has one CPU, and on one
 // goroutine per config otherwise. The segment ring gets at most half the
-// effective budget and the schedulers' governed working sets split the
-// rest of a pool share (see budgeted), so
-// under a budget.Pool share the whole workload commits no more than the
-// share. A ring limit too small for even a trace.MinSegRingDepth ring
-// falls back by policy — Degrade re-runs on the streaming engine and marks
-// EngineDowngraded, FailFast returns a structured budget error, WarnOnly
-// proceeds at the floor.
+// effective budget, and the schedulers' governed working sets split what a
+// budget.Pool share has left (see budgeted), so the whole workload commits
+// no more than its share. A ring limit too small for even a
+// trace.MinSegRingDepth ring falls back by policy — Degrade re-runs on the
+// streaming engine and marks EngineDowngraded, FailFast returns a
+// structured budget error, WarnOnly proceeds at the floor.
 func (s *Suite) analyzeResolved(wctx context.Context, w *workloads.Workload, cfgs []core.Config) ([]*core.Result, *workloads.RunResult, error) {
 	depth := trace.DefaultSegRingDepth
 	if b := s.effectiveMemBudget(wctx); b > 0 {
