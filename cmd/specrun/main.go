@@ -93,7 +93,8 @@ func main() {
 
 // section is one experiment of specrun's output: the flag that selects
 // it, its title, the plan experiment it runs (nil for Table 1 and the
-// ablation, which run outside the plan), and its renderer, which gets the
+// ablation, which run outside the plan), a loader that decodes one of its
+// rows from the autosave store, and its renderer, which gets the
 // experiment's plan rows.
 type section struct {
 	flag, usage, title string

@@ -96,8 +96,8 @@ type Suite struct {
 	// most half of it and the analyzers split the rest, each still capped
 	// by MemBudget (smaller wins). Shares re-expand as workloads finish,
 	// and effective Parallelism shrinks before any share drops below
-	// budget.MinShare. 0 disables pooling; MemBudget then applies per
-	// analyzer as before.
+	// budget.MinShare. 0 disables pooling, leaving MemBudget the only
+	// limit.
 	GlobalMemBudget int64
 	// OnRow, when set, is called by RunPlan as each experiment's row for a
 	// workload completes, with the experiment's name, the workload's index
