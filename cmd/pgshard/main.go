@@ -207,23 +207,15 @@ func runAnalyze(ctx context.Context, args []string) {
 			fatal(fmt.Errorf("-prev is meaningless with -speculate: speculative shards build with no predecessor"))
 		}
 		sh := plan.Shards[*shardIdx]
-		buf, err := shard.DecodeShard(ctx, data, sh, plan.Degraded)
+		d, err := shard.BuildDeltaBytes(ctx, data, cfg, sh, plan.Degraded, len(plan.Shards))
 		if err != nil {
 			fatal(err)
 		}
-		d, err := shard.BuildShardDelta(ctx, buf, cfg, sh)
-		if err != nil {
-			fatal(err)
-		}
-		err = shard.SaveDelta(*outFile, &shard.Delta{
-			Index: sh.Index, Shards: len(plan.Shards),
-			Config: cfg, ReadStats: buf.Stats(), D: d,
-		})
-		if err != nil {
+		if err := shard.SaveDelta(*outFile, d); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("shard %d/%d: %s events compiled speculatively -> %s\n", sh.Index, len(plan.Shards),
-			stats.FormatInt(int64(d.Events)), *outFile)
+			stats.FormatInt(int64(d.D.Events)), *outFile)
 		return
 	}
 
@@ -254,11 +246,7 @@ func runAnalyze(ctx context.Context, args []string) {
 	}
 
 	sh := plan.Shards[*shardIdx]
-	buf, err := shard.DecodeShard(ctx, data, sh, plan.Degraded)
-	if err != nil {
-		fatal(err)
-	}
-	res, cp, err := shard.RunShard(ctx, a, buf, cfg, sh, len(plan.Shards), *shardIdx < len(plan.Shards)-1)
+	res, cp, err := shard.RunShardBytes(ctx, a, data, cfg, sh, plan.Degraded, len(plan.Shards), *shardIdx < len(plan.Shards)-1)
 	if err != nil {
 		fatal(err)
 	}

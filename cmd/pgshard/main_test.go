@@ -69,17 +69,13 @@ func writeShardResults(t *testing.T, dir string, shards int) ([]string, []byte, 
 	var prev *core.Checkpoint
 	var files []string
 	for i, sh := range plan.Shards {
-		buf, err := shard.DecodeShard(ctx, data, sh, false)
-		if err != nil {
-			t.Fatalf("shard %d: decode: %v", i, err)
-		}
 		var a *core.Analyzer
 		if prev == nil {
 			a = core.NewAnalyzer(cfg)
 		} else {
 			a = prev.Restore()
 		}
-		res, cp, err := shard.RunShard(ctx, a, buf, cfg, sh, len(plan.Shards), i < len(plan.Shards)-1)
+		res, cp, err := shard.RunShardBytes(ctx, a, data, cfg, sh, false, len(plan.Shards), i < len(plan.Shards)-1)
 		if err != nil {
 			t.Fatalf("shard %d: run: %v", i, err)
 		}
@@ -127,20 +123,12 @@ func writeShardDeltas(t *testing.T, dir string, shards int) ([]string, []byte, c
 	ctx := context.Background()
 	var files []string
 	for i, sh := range plan.Shards {
-		buf, err := shard.DecodeShard(ctx, data, sh, false)
-		if err != nil {
-			t.Fatalf("shard %d: decode: %v", i, err)
-		}
-		d, err := shard.BuildShardDelta(ctx, buf, cfg, sh)
+		d, err := shard.BuildDeltaBytes(ctx, data, cfg, sh, false, len(plan.Shards))
 		if err != nil {
 			t.Fatalf("shard %d: build: %v", i, err)
 		}
 		f := filepath.Join(dir, fmt.Sprintf("shard-%d.pgsd", i))
-		err = shard.SaveDelta(f, &shard.Delta{
-			Index: sh.Index, Shards: len(plan.Shards),
-			Config: cfg, ReadStats: buf.Stats(), D: d,
-		})
-		if err != nil {
+		if err := shard.SaveDelta(f, d); err != nil {
 			t.Fatalf("shard %d: save: %v", i, err)
 		}
 		files = append(files, f)

@@ -6,17 +6,20 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"paragraph/internal/core"
 	"paragraph/internal/faultinject"
@@ -644,4 +647,50 @@ func TestDaemonOversizedBodies(t *testing.T) {
 	}
 	// A body under the limit still works.
 	submitJob(t, api, tid, testConfig, 2)
+}
+
+// TestShardAttemptMemoryFlat: a chained attempt streams its shard's bytes
+// into the analyzer as they decode, so what it allocates does not grow
+// with the shard. Recording the shard first would cost 28 bytes per event,
+// megabytes more for the longer shard; the bound is one batch of recorded
+// events. Each size keeps its least-allocating attempt, so a stray
+// allocation elsewhere in the test binary cannot fail the test.
+func TestShardAttemptMemoryFlat(t *testing.T) {
+	s, err := New(Options{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.kill()
+	cfg := core.Dataflow(core.SyscallConservative)
+	cfg.ProfileBuckets = 64 // both shard sizes fill every profile bucket
+	j := &job{spec: JobSpec{ID: "mem", Config: cfg}}
+	var alloc [2]uint64
+	sizes := []int{20_000, 200_000}
+	for k, n := range sizes {
+		data := synthTrace(t, n, 3)
+		plan, err := shard.Split(data, 1, shard.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc[k] = math.MaxUint64
+		for try := 0; try < 3; try++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			part, _, err := s.runShardAttempt(j, nil, data, plan, 0, nil)
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if part.Events != uint64(n) {
+				t.Fatalf("attempt analyzed %d events, want %d", part.Events, n)
+			}
+			alloc[k] = min(alloc[k], m1.TotalAlloc-m0.TotalAlloc)
+		}
+	}
+	batch := uint64(trace.DefaultBatchEvents) * uint64(unsafe.Sizeof(trace.Event{}))
+	if alloc[1] > alloc[0]+batch {
+		t.Errorf("attempt allocated %d bytes at %d events and %d at %d; want them within one batch (%d bytes)",
+			alloc[0], sizes[0], alloc[1], sizes[1], batch)
+	}
+	t.Logf("attempt allocated %d bytes at %d events, %d at %d", alloc[0], sizes[0], alloc[1], sizes[1])
 }

@@ -315,8 +315,8 @@ func (s *Server) superviseDelta(j *job, ti TraceInfo, src *remote.Source, data [
 }
 
 // buildDeltaAttempt is one contained speculative build: fetch or slice the
-// shard's bytes, decode, and compile with no entry state. Panics convert
-// to a failed attempt, like runShardAttempt.
+// shard's bytes and compile them as they decode, with no entry state.
+// Panics convert to a failed attempt, like runShardAttempt.
 func (s *Server) buildDeltaAttempt(j *job, src *remote.Source, data []byte, plan *shard.Plan, i int) (d *shard.Delta, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -345,18 +345,7 @@ func (s *Server) buildDeltaAttempt(j *job, src *remote.Source, data []byte, plan
 		sh.Start, sh.End = start, end
 		buf = sect
 	}
-	evbuf, err := shard.DecodeShard(ctx, buf, sh, plan.Degraded)
-	if err != nil {
-		return nil, err
-	}
-	cd, err := shard.BuildShardDelta(ctx, evbuf, j.spec.Config, sh)
-	if err != nil {
-		return nil, err
-	}
-	return &shard.Delta{
-		Index: sh.Index, Shards: len(plan.Shards),
-		Config: j.spec.Config, ReadStats: evbuf.Stats(), D: cd,
-	}, nil
+	return shard.BuildDeltaBytes(ctx, buf, j.spec.Config, sh, plan.Degraded, len(plan.Shards))
 }
 
 // jobPlan loads the persisted shard plan or computes and persists it. The
@@ -442,10 +431,10 @@ func (s *Server) superviseShard(j *job, ti TraceInfo, src *remote.Source, data [
 }
 
 // runShardAttempt is one contained attempt: fetch (remote) or slice
-// (local) the shard's bytes, decode, and replay through an analyzer seeded
-// from the previous shard's checkpoint. A panic anywhere inside — decode,
-// analysis, or a fetch bug — converts to an error and counts as a failed
-// attempt instead of killing the worker.
+// (local) the shard's bytes and stream them, as they decode, through an
+// analyzer seeded from the previous shard's checkpoint. A panic anywhere
+// inside — decode, analysis, or a fetch bug — converts to an error and
+// counts as a failed attempt instead of killing the worker.
 func (s *Server) runShardAttempt(j *job, src *remote.Source, data []byte, plan *shard.Plan, i int, prevCP *core.Checkpoint) (part *shard.Result, cp *core.Checkpoint, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -476,20 +465,16 @@ func (s *Server) runShardAttempt(j *job, src *remote.Source, data []byte, plan *
 		sh.Start, sh.End = start, end
 		buf = sect
 	}
-	evbuf, err := shard.DecodeShard(ctx, buf, sh, plan.Degraded)
-	if err != nil {
-		return nil, nil, err
-	}
 	var a *core.Analyzer
 	if prevCP != nil {
 		// Restore clones per call, so a retried attempt starts from the
-		// same pristine state every time.
+		// same pristine state every time, whatever a failed one consumed.
 		a = prevCP.Restore()
 	} else {
 		a = core.NewAnalyzer(j.spec.Config)
 	}
 	want := i < len(plan.Shards)-1
-	return shard.RunShard(ctx, a, evbuf, j.spec.Config, plan.Shards[i], len(plan.Shards), want)
+	return shard.RunShardBytes(ctx, a, buf, j.spec.Config, sh, plan.Degraded, len(plan.Shards), want)
 }
 
 // backoff sleeps the supervisor's jittered exponential delay for the given

@@ -371,11 +371,10 @@ func (e *workerPanicError) Error() string {
 	return fmt.Sprintf("panic contained: %v", e.v)
 }
 
-// execute runs one leased attempt: fetch the shard's byte range, decode,
-// analyze (chain: replay from the shipped entry checkpoint; delta: build
-// with no entry state), and serialize the artifact for upload. Panics
-// anywhere inside convert to a classified failure instead of killing the
-// worker.
+// execute runs one leased attempt: fetch the shard's byte range, analyze it
+// as it decodes (chain: from the shipped entry checkpoint; delta: with no
+// entry state), and serialize the artifact for upload. Panics anywhere
+// inside convert to a classified failure instead of killing the worker.
 func (w *Worker) execute(ctx context.Context, lm *LeaseMsg) (payload []byte, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -392,18 +391,12 @@ func (w *Worker) execute(ctx context.Context, lm *LeaseMsg) (payload []byte, err
 		return nil, err
 	}
 	sh.Start, sh.End = start, end
-	evbuf, err := shard.DecodeShard(ctx, sect, sh, lm.Degraded)
-	if err != nil {
-		return nil, err
-	}
 	var buf bytes.Buffer
 	if lm.Kind == kindDelta {
-		cd, err := shard.BuildShardDelta(ctx, evbuf, lm.Config, sh)
+		d, err := shard.BuildDeltaBytes(ctx, sect, lm.Config, sh, lm.Degraded, lm.Shards)
 		if err != nil {
 			return nil, err
 		}
-		d := &shard.Delta{Index: lm.Shard.Index, Shards: lm.Shards,
-			Config: lm.Config, ReadStats: evbuf.Stats(), D: cd}
 		if err := shard.WriteDelta(&buf, d); err != nil {
 			return nil, err
 		}
@@ -419,7 +412,7 @@ func (w *Worker) execute(ctx context.Context, lm *LeaseMsg) (payload []byte, err
 	} else {
 		a = core.NewAnalyzer(lm.Config)
 	}
-	part, cp, err := shard.RunShard(ctx, a, evbuf, lm.Config, sh, lm.Shards, lm.WantCheckpoint)
+	part, cp, err := shard.RunShardBytes(ctx, a, sect, lm.Config, sh, lm.Degraded, lm.Shards, lm.WantCheckpoint)
 	if err != nil {
 		return nil, err
 	}

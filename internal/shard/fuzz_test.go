@@ -51,6 +51,15 @@ func FuzzSplitter(f *testing.F) {
 	f.Add([]byte("PGTRACE1junk"), uint8(2), true)
 	f.Add([]byte{}, uint8(1), false)
 	f.Add(bytes.Repeat([]byte{0xD7, 'P', 'G', 0xC5}, 50), uint8(5), true)
+	// Garbage shorter than a chunk header right before a chunk where a
+	// cut falls: one reader of the whole trace reads it as a damaged
+	// header, so a shard reader must meet it the same way, not as its own
+	// torn tail.
+	if chunks, err := trace.ScanChunks(small); err == nil && len(chunks) > 4 {
+		at := chunks[4].Offset
+		gap := append(append(append([]byte(nil), small[:at]...), 0, 1, 2, 3), small[at:]...)
+		f.Add(gap, uint8(7), true)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, nRaw uint8, degraded bool) {
 		n := int(nRaw%8) + 1

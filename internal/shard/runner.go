@@ -12,11 +12,13 @@ import (
 	"paragraph/internal/trace"
 )
 
-// DecodeShard decodes one shard's byte range into an EventBuffer, carrying
-// the shard reader's ReadStats. The buffer can be replayed by any number of
-// analyzers (different configs fan out over one decode). Decode honors ctx
-// with the usual CtxCheckEvery granularity.
-func DecodeShard(ctx context.Context, data []byte, sh Shard, degraded bool) (*trace.EventBuffer, error) {
+// streamShard decodes one shard's byte range straight into sink, batch by
+// batch, and returns the shard reader's ReadStats. It checks ctx once per
+// batch, and the plan's event count as soon as the range delivers more
+// events than the plan says and again at the end. Events reach sink in
+// trace order up to the first failure, so sink has consumed every event
+// before a decode error, as in a monolithic streaming run.
+func streamShard(ctx context.Context, data []byte, sh Shard, degraded bool, sink trace.BatchSink) (trace.ReadStats, error) {
 	// Zero-copy section reader: chunks are CRC-verified and decoded in
 	// place out of data, with no per-shard copy of the byte range.
 	r, err := trace.NewBytesSectionReader(data, sh.Start, sh.End, trace.ReaderOptions{
@@ -25,35 +27,58 @@ func DecodeShard(ctx context.Context, data []byte, sh Shard, degraded bool) (*tr
 		StartSeqValid: sh.HavePrevSeq,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", sh.Index, err)
+		return trace.ReadStats{}, fmt.Errorf("shard %d: %w", sh.Index, err)
 	}
-	buf := &trace.EventBuffer{}
-	buf.Grow(int(sh.Events)) // the plan counted this shard's events at Split time
-	done := ctx.Done()
-	batch := make([]trace.Event, trace.DefaultBatchEvents)
-	for i := 0; ; {
-		if done != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("shard %d: decode canceled at event %d: %w", sh.Index, i, err)
-			}
-		}
-		n, err := r.ReadBatch(batch)
-		if n > 0 {
-			_ = buf.Events(batch[:n]) // EventBuffer.Events never fails
-			i += n
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", sh.Index, err)
-		}
-	}
-	buf.SetStats(r.Stats())
-	if got := uint64(buf.Len()); got != sh.Events {
-		return nil, fmt.Errorf("shard %d: decoded %d events, plan says %d (trace modified since Split?)",
+	countErr := func(got uint64) error {
+		return fmt.Errorf("shard %d: decoded %d events, plan says %d (trace modified since Split?)",
 			sh.Index, got, sh.Events)
 	}
+	done := ctx.Done()
+	batch := make([]trace.Event, trace.DefaultBatchEvents)
+	var got uint64
+	for {
+		if done != nil {
+			if err := ctx.Err(); err != nil {
+				return trace.ReadStats{}, fmt.Errorf("shard %d: decode canceled at event %d: %w", sh.Index, got, err)
+			}
+		}
+		n, rerr := r.ReadBatch(batch)
+		if n > 0 {
+			if got+uint64(n) > sh.Events {
+				return trace.ReadStats{}, countErr(got + uint64(n))
+			}
+			if err := sink.Events(batch[:n]); err != nil {
+				return trace.ReadStats{}, fmt.Errorf("shard %d: event batch at %d: %w", sh.Index, got, err)
+			}
+			got += uint64(n)
+		}
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			return trace.ReadStats{}, fmt.Errorf("shard %d: %w", sh.Index, rerr)
+		}
+	}
+	if got != sh.Events {
+		return trace.ReadStats{}, countErr(got)
+	}
+	return r.Stats(), nil
+}
+
+// DecodeShard decodes one shard's byte range into an EventBuffer, carrying
+// the shard reader's ReadStats. The buffer can be replayed by any number of
+// analyzers (different configs fan out over one decode), which is what the
+// in-process driver needs; a single-config attempt streams instead (see
+// RunShardBytes and BuildDeltaBytes). Decode honors ctx with the usual
+// CtxCheckEvery granularity.
+func DecodeShard(ctx context.Context, data []byte, sh Shard, degraded bool) (*trace.EventBuffer, error) {
+	buf := &trace.EventBuffer{}
+	buf.Grow(int(sh.Events)) // the plan counted this shard's events at Split time
+	rs, err := streamShard(ctx, data, sh, degraded, buf)
+	if err != nil {
+		return nil, err
+	}
+	buf.SetStats(rs)
 	return buf, nil
 }
 
@@ -65,12 +90,6 @@ func DecodeShard(ctx context.Context, data []byte, sh Shard, degraded bool) (*tr
 // is snapshotted (before any finish) for handoff to the next shard's
 // process.
 func RunShard(ctx context.Context, a *core.Analyzer, buf *trace.EventBuffer, cfg core.Config, sh Shard, total int, wantCheckpoint bool) (*Result, *core.Checkpoint, error) {
-	if err := a.BeginShard(); err != nil {
-		return nil, nil, fmt.Errorf("shard %d: %w", sh.Index, err)
-	}
-	if err := buf.ReplayBatches(ctx, a); err != nil {
-		return nil, nil, fmt.Errorf("shard %d: %w", sh.Index, err)
-	}
 	res := &Result{
 		Index:      sh.Index,
 		Shards:     total,
@@ -79,14 +98,54 @@ func RunShard(ctx context.Context, a *core.Analyzer, buf *trace.EventBuffer, cfg
 		Events:     uint64(buf.Len()),
 		ReadStats:  buf.Stats(),
 	}
+	return runShard(a, res, wantCheckpoint, func() error {
+		if err := buf.ReplayBatches(ctx, a); err != nil {
+			return fmt.Errorf("shard %d: %w", sh.Index, err)
+		}
+		return nil
+	})
+}
+
+// RunShardBytes is one chained shard attempt straight from the trace bytes:
+// RunShard over what DecodeShard would record, without the recording. The
+// shard's events stream into a as they decode, so the attempt's memory
+// does not grow with the shard. On any failure — including an event count
+// that disagrees with the plan, found only after a has consumed the
+// shard — it returns neither a Result nor a checkpoint, and a holds a
+// partial shard: a retry must start from a fresh or restored analyzer.
+func RunShardBytes(ctx context.Context, a *core.Analyzer, data []byte, cfg core.Config, sh Shard, degraded bool, total int, wantCheckpoint bool) (*Result, *core.Checkpoint, error) {
+	res := &Result{
+		Index:      sh.Index,
+		Shards:     total,
+		Config:     cfg,
+		StartEvent: sh.StartEvent,
+		Events:     sh.Events,
+	}
+	return runShard(a, res, wantCheckpoint, func() (err error) {
+		res.ReadStats, err = streamShard(ctx, data, sh, degraded, a)
+		return err
+	})
+}
+
+// runShard is the harvest shared by every way of running a shard: reset
+// a's mergeable accumulators, apply the shard's events (apply), snapshot
+// the outgoing state if wanted, finish the analysis on the last shard, and
+// fill res's statistics.
+func runShard(a *core.Analyzer, res *Result, wantCheckpoint bool, apply func() error) (*Result, *core.Checkpoint, error) {
+	if err := a.BeginShard(); err != nil {
+		return nil, nil, fmt.Errorf("shard %d: %w", res.Index, err)
+	}
+	if err := apply(); err != nil {
+		return nil, nil, err
+	}
 	var cp *core.Checkpoint
 	if wantCheckpoint {
 		cp = a.Snapshot()
 	}
-	if sh.Index == total-1 {
+	if res.Index == res.Shards-1 {
 		fin, err := a.Finish()
 		if err != nil {
-			return nil, nil, fmt.Errorf("shard %d: %w", sh.Index, err)
+			return nil, nil, fmt.Errorf("shard %d: %w", res.Index, err)
 		}
 		res.Final = fin
 	}

@@ -44,9 +44,10 @@ type Options struct {
 	Speculate bool
 }
 
-// Shard is one partition of a trace: a byte range that starts at an
-// accepted chunk boundary (except shard 0, which starts right after the
-// file magic) and ends where the next shard starts.
+// Shard is one partition of a trace: a byte range that starts where the
+// previous shard's last accepted chunk ends (shard 0 starts right after
+// the file magic) and ends where the next shard starts. Damage between two
+// accepted chunks therefore belongs to the shard after it.
 type Shard struct {
 	// Index is the shard's position in the plan, 0-based.
 	Index int
@@ -136,14 +137,18 @@ func Split(data []byte, n int, opts Options) (*Plan, error) {
 		}
 		sh := Shard{
 			Index:      g,
-			Start:      spans[firstSpan].Start,
+			Start:      trace.HeaderBytes,
 			Chunks:     si - firstSpan,
 			Events:     cum - startEvent,
 			StartEvent: startEvent,
 		}
-		if g == 0 {
-			sh.Start = trace.HeaderBytes
-		} else {
+		if g > 0 {
+			// Cut where the previous group's last accepted chunk ends:
+			// one reader of the whole trace stands there, aligned and
+			// seeded with that chunk's sequence number, so this shard's
+			// reader meets any damage before its first chunk exactly as
+			// that reader does.
+			sh.Start = spans[firstSpan-1].End
 			sh.PrevSeq = spans[firstSpan-1].Seq
 			sh.HavePrevSeq = true
 		}

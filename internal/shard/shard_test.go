@@ -66,12 +66,17 @@ func synthEvents(n int, seed int64) []trace.Event {
 // so even short tests produce enough chunk boundaries to shard on.
 func synthTrace(t testing.TB, n int, seed int64, chunkBytes int) []byte {
 	t.Helper()
+	return encodeEvents(t, synthEvents(n, seed), chunkBytes)
+}
+
+// encodeEvents writes events as a v2 trace with the given chunk size.
+func encodeEvents(t testing.TB, events []trace.Event, chunkBytes int) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	w, err := trace.NewWriterOpts(&buf, trace.WriterOptions{ChunkBytes: chunkBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := synthEvents(n, seed)
 	for i := range events {
 		if err := w.Event(&events[i]); err != nil {
 			t.Fatal(err)

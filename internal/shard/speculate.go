@@ -42,17 +42,26 @@ func BuildShardDelta(ctx context.Context, buf *trace.EventBuffer, cfg core.Confi
 	return r.Delta(), nil
 }
 
+// BuildDeltaBytes is one speculative shard attempt straight from the
+// trace bytes: the shard's events stream into a shard resolution as they
+// decode, with no EventBuffer in between, and come back as the portable
+// Delta that pgshard and pgserved persist. On any failure it returns no
+// Delta: unlike BuildShardDelta's callers, no caller of a single attempt
+// splices a prefix.
+func BuildDeltaBytes(ctx context.Context, data []byte, cfg core.Config, sh Shard, degraded bool, total int) (*Delta, error) {
+	r := core.NewDeltaResolver(sh.StartEvent, int(sh.Events))
+	rs, err := streamShard(ctx, data, sh, degraded, r)
+	if err != nil {
+		return nil, err
+	}
+	return &Delta{Index: sh.Index, Shards: total, Config: cfg, ReadStats: rs, D: r.Delta()}, nil
+}
+
 // RunShardDelta is RunShard for a speculatively built shard: it splices the
 // delta onto an analyzer carrying the state of all preceding shards and
 // harvests the same per-shard Result a chained run produces — so persisted
 // results, resume, and Merge are oblivious to which driver ran the shard.
 func RunShardDelta(a *core.Analyzer, d *core.ShardDelta, cfg core.Config, rs trace.ReadStats, index, total int, wantCheckpoint bool) (*Result, *core.Checkpoint, error) {
-	if err := a.BeginShard(); err != nil {
-		return nil, nil, fmt.Errorf("shard %d: %w", index, err)
-	}
-	if err := a.ApplyDelta(d); err != nil {
-		return nil, nil, fmt.Errorf("shard %d: %w", index, err)
-	}
 	res := &Result{
 		Index:      index,
 		Shards:     total,
@@ -61,21 +70,12 @@ func RunShardDelta(a *core.Analyzer, d *core.ShardDelta, cfg core.Config, rs tra
 		Events:     d.Events,
 		ReadStats:  rs,
 	}
-	var cp *core.Checkpoint
-	if wantCheckpoint {
-		cp = a.Snapshot()
-	}
-	if index == total-1 {
-		fin, err := a.Finish()
-		if err != nil {
-			return nil, nil, fmt.Errorf("shard %d: %w", index, err)
+	return runShard(a, res, wantCheckpoint, func() error {
+		if err := a.ApplyDelta(d); err != nil {
+			return fmt.Errorf("shard %d: %w", index, err)
 		}
-		res.Final = fin
-	}
-	// Harvest after Finish so the last shard's stats include end-of-trace
-	// retirements (still-live values folded into lifetime/sharing).
-	res.Stats = a.ShardStats()
-	return res, cp, nil
+		return nil
+	})
 }
 
 // analyzePlanSpeculative is the parallel in-process driver behind

@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -10,7 +11,9 @@ import (
 
 	"paragraph/internal/faultinject"
 	"paragraph/internal/isa"
+	"paragraph/internal/minic"
 	"paragraph/internal/trace"
+	"paragraph/internal/workloads"
 )
 
 // The streaming (bufio) reader and the zero-copy (bytes/mmap) reader are
@@ -272,9 +275,70 @@ func FuzzReaderEquivalence(f *testing.F) {
 	if d, err := faultinject.DuplicateChunk(append([]byte(nil), clean...), 1); err == nil {
 		f.Add(d)
 	}
+	for _, d := range trace.OverwideTraces() {
+		f.Add(d)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, degraded := range []bool{false, true} {
 			checkEquivalence(t, data, degraded)
 		}
 	})
+}
+
+// TestDecodeTableAnalogues holds the reader's decoded-instruction table to
+// isa.Decode on real programs: every event of each of the ten analogues'
+// v2 traces must decode to exactly the instruction isa.Decode gives for
+// the word that was written. The table is one reader's private state, so
+// the race detector has nothing to audit here, and it would stretch the
+// test's few seconds to most of a minute.
+func TestDecodeTableAnalogues(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("single-goroutine decode of ten full traces; skipped under -race")
+	}
+	for _, w := range workloads.All() {
+		var enc bytes.Buffer
+		tw, err := trace.NewWriter(&enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var words []uint32
+		record := trace.SinkFunc(func(e *trace.Event) error {
+			word, err := isa.Encode(&e.Ins)
+			if err != nil {
+				return err
+			}
+			words = append(words, word)
+			return tw.Event(e)
+		})
+		if _, err := w.Run(1, minic.Options{}, record, 0); err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := trace.NewBytesReader(enc.Bytes(), trace.ReaderOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		err = r.ForEachBatch(func(batch []trace.Event) error {
+			for j := range batch {
+				want, err := isa.Decode(words[i])
+				if err != nil {
+					return err
+				}
+				if batch[j].Ins != want {
+					return fmt.Errorf("event %d at pc %#x: decoded %+v, isa.Decode gives %+v", i, batch[j].PC, batch[j].Ins, want)
+				}
+				i++
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if i != len(words) {
+			t.Fatalf("%s: decoded %d events, wrote %d", w.Name, i, len(words))
+		}
+	}
 }

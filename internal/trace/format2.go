@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-
-	"paragraph/internal/isa"
 )
 
 // Format v2: chunked, checksummed framing.
@@ -142,33 +140,37 @@ func (r *Reader) decodePayloadEvent(e *Event) error {
 			return fmt.Errorf("event %d: reading PC: %w", r.n, ErrTruncated)
 		}
 		r.pos += n
-		pc = uint32(v)
+		var err error
+		if pc, err = narrow(v, "PC"); err != nil {
+			return fmt.Errorf("event %d: %w", r.n, err)
+		}
 	}
 	wordV, n := binary.Uvarint(p[r.pos:])
 	if n <= 0 {
 		return fmt.Errorf("event %d: reading instruction: %w", r.n, ErrTruncated)
 	}
 	r.pos += n
-	ins, err := isa.Decode(uint32(wordV))
+	word, err := narrow(wordV, "instruction word")
 	if err != nil {
 		return fmt.Errorf("event %d: %w", r.n, err)
 	}
-	*e = Event{
-		PC:    pc,
-		Ins:   ins,
-		Seg:   Segment(flags >> flagSegShift & 0x3),
-		Taken: flags&flagTaken != 0,
+	ins, err := r.decode(pc, word)
+	if err != nil {
+		return fmt.Errorf("event %d: %w", r.n, err)
 	}
+	e.set(pc, ins, flags)
 	if flags&flagMem != 0 {
 		addr, n := binary.Uvarint(p[r.pos:])
 		if n <= 0 {
 			return fmt.Errorf("event %d: reading address: %w", r.n, ErrTruncated)
 		}
 		r.pos += n
+		if e.MemAddr, err = narrow(addr, "address"); err != nil {
+			return fmt.Errorf("event %d: %w", r.n, err)
+		}
 		if r.pos >= len(p) {
 			return fmt.Errorf("event %d: reading size: %w", r.n, ErrTruncated)
 		}
-		e.MemAddr = uint32(addr)
 		e.MemSize = p[r.pos]
 		r.pos++
 	}

@@ -50,6 +50,10 @@ func FuzzTraceReader(f *testing.F) {
 	flipped := append([]byte(nil), v2.Bytes()...)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
+	_, overwide := overwideTraces()
+	for _, data := range overwide {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, degraded := range []bool{false, true} {

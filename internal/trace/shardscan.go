@@ -73,9 +73,10 @@ func ScanChunkSpans(data []byte, degraded bool) ([]ChunkSpan, ReadStats, error) 
 // NewSectionReader returns a Reader over the byte range [start, end) of a
 // v2 trace, presented as if it were a complete trace file. It is how a
 // shard runner decodes just its shard: start must be a chunk boundary (an
-// accepted chunk's Start, as reported by ScanChunkSpans) for the section to
-// decode; o.StartSeq should carry the Seq of the last chunk delivered
-// before start so duplicate detection behaves as a single reader would.
+// accepted chunk's Start or End, as reported by ScanChunkSpans) for the
+// section to decode; o.StartSeq should carry the Seq of the last chunk
+// delivered before start so duplicate detection behaves as a single reader
+// would.
 func NewSectionReader(data []byte, start, end int64, o ReaderOptions) (*Reader, error) {
 	if start < HeaderBytes || end < start || end > int64(len(data)) {
 		return nil, fmt.Errorf("trace: bad section [%d, %d) of %d-byte trace", start, end, len(data))

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"paragraph/internal/isa"
 )
@@ -316,6 +317,65 @@ type Reader struct {
 	// payload aliases data instead of being copied.
 	data    []byte
 	dataEnd int64
+
+	// decoded memoizes isa.Decode per PC (see decode).
+	decoded [decodeSlots]decodedIns
+}
+
+// decodeSlots is the size of a Reader's decoded-instruction table, indexed
+// by PC>>2. A program whose executed text spans fewer than decodeSlots
+// words never evicts a slot, so it misses only on each instruction's first
+// use; the ten analogues execute 148-1018 distinct PCs.
+const decodeSlots = 1024
+
+// decodedIns is one slot of the decoded-instruction table. ok marks a
+// filled slot: a zero-valued slot must not pass for word 0, which decodes
+// to NOP, not to the zero Instruction.
+type decodedIns struct {
+	word uint32
+	ok   bool
+	ins  isa.Instruction
+}
+
+// decode returns isa.Decode(word) for the instruction at pc, consulting the
+// slot for pc first. The slot is tagged by the word, so a PC that carries a
+// different word than last time decodes again; a decode error is never
+// stored, so an undecodable word fails every time it is read. The result
+// points into the table and is valid until the next decode.
+func (r *Reader) decode(pc, word uint32) (*isa.Instruction, error) {
+	s := &r.decoded[pc>>2%decodeSlots]
+	if s.ok && s.word == word {
+		return &s.ins, nil
+	}
+	ins, err := isa.Decode(word)
+	if err != nil {
+		return nil, err
+	}
+	*s = decodedIns{word: word, ok: true, ins: ins}
+	return &s.ins, nil
+}
+
+// set fills e from a decoded PC, instruction and flags byte, with no memory
+// access. It stores field by field: building the Event as one composite
+// literal assembles it on the stack and copies it, which a CPU profile
+// showed as the costliest line of a table-hit decode.
+func (e *Event) set(pc uint32, ins *isa.Instruction, flags byte) {
+	e.PC = pc
+	e.Ins = *ins
+	e.MemAddr = 0
+	e.MemSize = 0
+	e.Seg = Segment(flags >> flagSegShift & 0x3)
+	e.Taken = flags&flagTaken != 0
+}
+
+// narrow converts a decoded uvarint to the 32 bits the format stores for a
+// PC, instruction word or address, rejecting wider values instead of
+// truncating them.
+func narrow(v uint64, what string) (uint32, error) {
+	if v > math.MaxUint32 {
+		return 0, fmt.Errorf("%s %#x overflows 32 bits", what, v)
+	}
+	return uint32(v), nil
 }
 
 // ReaderOptions configures NewReaderOpts.
@@ -421,33 +481,34 @@ func (r *Reader) Next(e *Event) error {
 		if err != nil {
 			return fmt.Errorf("trace: event %d: reading PC: %w", r.n, wrapTruncation(err))
 		}
-		pc = uint32(v)
+		if pc, err = narrow(v, "PC"); err != nil {
+			return fmt.Errorf("trace: event %d: %w", r.n, err)
+		}
 	}
 	wordV, err := binary.ReadUvarint(r.br)
 	if err != nil {
 		return fmt.Errorf("trace: event %d: reading instruction: %w", r.n, wrapTruncation(err))
 	}
-	ins, err := isa.Decode(uint32(wordV))
+	word, err := narrow(wordV, "instruction word")
 	if err != nil {
 		return fmt.Errorf("trace: event %d: %w", r.n, err)
 	}
-	*e = Event{
-		PC:    pc,
-		Ins:   ins,
-		Seg:   Segment(flags >> flagSegShift & 0x3),
-		Taken: flags&flagTaken != 0,
+	ins, err := r.decode(pc, word)
+	if err != nil {
+		return fmt.Errorf("trace: event %d: %w", r.n, err)
 	}
+	e.set(pc, ins, flags)
 	if flags&flagMem != 0 {
 		addr, err := binary.ReadUvarint(r.br)
 		if err != nil {
 			return fmt.Errorf("trace: event %d: reading address: %w", r.n, wrapTruncation(err))
 		}
-		size, err := r.br.ReadByte()
-		if err != nil {
+		if e.MemAddr, err = narrow(addr, "address"); err != nil {
+			return fmt.Errorf("trace: event %d: %w", r.n, err)
+		}
+		if e.MemSize, err = r.br.ReadByte(); err != nil {
 			return fmt.Errorf("trace: event %d: reading size: %w", r.n, wrapTruncation(err))
 		}
-		e.MemAddr = uint32(addr)
-		e.MemSize = size
 	}
 	r.lastPC = pc
 	r.first = false

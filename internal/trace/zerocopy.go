@@ -38,9 +38,9 @@ func NewBytesReader(data []byte, o ReaderOptions) (*Reader, error) {
 // NewBytesSectionReader returns a zero-copy Reader over the byte range
 // [start, end) of a complete in-memory v2 trace: the in-place equivalent
 // of NewSectionReader. start must be a chunk boundary (an accepted chunk's
-// Start, as reported by ScanChunkSpans); o.StartSeq should carry the Seq
-// of the last chunk delivered before start so duplicate detection behaves
-// as a single reader would.
+// Start or End, as reported by ScanChunkSpans); o.StartSeq should carry
+// the Seq of the last chunk delivered before start so duplicate detection
+// behaves as a single reader would.
 func NewBytesSectionReader(data []byte, start, end int64, o ReaderOptions) (*Reader, error) {
 	if len(data) < len(magic2) || !bytes.Equal(data[:len(magic2)], magic2[:]) {
 		return nil, fmt.Errorf("%w: not a v2 trace", ErrBadMagic)
