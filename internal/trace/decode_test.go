@@ -59,10 +59,12 @@ const (
 )
 
 // overwideTraces holds one event per 32-bit field with that field's
-// varint one bit too wide, each behind one good event and framed both as a
-// v1 and as a v2 trace, in a fixed order for the fuzz seeds. A reader that
+// varint one bit too wide, then one per field with bit 62 or 63 set (a 9-
+// or 10-byte varint), each behind one good event and framed both as a v1
+// and as a v2 trace, in a fixed order for the fuzz seeds. A reader that
 // narrowed without a check would decode each to the field's low 32 bits:
-// the word 1<<32 as a NOP.
+// the word 1<<32 as a NOP. A v1 reader whose window were narrower than
+// the widest event would report the 9-byte address as truncated instead.
 func overwideTraces() (names []string, traces [][]byte) {
 	good := rawEvent(textPC, addiW, -1)
 	for _, c := range []struct {
@@ -72,6 +74,9 @@ func overwideTraces() (names []string, traces [][]byte) {
 		{"pc", rawEvent(1<<40|textPC, addiW, -1)},
 		{"word", rawEvent(textPC, 1<<32, -1)},
 		{"address", rawEvent(textPC, lwW, 1<<32|0x10000000)},
+		{"pc-bit63", rawEvent(1<<63|textPC, addiW, -1)},
+		{"word-bit63", rawEvent(textPC, 1<<63|addiW, -1)},
+		{"address-bit62", rawEvent(textPC, lwW, 1<<62|0x10000000)},
 	} {
 		names = append(names, "v1-"+c.field, "v2-"+c.field)
 		traces = append(traces, rawV1(good, c.event), rawV2([][]byte{good, c.event}))

@@ -104,7 +104,7 @@ func (r *Reader) nextV2(e *Event) error {
 		}
 		return r.nextV2(e)
 	}
-	if err := r.decodePayloadEvent(e); err != nil {
+	if err := r.decodePayloadEvent(e, ErrTruncated); err != nil {
 		// Decode errors inside a CRC-valid chunk: drop the remainder of
 		// the chunk in degraded mode, fail fast otherwise.
 		werr := r.chunkError(err)
@@ -120,134 +120,58 @@ func (r *Reader) nextV2(e *Event) error {
 	return nil
 }
 
-// decodePayloadEvent decodes one event from the chunk payload at r.pos.
-func (r *Reader) decodePayloadEvent(e *Event) error {
-	p := r.payload
-	if r.pos >= len(p) {
-		return fmt.Errorf("event %d: %w", r.n, ErrTruncated)
-	}
-	flags := p[r.pos]
-	r.pos++
-	var pc uint32
-	if flags&flagSeqPC != 0 {
-		if r.first {
-			return fmt.Errorf("event %d: sequential-PC flag on first event of chunk", r.n)
-		}
-		pc = r.lastPC + 4
-	} else {
-		v, n := binary.Uvarint(p[r.pos:])
-		if n <= 0 {
-			return fmt.Errorf("event %d: reading PC: %w", r.n, ErrTruncated)
-		}
-		r.pos += n
-		var err error
-		if pc, err = narrow(v, "PC"); err != nil {
-			return fmt.Errorf("event %d: %w", r.n, err)
-		}
-	}
-	wordV, n := binary.Uvarint(p[r.pos:])
-	if n <= 0 {
-		return fmt.Errorf("event %d: reading instruction: %w", r.n, ErrTruncated)
-	}
-	r.pos += n
-	word, err := narrow(wordV, "instruction word")
-	if err != nil {
-		return fmt.Errorf("event %d: %w", r.n, err)
-	}
-	ins, err := r.decode(pc, word)
-	if err != nil {
-		return fmt.Errorf("event %d: %w", r.n, err)
-	}
-	e.set(pc, ins, flags)
-	if flags&flagMem != 0 {
-		addr, n := binary.Uvarint(p[r.pos:])
-		if n <= 0 {
-			return fmt.Errorf("event %d: reading address: %w", r.n, ErrTruncated)
-		}
-		r.pos += n
-		if e.MemAddr, err = narrow(addr, "address"); err != nil {
-			return fmt.Errorf("event %d: %w", r.n, err)
-		}
-		if r.pos >= len(p) {
-			return fmt.Errorf("event %d: reading size: %w", r.n, ErrTruncated)
-		}
-		e.MemSize = p[r.pos]
-		r.pos++
-	}
-	r.lastPC = pc
-	r.first = false
-	return nil
-}
-
 // loadChunk positions the reader on the next valid chunk's payload. It
 // returns io.EOF at a clean end of trace, a *CorruptChunkError in fail-fast
-// mode, or skips and resyncs in degraded mode. A zero-copy reader takes the
-// in-place path in zerocopy.go; both implementations make the identical
-// sequence of accept/skip/resync decisions for identical input bytes.
+// mode, or skips and resyncs in degraded mode. The bytes come through
+// window, so a stream and an in-memory trace make the identical sequence
+// of accept/skip/resync decisions for identical input bytes. A read error
+// is not damage: it is returned in either mode, and no ReadStats field
+// counts it.
 func (r *Reader) loadChunk() error {
-	if r.data != nil {
-		return r.loadChunkBytes()
-	}
 	for {
-		hdr, err := r.br.Peek(chunkHdrLen)
-		if len(hdr) == 0 {
-			if err == io.EOF {
+		hdr, err := r.window(chunkHdrLen)
+		if len(hdr) < chunkHdrLen {
+			if err := r.readError(err); err != nil {
+				return err
+			}
+			if len(hdr) == 0 {
 				return io.EOF
 			}
-			if err != nil {
-				return fmt.Errorf("trace: reading chunk %d header: %w", r.chunkIdx, err)
-			}
-		}
-		if len(hdr) < chunkHdrLen {
 			// A torn tail shorter than one header. Nothing after it can
 			// be recovered.
-			cerr := r.corrupt(ErrTruncated, 0)
-			if cerr != nil {
+			if cerr := r.corrupt(ErrTruncated, 0); cerr != nil {
 				return cerr
 			}
 			r.discard(len(hdr))
 			return io.EOF
 		}
-		if !bytes.Equal(hdr[0:4], chunkMarker[:]) {
-			if cerr := r.corrupt(fmt.Errorf("invalid chunk marker % x", hdr[0:4]), headerEvents(hdr, r.aligned)); cerr != nil {
-				return cerr
-			}
-			if err := r.resync(); err != nil {
-				return err
-			}
-			continue
-		}
 		seq := binary.LittleEndian.Uint32(hdr[4:8])
 		plen := int(binary.LittleEndian.Uint32(hdr[8:12]))
 		events := binary.LittleEndian.Uint32(hdr[12:16])
 		crc := binary.LittleEndian.Uint32(hdr[16:20])
-		// Capture the claimed event count now: the larger Peek below may
-		// slide the bufio buffer, invalidating hdr.
+		// Capture the claimed event count now: the wider window below may
+		// slide a stream's buffer, invalidating hdr.
 		claimed := headerEvents(hdr, r.aligned)
-		if plen > maxChunkPayload {
-			if cerr := r.rejectOversize(plen, hdr); cerr != nil {
-				return cerr
+		var full []byte
+		var cause error
+		switch {
+		case !bytes.Equal(hdr[0:4], chunkMarker[:]):
+			cause = fmt.Errorf("invalid chunk marker % x", hdr[0:4])
+		case plen > maxChunkPayload:
+			cause = fmt.Errorf("implausible payload length %d", plen)
+		default:
+			full, err = r.window(chunkHdrLen + plen)
+			if len(full) < chunkHdrLen+plen {
+				if err := r.readError(err); err != nil {
+					return err
+				}
+				cause = ErrTruncated
+			} else if chunkCRC(full[:chunkHdrLen], full[chunkHdrLen:]) != crc {
+				cause = ErrChecksum
 			}
-			if err := r.resync(); err != nil {
-				return err
-			}
-			continue
 		}
-		full, err := r.br.Peek(chunkHdrLen + plen)
-		if len(full) < chunkHdrLen+plen {
-			if err == io.EOF || err == io.ErrUnexpectedEOF || err == nil {
-				err = ErrTruncated
-			}
-			if cerr := r.corrupt(err, claimed); cerr != nil {
-				return cerr
-			}
-			if rerr := r.resync(); rerr != nil {
-				return rerr
-			}
-			continue
-		}
-		if chunkCRC(full[:chunkHdrLen], full[chunkHdrLen:]) != crc {
-			if cerr := r.corrupt(ErrChecksum, claimed); cerr != nil {
+		if cause != nil {
+			if cerr := r.corrupt(cause, claimed); cerr != nil {
 				return cerr
 			}
 			if err := r.resync(); err != nil {
@@ -256,9 +180,14 @@ func (r *Reader) loadChunk() error {
 			continue
 		}
 
-		// The chunk is intact: consume it.
-		payload := full[chunkHdrLen:]
-		r.payload = append(r.payload[:0], payload...)
+		// The chunk is intact: consume it. An in-memory payload is used
+		// in place; a stream's is copied out of bufio's buffer, which the
+		// discard recycles.
+		if r.data != nil {
+			r.payload = full[chunkHdrLen:]
+		} else {
+			r.payload = append(r.payload[:0], full[chunkHdrLen:]...)
+		}
 		r.discard(chunkHdrLen + plen)
 		r.chunkIdx++
 		r.aligned = true
@@ -281,6 +210,17 @@ func (r *Reader) loadChunk() error {
 	}
 }
 
+// readError classifies the error that cut a window short. The end of the
+// input (io.EOF, io.ErrUnexpectedEOF) yields nil, and the caller treats
+// the short window as a truncated trace; any other error is returned
+// wrapped.
+func (r *Reader) readError(err error) error {
+	if wrapTruncation(err) == ErrTruncated {
+		return nil
+	}
+	return fmt.Errorf("trace: reading chunk %d at offset %d: %w", r.chunkIdx, r.off, err)
+}
+
 // headerEvents extracts the claimed event count from a chunk header, but
 // only when the reader is at a trusted chunk boundary — after a resync the
 // bytes under the cursor are not known to be a header at all.
@@ -289,14 +229,6 @@ func headerEvents(hdr []byte, aligned bool) uint32 {
 		return 0
 	}
 	return binary.LittleEndian.Uint32(hdr[12:16])
-}
-
-// rejectOversize is the one accounting path for a chunk header claiming an
-// implausible payload length: both the streaming and zero-copy readers
-// funnel the rejection through here, so the skipped chunk and its claimed
-// events are counted identically in ReadStats whichever reader hit it.
-func (r *Reader) rejectOversize(plen int, hdr []byte) error {
-	return r.corrupt(fmt.Errorf("implausible payload length %d", plen), headerEvents(hdr, r.aligned))
 }
 
 // corrupt handles a damaged chunk: in fail-fast mode it returns the
@@ -325,51 +257,42 @@ func (r *Reader) chunkError(cause error) error {
 	return nil
 }
 
+// resyncWindow is how many bytes resync searches at a time.
+const resyncWindow = 4096
+
 // resync scans forward for the next chunk marker, leaving the reader
 // positioned on it (to be validated by loadChunk). It returns io.EOF when
-// the rest of the stream holds no marker.
+// the rest of the input holds no marker.
 func (r *Reader) resync() error {
 	// Skip at least one byte so a damaged chunk whose marker survived
-	// does not loop forever.
-	if _, err := r.br.Peek(1); err == nil {
-		r.discard(1)
-		r.stats.ResyncBytes++
+	// does not loop forever. A short window's error comes back from the
+	// scan's first window.
+	if w, _ := r.window(1); len(w) == 1 {
+		r.skip(1)
 	}
 	for {
-		buf, err := r.br.Peek(4096)
-		if len(buf) < len(chunkMarker) {
-			r.discard(len(buf))
-			r.stats.ResyncBytes += int64(len(buf))
-			return io.EOF
-		}
+		buf, err := r.window(resyncWindow)
 		if i := bytes.Index(buf, chunkMarker[:]); i >= 0 {
-			r.discard(i)
-			r.stats.ResyncBytes += int64(i)
+			r.skip(i)
 			return nil
 		}
-		// Keep the last marker-length-1 bytes: a marker may straddle
-		// the peek boundary.
-		n := len(buf) - (len(chunkMarker) - 1)
-		r.discard(n)
-		r.stats.ResyncBytes += int64(n)
-		if err != nil {
-			rest, _ := r.br.Peek(4096)
-			if len(rest) < len(chunkMarker) {
-				r.discard(len(rest))
-				r.stats.ResyncBytes += int64(len(rest))
-				return io.EOF
+		if len(buf) < resyncWindow {
+			if err := r.readError(err); err != nil {
+				return err
 			}
+			r.skip(len(buf))
+			return io.EOF
 		}
+		// Keep the last marker-length-1 bytes: a marker may straddle
+		// the window boundary.
+		r.skip(len(buf) - (len(chunkMarker) - 1))
 	}
 }
 
-// discard consumes n buffered bytes and advances the file offset.
-func (r *Reader) discard(n int) {
-	if n <= 0 {
-		return
-	}
-	d, _ := r.br.Discard(n)
-	r.off += int64(d)
+// skip discards n bytes scanned past by resync.
+func (r *Reader) skip(n int) {
+	r.discard(n)
+	r.stats.ResyncBytes += int64(n)
 }
 
 // ChunkInfo describes one chunk of a v2 trace, as found by ScanChunks.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"testing"
+	"testing/iotest"
 
 	"paragraph/internal/isa"
 )
@@ -354,5 +355,121 @@ func TestScanChunksRejectsDamage(t *testing.T) {
 	}
 	if chunks[0].CRCOK {
 		t.Error("ScanChunks reported a corrupted chunk as CRC-clean")
+	}
+}
+
+// brokenAfter serves data and then fails every further read with err.
+func brokenAfter(data []byte, err error) io.Reader {
+	return io.MultiReader(bytes.NewReader(data), iotest.ErrReader(err))
+}
+
+// failOnce fails its first read with err and reports EOF after that, so a
+// stream with it in the middle resumes past the failure.
+type failOnce struct{ err error }
+
+func (f *failOnce) Read([]byte) (int, error) {
+	if err := f.err; err != nil {
+		f.err = nil
+		return 0, err
+	}
+	return 0, io.EOF
+}
+
+// writeV1 encodes events as a v1 trace and returns it with the offset at
+// which each event ends.
+func writeV1(t *testing.T, events []Event) (data []byte, ends []int) {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriterV1(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range events {
+		if err := w.Event(&events[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, buf.Len())
+	}
+	return buf.Bytes(), ends
+}
+
+// TestReadErrorNotDamage: a stream that fails mid-trace is not a damaged
+// trace. In fail-fast and degraded mode alike the reader delivers exactly
+// the events wholly before the failure and then returns the read error,
+// wrapped; no ReadStats field counts it. v2 cuts fall on chunk 2's first
+// byte, inside its header and inside its payload; v1 cuts on an event's
+// first byte and inside it. The stream either stays broken or would read
+// on past a single failure: the error surfaces where it happened either
+// way.
+func TestReadErrorNotDamage(t *testing.T) {
+	boom := errors.New("disk on fire")
+	failing := func(data []byte, cut int, once bool) io.Reader {
+		if once {
+			return io.MultiReader(bytes.NewReader(data[:cut]), &failOnce{boom}, bytes.NewReader(data[cut:]))
+		}
+		return brokenAfter(data[:cut], boom)
+	}
+	events := genEvents(2000)
+	v2 := writeV2(t, events, 256)
+	chunks, err := ScanChunks(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, before := int(chunks[2].Offset), int(chunks[0].Events+chunks[1].Events)
+	v1, ends := writeV1(t, events)
+	cases := []struct {
+		name string
+		data []byte
+		cut  int
+		want int // events wholly before the cut
+	}{
+		{"v2-chunk-start", v2, c2, before},
+		{"v2-header", v2, c2 + 10, before},
+		{"v2-payload", v2, c2 + 30, before},
+		{"v1-event-start", v1, ends[99], 100},
+		{"v1-mid-event", v1, ends[99] + 1, 100},
+	}
+	bad := append([]byte(nil), v2...)
+	bad[chunks[1].Offset] ^= 0xff // chunk 1's marker
+	for _, once := range []bool{false, true} {
+		for _, c := range cases {
+			for _, degraded := range []bool{false, true} {
+				r, err := NewReaderOpts(failing(c.data, c.cut, once), ReaderOptions{Degraded: degraded})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := readAll(r)
+				var cce *CorruptChunkError
+				if !errors.Is(err, boom) || errors.As(err, &cce) {
+					t.Errorf("%s once=%v degraded=%v: ended with %v, want the read error", c.name, once, degraded, err)
+				}
+				if len(got) != c.want {
+					t.Errorf("%s once=%v degraded=%v: delivered %d events, want %d", c.name, once, degraded, len(got), c.want)
+				}
+				for i := range got {
+					if got[i] != events[i] {
+						t.Fatalf("%s: event %d mismatch", c.name, i)
+					}
+				}
+				if st := r.Stats(); st.SkippedChunks != 0 || st.SkippedEvents != 0 || st.ResyncBytes != 0 {
+					t.Errorf("%s once=%v degraded=%v: stats %+v count a read error as damage", c.name, once, degraded, st)
+				}
+			}
+		}
+
+		// A failure during a degraded resync is returned too; the damaged
+		// chunk before it is still damage.
+		r, err := NewReaderOpts(failing(bad, c2+2, once), ReaderOptions{Degraded: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := readAll(r)
+		if !errors.Is(err, boom) || len(got) != int(chunks[0].Events) || r.Stats().SkippedChunks != 1 {
+			t.Errorf("resync once=%v: %d events, end %v, stats %+v; want chunk 0's %d events, chunk 1 skipped, then the read error",
+				once, len(got), err, r.Stats(), chunks[0].Events)
+		}
 	}
 }

@@ -92,9 +92,10 @@ func NewRetryReader(r io.Reader, opts RetryOptions) *RetryReader {
 func (r *RetryReader) Stats() RetryStats { return r.st }
 
 // Read implements io.Reader. A transient error with no data is retried
-// after a jittered exponential backoff; a partial read (n > 0) is delivered
-// immediately and the error dropped, exactly as io.Reader permits — the
-// next Read retries from where the reader left off.
+// after a jittered exponential backoff. A transient error that arrives
+// with data (n > 0) is dropped and the data delivered — the next Read
+// retries from where the reader left off; any other error is delivered
+// with its data, as io.Reader permits.
 func (r *RetryReader) Read(p []byte) (int, error) {
 	var err error
 	for attempt := 0; attempt < r.opts.MaxAttempts; attempt++ {
@@ -107,8 +108,11 @@ func (r *RetryReader) Read(p []byte) (int, error) {
 		var n int
 		n, err = r.r.Read(p)
 		if n > 0 {
-			// Deliver the data; a transient error rides along only if
-			// it is permanent-by-convention (io.Reader allows both).
+			// Deliver the data. A transient error is dropped, for the
+			// next Read to retry; any other rides along.
+			if err != nil && r.opts.IsTransient(err) {
+				err = nil
+			}
 			return n, err
 		}
 		if err == nil || !r.opts.IsTransient(err) {

@@ -210,3 +210,41 @@ func TestRetryReaderOverDamagedTraceStream(t *testing.T) {
 		t.Fatalf("decoded %d events, want 5000", n)
 	}
 }
+
+// errWithData returns its first read's data, at most n bytes, together
+// with err, then reads cleanly.
+type errWithData struct {
+	r     io.Reader
+	n     int
+	err   error
+	fired bool
+}
+
+func (d *errWithData) Read(p []byte) (int, error) {
+	if d.fired {
+		return d.r.Read(p)
+	}
+	d.fired = true
+	n, _ := d.r.Read(p[:min(len(p), d.n)])
+	return n, d.err
+}
+
+// TestRetryReaderDropsTransientErrorWithData: a transient error that
+// arrives with data is dropped and the data delivered, so the stream
+// continues; a permanent one still rides along with its data.
+func TestRetryReaderDropsTransientErrorWithData(t *testing.T) {
+	payload := []byte(strings.Repeat("0123456789", 200))
+	r := NewRetryReader(&errWithData{r: bytes.NewReader(payload), n: 512, err: tempErr{}},
+		RetryOptions{Sleep: func(time.Duration) {}})
+	got, err := io.ReadAll(r)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read %d of %d bytes, err %v; want all of them", len(got), len(payload), err)
+	}
+	boom := errors.New("disk on fire")
+	r = NewRetryReader(&errWithData{r: bytes.NewReader(payload), n: 512, err: boom},
+		RetryOptions{Sleep: func(time.Duration) {}})
+	got, err = io.ReadAll(r)
+	if !errors.Is(err, boom) || len(got) != 512 {
+		t.Fatalf("read %d bytes, err %v; want 512 and the permanent error", len(got), err)
+	}
+}

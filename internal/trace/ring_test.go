@@ -267,3 +267,49 @@ func TestRingSendAfterClose(t *testing.T) {
 		t.Fatal("send after CloseSend succeeded")
 	}
 }
+
+// TestRingCountConcurrent: Count may be called from any goroutine while
+// the producer is filling a batch. Under -race, a Count that read the
+// producer's batch in progress is reported as a data race.
+func TestRingCountConcurrent(t *testing.T) {
+	r := NewRing(context.Background(), 1, RingOptions{Batches: 2, BatchEvents: 8})
+	in := ringEvents(2000)
+	go func() {
+		for i := range in {
+			if err := r.Event(&in[i]); err != nil {
+				panic(err)
+			}
+		}
+		r.CloseSend(nil)
+	}()
+	stop := make(chan struct{})
+	counted := make(chan error, 1)
+	go func() {
+		var last int64
+		for {
+			select {
+			case <-stop:
+				counted <- nil
+				return
+			default:
+			}
+			n := r.Count()
+			if n < last || n > int64(len(in)) {
+				counted <- fmt.Errorf("Count went from %d to %d over a %d-event stream", last, n, len(in))
+				return
+			}
+			last = n
+		}
+	}()
+	got, err := drain(r.Consumer(0))
+	close(stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-counted; err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(in) || r.Count() != int64(len(in)) {
+		t.Fatalf("drained %d events, Count %d; want %d", len(got), r.Count(), len(in))
+	}
+}

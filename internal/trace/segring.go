@@ -8,21 +8,21 @@ import (
 	"sync"
 )
 
-// SegRing is Ring's protocol generalized over the element type: a bounded,
-// single-producer, multi-consumer broadcast buffer holding one item per
-// slot. The resolved engine uses it to fan dependence-record segments from
-// one resolver out to N schedulers — items there are pointers to ~128 KB
-// segments, so a handful of slots bounds producer run-ahead the same way
-// Ring's batch slots do for raw events, and memory stays a function of
-// depth, never of trace length.
+// SegRing is a bounded, single-producer, multi-consumer broadcast buffer
+// holding one item per slot, and the one implementation of the ring
+// protocol in this package: the producer blocks while the slowest live
+// consumer is a full ring behind, consumers release a slot by asking for
+// the next item, Close deregisters a consumer, and a bound context
+// unblocks everyone. Memory held is therefore a function of depth, never
+// of stream length. The resolved engine fans dependence-record segments
+// from one resolver out to N schedulers through a SegRing of pointers to
+// ~128 KB segments; Ring is a SegRing of event batches.
 //
-// The synchronization protocol is identical to Ring's: the producer blocks
-// while the slowest live consumer is a full ring behind, consumers release
-// a slot by asking for the next item, Close deregisters a consumer, and a
-// bound context unblocks everyone. Items are handed off by reference, and
-// Send returns the item its slot displaces — one every live consumer has
-// released — so a producer can recycle it (the resolver reuses a displaced
-// segment's arrays). A consumer must therefore not retain an item after
+// Items are handed off by reference, and Send returns the item its slot
+// displaces — one every live consumer has released — so a producer can
+// recycle it (the resolver reuses a displaced segment's arrays; Ring
+// claims a slot and refills the batch it releases in place before
+// publishing it). A consumer must therefore not retain an item after
 // asking for the next one or closing.
 type SegRing[T any] struct {
 	ctx       context.Context
@@ -53,6 +53,25 @@ const (
 	MinSegRingDepth = 2
 )
 
+// ErrRingDrained is returned by producer sends once every consumer has
+// closed: nothing will ever read the stream again, so the producer should
+// stop. Engines treat it as a signal, not a failure — the consumers' own
+// errors explain why they left.
+var ErrRingDrained = errors.New("trace: ring has no remaining consumers")
+
+// RingProducerError wraps the producer-side failure a consumer observes at
+// the end of a broken stream. Engines use the type to tell a consumer's own
+// failure from an echo of the producer's, so the producer error is reported
+// once rather than once per configuration.
+type RingProducerError struct{ Err error }
+
+func (e *RingProducerError) Error() string {
+	return fmt.Sprintf("trace: ring producer failed: %v", e.Err)
+}
+
+// Unwrap keeps the producer's error chain classifiable through the echo.
+func (e *RingProducerError) Unwrap() error { return e.Err }
+
 // NewSegRing returns a ring broadcasting to the given number of consumers,
 // bound to ctx. Depth 0 selects DefaultSegRingDepth; values below
 // MinSegRingDepth are raised to it. Every consumer slot must be claimed
@@ -77,8 +96,10 @@ func NewSegRing[T any](ctx context.Context, consumers, depth int) *SegRing[T] {
 	}
 	r.cond = sync.NewCond(&r.mu)
 	if ctx.Done() != nil {
-		// Same lost-wakeup discipline as Ring: lock-then-broadcast orders
-		// the wakeup after any in-progress wait re-check.
+		// A cancellation must wake waiters parked on the condition
+		// variable. Taking the lock before broadcasting orders the wakeup
+		// after any in-progress wait re-check, closing the lost-wakeup
+		// window; AfterFunc keeps the ring goroutine-free.
 		r.stopWatch = context.AfterFunc(ctx, func() {
 			r.mu.Lock()
 			//lint:ignore SA2001 empty critical section orders the broadcast
@@ -110,29 +131,44 @@ func (r *SegRing[T]) minPos() (min int64, ok bool) {
 // every consumer has closed Send returns ErrRingDrained — a stop signal,
 // not a failure.
 func (r *SegRing[T]) Send(item T) (displaced T, err error) {
+	if displaced, err = r.claim(); err == nil {
+		r.publish(item)
+	}
+	return displaced, err
+}
+
+// claim waits until the next slot is free of every live consumer and
+// returns the item it still holds, for the producer to reuse. The slot is
+// the producer's until publish: no consumer reads it in between.
+func (r *SegRing[T]) claim() (released T, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
 		if err := r.ctx.Err(); err != nil {
-			return displaced, fmt.Errorf("trace: ring send canceled at item %d: %w", r.head, err)
+			return released, fmt.Errorf("trace: ring send canceled at item %d: %w", r.head, err)
 		}
 		if r.closed {
-			return displaced, errors.New("trace: ring send after CloseSend")
+			return released, errors.New("trace: ring send after CloseSend")
 		}
 		if r.ndone == len(r.pos) {
-			return displaced, fmt.Errorf("%w (at item %d)", ErrRingDrained, r.head)
+			return released, fmt.Errorf("%w (at item %d)", ErrRingDrained, r.head)
 		}
 		min, ok := r.minPos()
 		if !ok || r.head-min < int64(r.nslots) {
-			break
+			return r.slots[r.head%int64(r.nslots)], nil
 		}
 		r.cond.Wait()
 	}
-	i := r.head % int64(r.nslots)
-	displaced, r.slots[i] = r.slots[i], item
+}
+
+// publish stores item in the slot claim returned and hands it to the
+// consumers.
+func (r *SegRing[T]) publish(item T) {
+	r.mu.Lock()
+	r.slots[r.head%int64(r.nslots)] = item
 	r.head++
 	r.cond.Broadcast()
-	return displaced, nil
+	r.mu.Unlock()
 }
 
 // Count returns the number of items published so far.

@@ -292,26 +292,35 @@ func (w *Writer) Close() error {
 // Reader reads a trace written by Writer. It transparently handles both
 // format versions: v1 streams decode exactly as before, v2 chunked traces
 // are CRC-verified chunk by chunk.
+//
+// Bytes come from one of two sources behind window and discard: a
+// bufio.Reader over a stream, or a whole trace already in memory (see
+// zerocopy.go). The decoder, the chunk loader and the resync scan are the
+// same code for both.
 type Reader struct {
 	br      *bufio.Reader
+	rerr    error // the stream's first read error or EOF; see window
 	version int
 	lastPC  uint32
 	first   bool
 	n       uint64
 
+	// The event decoder's window: a v2 chunk's payload, or the bytes of a
+	// v1 stream under the cursor.
+	payload []byte
+	pos     int
+
 	// v2 state (see format2.go).
 	degraded bool
 	off      int64 // byte offset of the next unconsumed byte
 	chunkIdx int
-	aligned  bool // positioned at a trusted chunk boundary
-	payload  []byte
-	pos      int
+	aligned  bool   // positioned at a trusted chunk boundary
 	rem      uint32 // events remaining in the current chunk per its header
 	lastSeq  uint32
 	haveSeq  bool
 	stats    ReadStats
 
-	// Zero-copy mode (see zerocopy.go): when data is non-nil the whole v2
+	// In-memory source (see zerocopy.go): when data is non-nil the whole v2
 	// trace is in memory, off doubles as the cursor into it, dataEnd bounds
 	// the readable region (a section reader stops short of len(data)), and
 	// payload aliases data instead of being copied.
@@ -320,6 +329,39 @@ type Reader struct {
 
 	// decoded memoizes isa.Decode per PC (see decode).
 	decoded [decodeSlots]decodedIns
+}
+
+// window returns the next n bytes of input without consuming them, or
+// fewer together with the error that cut the input short: io.EOF at its
+// end, or the stream's read error. An in-memory trace's window is a slice
+// of it; a stream's is bufio's buffer, valid until the next window or
+// discard. A stream's first error sticks, so the bytes buffered before it
+// still decode and the error surfaces where the stream broke, whether or
+// not a later read would succeed.
+func (r *Reader) window(n int) ([]byte, error) {
+	if r.data != nil {
+		if rest := r.data[r.off:r.dataEnd]; len(rest) < n {
+			return rest, io.EOF
+		}
+		return r.data[r.off : r.off+int64(n)], nil
+	}
+	if r.rerr != nil && n > r.br.Buffered() {
+		w, _ := r.br.Peek(r.br.Buffered()) // buffered bytes peek without a read
+		return w, r.rerr
+	}
+	w, err := r.br.Peek(n)
+	if err != nil {
+		r.rerr = err
+	}
+	return w, err
+}
+
+// discard consumes n bytes of the last window.
+func (r *Reader) discard(n int) {
+	if r.data == nil {
+		r.br.Discard(n) // cannot fail: the window holds the n bytes
+	}
+	r.off += int64(n)
 }
 
 // decodeSlots is the size of a Reader's decoded-instruction table, indexed
@@ -457,67 +499,101 @@ func (r *Reader) Version() int { return r.version }
 // over a damaged v2 trace accumulates anything.
 func (r *Reader) Stats() ReadStats { return r.stats }
 
+// maxEventBytes bounds one encoded event: the flags byte, three 10-byte
+// uvarints (PC, instruction word, address) and the size byte. A v1 window
+// this wide holds every byte the decoder can look at, so only the end of
+// the input can cut an event short and an over-wide field still fails as
+// one.
+const maxEventBytes = 1 + 3*binary.MaxVarintLen64 + 1
+
 // Next decodes the next event into e. It returns io.EOF at the clean end of
 // the trace.
 func (r *Reader) Next(e *Event) error {
 	if r.version == 2 {
 		return r.nextV2(e)
 	}
-	flags, err := r.br.ReadByte()
-	if err != nil {
+	win, err := r.window(maxEventBytes)
+	if len(win) == 0 {
 		if err == io.EOF {
 			return io.EOF
 		}
 		return fmt.Errorf("trace: event %d: %w", r.n, err)
 	}
-	var pc uint32
-	if flags&flagSeqPC != 0 {
-		if r.first {
-			return fmt.Errorf("trace: event %d: sequential-PC flag on first event", r.n)
-		}
-		pc = r.lastPC + 4
-	} else {
-		v, err := binary.ReadUvarint(r.br)
-		if err != nil {
-			return fmt.Errorf("trace: event %d: reading PC: %w", r.n, wrapTruncation(err))
-		}
-		if pc, err = narrow(v, "PC"); err != nil {
-			return fmt.Errorf("trace: event %d: %w", r.n, err)
-		}
+	r.payload, r.pos = win, 0
+	if err := r.decodePayloadEvent(e, wrapTruncation(err)); err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
-	wordV, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return fmt.Errorf("trace: event %d: reading instruction: %w", r.n, wrapTruncation(err))
-	}
-	word, err := narrow(wordV, "instruction word")
-	if err != nil {
-		return fmt.Errorf("trace: event %d: %w", r.n, err)
-	}
-	ins, err := r.decode(pc, word)
-	if err != nil {
-		return fmt.Errorf("trace: event %d: %w", r.n, err)
-	}
-	e.set(pc, ins, flags)
-	if flags&flagMem != 0 {
-		addr, err := binary.ReadUvarint(r.br)
-		if err != nil {
-			return fmt.Errorf("trace: event %d: reading address: %w", r.n, wrapTruncation(err))
-		}
-		if e.MemAddr, err = narrow(addr, "address"); err != nil {
-			return fmt.Errorf("trace: event %d: %w", r.n, err)
-		}
-		if e.MemSize, err = r.br.ReadByte(); err != nil {
-			return fmt.Errorf("trace: event %d: reading size: %w", r.n, wrapTruncation(err))
-		}
-	}
-	r.lastPC = pc
-	r.first = false
+	r.discard(r.pos)
 	r.n++
 	return nil
 }
 
-// wrapTruncation maps an end-of-input error hit mid-event to ErrTruncated,
-// so callers can distinguish a torn tail from other IO failures.
+// decodePayloadEvent decodes one event from the window r.payload at r.pos:
+// a v2 chunk's payload, or a v1 stream's next maxEventBytes. short is the
+// error for an event that runs past the end of the window.
+func (r *Reader) decodePayloadEvent(e *Event, short error) error {
+	p := r.payload
+	flags := p[r.pos]
+	r.pos++
+	pc := r.lastPC + 4
+	if flags&flagSeqPC == 0 {
+		v, n := binary.Uvarint(p[r.pos:])
+		if n <= 0 {
+			return r.fieldError("PC", n, short)
+		}
+		r.pos += n
+		var err error
+		if pc, err = narrow(v, "PC"); err != nil {
+			return fmt.Errorf("event %d: %w", r.n, err)
+		}
+	} else if r.first {
+		return fmt.Errorf("event %d: sequential-PC flag on first event", r.n)
+	}
+	wordV, n := binary.Uvarint(p[r.pos:])
+	if n <= 0 {
+		return r.fieldError("instruction", n, short)
+	}
+	r.pos += n
+	word, err := narrow(wordV, "instruction word")
+	if err != nil {
+		return fmt.Errorf("event %d: %w", r.n, err)
+	}
+	ins, err := r.decode(pc, word)
+	if err != nil {
+		return fmt.Errorf("event %d: %w", r.n, err)
+	}
+	e.set(pc, ins, flags)
+	if flags&flagMem != 0 {
+		addr, n := binary.Uvarint(p[r.pos:])
+		if n <= 0 {
+			return r.fieldError("address", n, short)
+		}
+		r.pos += n
+		if e.MemAddr, err = narrow(addr, "address"); err != nil {
+			return fmt.Errorf("event %d: %w", r.n, err)
+		}
+		if r.pos >= len(p) {
+			return r.fieldError("size", 0, short)
+		}
+		e.MemSize = p[r.pos]
+		r.pos++
+	}
+	r.lastPC = pc
+	r.first = false
+	return nil
+}
+
+// fieldError reports a field the decoder could not read: cut off by the
+// end of the window (n == 0), or a uvarint longer than 64 bits (n < 0).
+func (r *Reader) fieldError(what string, n int, short error) error {
+	if n < 0 {
+		return fmt.Errorf("event %d: reading %s: uvarint overflows 64 bits", r.n, what)
+	}
+	return fmt.Errorf("event %d: reading %s: %w", r.n, what, short)
+}
+
+// wrapTruncation maps the end of the input to ErrTruncated, so callers
+// can tell a torn tail from a failed read.
 func wrapTruncation(err error) error {
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		return ErrTruncated

@@ -281,3 +281,58 @@ func TestRoundTripRandom(t *testing.T) {
 		}
 	}
 }
+
+// TestV1Prefixes cuts a v1 trace at every byte offset. The stream reader
+// and NewBytesReader (which falls back to it for v1) deliver exactly the
+// events wholly before the cut, then io.EOF at an event boundary and
+// ErrTruncated inside an event; with a failing reader after the cut, the
+// injected error instead.
+func TestV1Prefixes(t *testing.T) {
+	boom := errors.New("disk on fire")
+	events := genEvents(300)
+	data, ends := writeV1(t, events)
+	for cut := 0; cut <= len(data); cut++ {
+		whole := 0
+		for whole < len(ends) && ends[whole] <= cut {
+			whole++
+		}
+		atBoundary := cut == len(magic) || whole > 0 && ends[whole-1] == cut
+		prefix := data[:cut]
+		readers := map[string]func() (*Reader, error){
+			"bufio":  func() (*Reader, error) { return NewReader(bytes.NewReader(prefix)) },
+			"bytes":  func() (*Reader, error) { return NewBytesReader(prefix, ReaderOptions{}) },
+			"failed": func() (*Reader, error) { return NewReader(brokenAfter(prefix, boom)) },
+		}
+		for kind, open := range readers {
+			want := func(err error) bool {
+				switch {
+				case kind == "failed":
+					return errors.Is(err, boom)
+				case atBoundary:
+					return err == io.EOF
+				}
+				return errors.Is(err, ErrTruncated)
+			}
+			r, err := open()
+			if cut < len(magic) {
+				if !want(err) || atBoundary {
+					t.Fatalf("%s cut %d: open gave %v", kind, cut, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := readAll(r)
+			if len(got) != whole || !want(err) {
+				t.Fatalf("%s cut %d: %d events, end %v; want %d events and the %s end",
+					kind, cut, len(got), err, whole, map[bool]string{true: "boundary", false: "mid-event"}[atBoundary])
+			}
+			for i := range got {
+				if got[i] != events[i] {
+					t.Fatalf("%s cut %d: event %d mismatch", kind, cut, i)
+				}
+			}
+		}
+	}
+}
