@@ -31,9 +31,9 @@ differential:
 	$(GO) test -race -run Differential ./...
 
 # Short coverage-guided runs of the trace-reader, reader-equivalence,
-# trace-splitter, speculative-equivalence, shard-delta-reader and
-# autosave-log-recovery fuzzers on top of their seed corpora. Minimization
-# is bounded so the budget is spent fuzzing.
+# trace-splitter, speculative-equivalence, shard-delta-reader,
+# checkpoint-reader and autosave-log-recovery fuzzers on top of their seed
+# corpora. Minimization is bounded so the budget is spent fuzzing.
 fuzz:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzTraceReader \
 		-fuzztime 10s -fuzzminimizetime 20x
@@ -44,6 +44,8 @@ fuzz:
 	$(GO) test ./internal/shard/ -run '^$$' -fuzz FuzzSpeculativeEquivalence \
 		-fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/shard/ -run '^$$' -fuzz FuzzReadDelta \
+		-fuzztime 10s -fuzzminimizetime 20x
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzReadCheckpoint \
 		-fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./cmd/specrun/ -run '^$$' -fuzz FuzzStoreRecovery \
 		-fuzztime 10s -fuzzminimizetime 20x

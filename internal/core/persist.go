@@ -3,12 +3,13 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"paragraph/internal/budget"
 	"paragraph/internal/isa"
@@ -20,12 +21,14 @@ import (
 // instead of from the beginning of the trace.
 //
 // The encoding is a short magic header followed by a gob stream of exported
-// mirror structs (gob cannot see unexported fields). Everything the analyzer
-// tracks round-trips exactly — gob preserves float64 bits, so even the
-// LogDist running sums are reproduced bit-for-bit. The one deliberate
-// omission is the death schedule: it can rival the live well in size, and it
-// is a pure function of the trace, so ResumeTwoPass recomputes it with a
-// fresh discovery pass when the persisted analysis had one.
+// mirror structs (gob cannot see unexported fields); the live memory words,
+// the bulk of a large checkpoint, are packed as varints (memWords) inside
+// that stream. Everything the analyzer tracks round-trips exactly — gob
+// preserves float64 bits, so even the LogDist running sums are reproduced
+// bit-for-bit. The one deliberate omission is the death schedule: it can
+// rival the live well in size, and it is a pure function of the trace, so
+// ResumeTwoPass recomputes it with a fresh discovery pass when the
+// persisted analysis had one.
 //
 // Saves are crash-safe: SaveCheckpoint writes to a temporary file in the
 // destination directory and renames it into place, so a crash mid-write
@@ -37,8 +40,14 @@ import (
 // entries in iteration order, so v1 files were semantically stable but not
 // byte-reproducible — two saves of the same state could differ. Fleet-mode
 // pgserved asserts byte equality of persisted shard files across machines,
-// which needs encoding determinism, not just value equality.
-const checkpointMagic = "paragraph-checkpoint-v2\n"
+// which needs encoding determinism, not just value equality. v3 packs the
+// live memory words (memWords). Earlier formats are refused by name: an
+// autosave written by an older build cannot be resumed, so the run starts
+// over.
+const checkpointMagic = "paragraph-checkpoint-v3\n"
+
+// retiredCheckpointMagics are the formats ReadCheckpoint refuses by name.
+var retiredCheckpointMagics = []string{"paragraph-checkpoint-v1\n", "paragraph-checkpoint-v2\n"}
 
 // valueState mirrors the live well's value record.
 type valueState struct {
@@ -58,7 +67,7 @@ type memValueState struct {
 type wellState struct {
 	Regs     [isa.NumRegs]valueState
 	RegLive  [isa.NumRegs]bool
-	Mem      []memValueState
+	Mem      memWords
 	PreLevel int64
 }
 
@@ -159,7 +168,7 @@ func (cp *Checkpoint) state() *checkpointState {
 		for k, v := range a.fu.counts {
 			counts = append(counts, fuCountState{Level: k, N: v})
 		}
-		sort.Slice(counts, func(i, j int) bool { return counts[i].Level < counts[j].Level })
+		slices.SortFunc(counts, func(x, y fuCountState) int { return cmp.Compare(x.Level, y.Level) })
 		st.FU = &fuState{Units: a.fu.units, Counts: counts, Floor: a.fu.floor}
 	}
 	if a.pred != nil {
@@ -183,7 +192,7 @@ func (cp *Checkpoint) state() *checkpointState {
 func wellStateOf(w *liveWell) wellState {
 	ws := wellState{
 		RegLive:  w.regLive,
-		Mem:      make([]memValueState, 0, w.mem.len()),
+		Mem:      make(memWords, 0, w.mem.len()),
 		PreLevel: w.preLevel,
 	}
 	for i, v := range w.regs {
@@ -192,7 +201,7 @@ func wellStateOf(w *liveWell) wellState {
 	w.mem.forEach(func(word uint32, v value) {
 		ws.Mem = append(ws.Mem, memValueState{Word: word, Val: valueState{Level: v.level, LastUse: v.lastUse, Uses: v.uses}})
 	})
-	sort.Slice(ws.Mem, func(i, j int) bool { return ws.Mem[i].Word < ws.Mem[j].Word })
+	slices.SortFunc(ws.Mem, func(x, y memValueState) int { return cmp.Compare(x.Word, y.Word) })
 	return ws
 }
 
@@ -225,6 +234,21 @@ func (st *checkpointState) restore() (*Checkpoint, error) {
 	a.window = windowState{}
 	for i := range st.WindowSeqs {
 		a.window.push(st.WindowSeqs[i], st.WindowLevels[i])
+	}
+	// The schedule and predictor must have the shape NewAnalyzer gives
+	// the config: a hostile unit count would stall placement forever, and
+	// a counter table that disagrees with its mask would index past it.
+	if (st.FU != nil) != (a.cfg.FunctionalUnits > 0) || st.FU != nil && st.FU.Units != a.cfg.FunctionalUnits {
+		return nil, fmt.Errorf("core: corrupt checkpoint: functional-unit schedule does not match the config's %d units",
+			a.cfg.FunctionalUnits)
+	}
+	if (st.Pred != nil) != (a.cfg.Branches != BranchPerfect) || st.Pred != nil && st.Pred.Policy != a.cfg.Branches {
+		return nil, fmt.Errorf("core: corrupt checkpoint: predictor does not match the config's %v branches", a.cfg.Branches)
+	}
+	if p := st.Pred; p != nil && p.Policy == BranchTwoBit {
+		if n := len(p.Counters); n == 0 || n&(n-1) != 0 || p.Mask != uint32(n-1) {
+			return nil, fmt.Errorf("core: corrupt checkpoint: %d predictor counters under mask %#x", n, p.Mask)
+		}
 	}
 	if st.FU != nil {
 		a.fu = newFUSchedule(st.FU.Units)
@@ -283,6 +307,9 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("core: read checkpoint: %w", err)
 	}
 	if !bytes.Equal(magic, []byte(checkpointMagic)) {
+		if slices.Contains(retiredCheckpointMagics, string(magic)) {
+			return nil, fmt.Errorf("core: read checkpoint: retired checkpoint format %q: restart the run", magic[:len(magic)-1])
+		}
 		return nil, fmt.Errorf("core: read checkpoint: bad magic %q", magic)
 	}
 	var st checkpointState

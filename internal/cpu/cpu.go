@@ -213,9 +213,17 @@ func (c *CPU) Step() error {
 
 	// Reset the CPU-owned event in full, so nothing a sink did to the
 	// previous one can leak into this one. A local would escape through
-	// the Sink interface: one heap allocation per instruction.
+	// the Sink interface: one heap allocation per instruction. Field by
+	// field, because a composite literal is built on the stack and copied
+	// back with loads that straddle its stores, which stalls the CPU's
+	// store forwarding on every step.
 	ev := &c.ev
-	*ev = trace.Event{PC: pc, Ins: *ins}
+	ev.PC = pc
+	ev.Ins = *ins
+	ev.MemAddr = 0
+	ev.MemSize = 0
+	ev.Seg = trace.SegNone
+	ev.Taken = false
 	nextPC := pc + 4
 
 	switch ins.Op {

@@ -97,6 +97,8 @@ type Server struct {
 	rngMu sync.Mutex
 	rng   *mrand.Rand
 
+	scans scanMemo
+
 	mu       sync.Mutex
 	traces   map[string]TraceInfo
 	jobs     map[string]*job

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -350,9 +352,13 @@ func (s *Server) buildDeltaAttempt(j *job, src *remote.Source, data []byte, plan
 
 // jobPlan loads the persisted shard plan or computes and persists it. The
 // plan is written before the first shard runs, so a resumed job always
-// re-uses the original cut points — a replan over the same bytes would be
-// identical, but trusting the persisted plan also catches a trace that
-// changed under a job.
+// re-uses the original cut points and checks that the trace it resumes
+// over is the one it planned: a local job, which has just read the whole
+// trace, compares the content's SHA-256 with the plan's, so even a trace
+// rewritten at the same size fails the job instead of resuming from shard
+// results of the old bytes. A remote job compares the size alone, because
+// a resume fetches only the unfinished shards' ranges. (A plan persisted
+// without a hash gets the size check too.)
 func (s *Server) jobPlan(j *job, src *remote.Source, data []byte) (*shard.Plan, error) {
 	spec := j.spec
 	if plan, err := s.st.loadPlan(spec.ID); err == nil {
@@ -362,6 +368,11 @@ func (s *Server) jobPlan(j *job, src *remote.Source, data []byte) (*shard.Plan, 
 		}
 		if plan.TraceBytes != size {
 			return nil, fmt.Errorf("plan is for a %d-byte trace, input is %d bytes (trace changed?)", plan.TraceBytes, size)
+		}
+		if src == nil && plan.TraceSHA256 != "" {
+			if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != plan.TraceSHA256 {
+				return nil, fmt.Errorf("plan is for trace content with SHA-256 %s, input hashes to %x (trace changed)", plan.TraceSHA256, sum)
+			}
 		}
 		if plan.Degraded != spec.Degraded {
 			return nil, fmt.Errorf("plan read mode (degraded=%v) does not match spec (degraded=%v)", plan.Degraded, spec.Degraded)
@@ -380,7 +391,7 @@ func (s *Server) jobPlan(j *job, src *remote.Source, data []byte) (*shard.Plan, 
 			return nil, fmt.Errorf("fetching trace for planning: %w", err)
 		}
 	}
-	plan, err := shard.Split(full, spec.Shards, shard.Options{Degraded: spec.Degraded})
+	plan, err := s.scans.plan(spec.TraceID, full, spec.Shards, spec.Degraded)
 	if err != nil {
 		return nil, err
 	}

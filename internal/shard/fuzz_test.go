@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"reflect"
 	"testing"
@@ -207,12 +208,43 @@ func FuzzSpeculativeEquivalence(f *testing.F) {
 	})
 }
 
-// FuzzReadDelta feeds arbitrary bytes — v2 delta files of small traces,
-// their truncations, garbage — through ReadDelta and asserts its contract:
-// it never panics, and every delta it accepts is safe to splice. Splicing
-// an accepted delta under a fixed Dataflow config must succeed without
-// reaching ApplyDelta's panic recovery (a *core.AnalysisError), which is
-// what makes ShardDelta.Validate complete.
+// v2ShardDelta and v2Delta mirror the retired pgshard-delta-v2 layout, in
+// which gob encoded the delta's arrays element by element.
+type v2ShardDelta struct {
+	StartEvent, Events uint64
+	Locs, Code         []uint32
+	ClassCounts        [16]uint64
+	Syscalls           uint64
+}
+
+type v2Delta struct {
+	Index, Shards int
+	Config        core.Config
+	ReadStats     trace.ReadStats
+	D             *v2ShardDelta
+}
+
+// v2DeltaFile writes d in the retired v2 format.
+func v2DeltaFile(t testing.TB, d *Delta) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	b.WriteString("pgshard-delta-v2\n")
+	old := v2Delta{Index: d.Index, Shards: d.Shards, Config: d.Config, ReadStats: d.ReadStats,
+		D: &v2ShardDelta{StartEvent: d.D.StartEvent, Events: d.D.Events, Locs: d.D.Locs, Code: d.D.Code,
+			ClassCounts: d.D.ClassCounts, Syscalls: d.D.Syscalls}}
+	if err := gob.NewEncoder(&b).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// FuzzReadDelta feeds arbitrary bytes — v3 delta files of small traces,
+// their truncations, a v2 file, garbage — through ReadDelta and asserts its
+// contract: it never panics, it refuses a retired format by name, and
+// every delta it accepts is safe to splice. Splicing an accepted delta
+// under a fixed Dataflow config must succeed without reaching ApplyDelta's
+// panic recovery (a *core.AnalysisError), which is what makes
+// ShardDelta.Validate complete.
 func FuzzReadDelta(f *testing.F) {
 	cfg := core.Dataflow(core.SyscallConservative)
 	for _, n := range []int{0, 40, 300} {
@@ -233,12 +265,20 @@ func FuzzReadDelta(f *testing.F) {
 		for _, cut := range []int{len(deltaMagic), b.Len() / 2, b.Len() - 1} {
 			f.Add(b.Bytes()[:cut])
 		}
+		if n == 40 {
+			f.Add(v2DeltaFile(f, &Delta{Shards: 1, Config: cfg, D: d}))
+		}
 	}
 	f.Add([]byte("pgshard-delta-v1\n"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := ReadDelta(bytes.NewReader(data))
+		for _, old := range retiredDeltaMagics {
+			if bytes.HasPrefix(data, []byte(old)) && !errors.Is(err, ErrDeltaVersion) {
+				t.Fatalf("%q file: err = %v, want ErrDeltaVersion", old[:len(old)-1], err)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"paragraph/internal/core"
 )
@@ -150,12 +151,14 @@ func LoadResult(path string) (*Result, *core.Checkpoint, error) {
 // distinct from resultMagic so pgshard merge can sniff which kind of
 // per-shard file it was handed. v2 deltas carry policy-free records; a v1
 // delta built under optimistic syscalls or perfect branches encoded those
-// events as skip records, which gob would decode without complaint, so v1
-// files are refused by name (ErrDeltaVersion).
-const (
-	deltaMagic   = "pgshard-delta-v2\n"
-	deltaMagicV1 = "pgshard-delta-v1\n"
-)
+// events as skip records, which gob would decode without complaint. v3
+// packs the record stream and pending-read table as varints
+// (core.ShardDelta.GobEncode). Older files are refused by name
+// (ErrDeltaVersion).
+const deltaMagic = "pgshard-delta-v3\n"
+
+// retiredDeltaMagics are the formats ReadDelta refuses by name.
+var retiredDeltaMagics = []string{"pgshard-delta-v1\n", "pgshard-delta-v2\n"}
 
 // ErrDeltaVersion reports a shard-delta file written in a retired format;
 // rebuild it with pgshard analyze -speculate.
@@ -181,11 +184,10 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("shard: reading delta magic: %w", err)
 	}
-	switch string(magic) {
-	case deltaMagic:
-	case deltaMagicV1:
-		return nil, fmt.Errorf("%w %q: rebuild the shard", ErrDeltaVersion, magic[:len(magic)-1])
-	default:
+	if string(magic) != deltaMagic {
+		if slices.Contains(retiredDeltaMagics, string(magic)) {
+			return nil, fmt.Errorf("%w %q: rebuild the shard", ErrDeltaVersion, magic[:len(magic)-1])
+		}
 		return nil, fmt.Errorf("shard: not a shard-delta file (magic %q)", magic)
 	}
 	var d Delta

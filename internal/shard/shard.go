@@ -89,28 +89,42 @@ type Plan struct {
 	Stats trace.ReadStats
 	// Shards holds the partition, in trace order.
 	Shards []Shard
+	// TraceSHA256 is the hex SHA-256 of the trace content the plan was
+	// grouped for, recorded by planners that key scans by content
+	// (pgserved), so a resumed job notices a trace rewritten at the same
+	// size. Split leaves it empty, and an empty value is not written.
+	TraceSHA256 string `json:",omitempty"`
 }
 
 // Split scans the trace once and partitions it into at most n shards,
-// balanced by delivered event count. The effective shard count is
-// min(n, event-delivering chunks), and always at least 1: a trace that
-// delivers nothing yields a single shard covering the whole file.
+// balanced by delivered event count: trace.ScanChunkSpans followed by
+// Group. The effective shard count is min(n, event-delivering chunks), and
+// always at least 1: a trace that delivers nothing yields a single shard
+// covering the whole file.
 func Split(data []byte, n int, opts Options) (*Plan, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("shard: shard count %d < 1", n)
-	}
 	spans, rstats, err := trace.ScanChunkSpans(data, opts.Degraded)
 	if err != nil {
 		return nil, fmt.Errorf("shard: scanning trace: %w", err)
 	}
-	plan := &Plan{TraceBytes: int64(len(data)), Degraded: opts.Degraded, Stats: rstats}
+	return Group(spans, rstats, int64(len(data)), n, opts.Degraded)
+}
+
+// Group partitions a scanned trace into at most n shards: spans and stats
+// are what trace.ScanChunkSpans reported for a traceBytes-long trace read
+// with the given mode. It only reads spans, so one scan can be grouped for
+// any number of plans, concurrently.
+func Group(spans []trace.ChunkSpan, stats trace.ReadStats, traceBytes int64, n int, degraded bool) (*Plan, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("shard: shard count %d < 1", n)
+	}
+	plan := &Plan{TraceBytes: traceBytes, Degraded: degraded, Stats: stats}
 	var total uint64
 	for _, s := range spans {
 		total += s.Events
 	}
 	plan.TotalEvents = total
 	if len(spans) == 0 {
-		plan.Shards = []Shard{{Start: trace.HeaderBytes, End: int64(len(data))}}
+		plan.Shards = []Shard{{Start: trace.HeaderBytes, End: traceBytes}}
 		return plan, nil
 	}
 	if n > len(spans) {
@@ -158,7 +172,7 @@ func Split(data []byte, n int, opts Options) (*Plan, error) {
 		if i+1 < len(shards) {
 			shards[i].End = shards[i+1].Start
 		} else {
-			shards[i].End = int64(len(data))
+			shards[i].End = traceBytes
 		}
 	}
 	plan.Shards = shards

@@ -258,9 +258,9 @@ func TestSpliceValidation(t *testing.T) {
 }
 
 // TestDeltaFileFormat: the delta file magic is validated, result files
-// are not mistaken for delta files, a retired v1 delta is refused by name,
-// and a decoded delta whose records do not add up is refused before any
-// splice could see it.
+// are not mistaken for delta files, retired v1 and v2 deltas are refused by
+// name, and a decoded delta whose records do not add up is refused before
+// any splice could see it.
 func TestDeltaFileFormat(t *testing.T) {
 	if _, err := ReadDelta(bytes.NewReader([]byte("pgshard-result-v1\nxx"))); err == nil ||
 		!strings.Contains(err.Error(), "not a shard-delta file") {
@@ -282,16 +282,27 @@ func TestDeltaFileFormat(t *testing.T) {
 	if err := WriteDelta(&b, &Delta{Shards: 1, D: d}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(b.String(), "pgshard-delta-v2\n") {
-		t.Fatalf("delta file starts %q, want the v2 magic", b.String()[:17])
+	if !strings.HasPrefix(b.String(), "pgshard-delta-v3\n") {
+		t.Fatalf("delta file starts %q, want the v3 magic", b.String()[:17])
 	}
 	if _, err := ReadDelta(bytes.NewReader(b.Bytes())); err != nil {
-		t.Fatalf("v2 round trip: %v", err)
+		t.Fatalf("v3 round trip: %v", err)
 	}
-	v1 := append([]byte("pgshard-delta-v1\n"), b.Bytes()[len(deltaMagic):]...)
-	if _, err := ReadDelta(bytes.NewReader(v1)); !errors.Is(err, ErrDeltaVersion) ||
-		!strings.Contains(err.Error(), "pgshard-delta-v1") {
-		t.Errorf("v1 delta: err = %v, want ErrDeltaVersion naming the magic", err)
+	for _, old := range []string{"pgshard-delta-v1", "pgshard-delta-v2"} {
+		retired := append([]byte(old+"\n"), b.Bytes()[len(deltaMagic):]...)
+		if _, err := ReadDelta(bytes.NewReader(retired)); !errors.Is(err, ErrDeltaVersion) ||
+			!strings.Contains(err.Error(), old) {
+			t.Errorf("%s delta: err = %v, want ErrDeltaVersion naming the magic", old, err)
+		}
+	}
+
+	if _, err := ReadDelta(bytes.NewReader(v2DeltaFile(t, &Delta{Shards: 1, D: d}))); !errors.Is(err, ErrDeltaVersion) {
+		t.Errorf("v2 delta file: err = %v, want ErrDeltaVersion", err)
+	}
+	for n := 0; n < b.Len(); n++ {
+		if _, err := ReadDelta(bytes.NewReader(b.Bytes()[:n])); err == nil {
+			t.Fatalf("%d-byte prefix of a %d-byte delta file accepted", n, b.Len())
+		}
 	}
 
 	torn := *d
