@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race differential fuzz bench check clean
+.PHONY: all build vet test race differential fuzz check clean
 
 all: build
 
@@ -26,7 +26,7 @@ race:
 # engine on both scheduling topologies, and monolithically vs in N
 # chunk-aligned shards (internal/shard), across the paper's configuration
 # sweeps, compared for deep equality. This is also the data-race audit of
-# the segment broadcast and the shard pipeline.
+# the segment broadcast and the speculative shard builds.
 differential:
 	$(GO) test -race -run Differential ./...
 
@@ -49,18 +49,6 @@ fuzz:
 		-fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./cmd/specrun/ -run '^$$' -fuzz FuzzStoreRecovery \
 		-fuzztime 10s -fuzzminimizetime 20x
-
-# Serial-vs-parallel suite and sharded-analysis benchmarks, captured as
-# JSON for regression tracking (see README "Performance").
-bench:
-	$(GO) test -run '^$$' -bench 'SuiteEngines|ShardedAnalysis' -benchmem -json . \
-		| tee BENCH_parallel.json
-	$(GO) test -run '^$$' -bench 'HotPath|AnalyzerThroughput' -benchmem -json . \
-		| tee BENCH_hotpath.json
-	$(GO) test -run '^$$' -bench 'SpeculativeShards' -benchmem -json . \
-		| tee BENCH_speculate.json
-	$(GO) test -run '^$$' -bench 'WindowSweep' -benchmem -json . \
-		| tee BENCH_sweep.json
 
 # The full verification gate: static checks, build, race-detector test run,
 # the serial-vs-parallel differential battery, and a short fuzz of the

@@ -16,8 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"math/rand"
-	"runtime"
 	"testing"
 
 	"paragraph/internal/core"
@@ -25,15 +23,11 @@ import (
 	"paragraph/internal/harness"
 	"paragraph/internal/isa"
 	"paragraph/internal/minic"
-	"paragraph/internal/shard"
 	"paragraph/internal/trace"
 	"paragraph/internal/workloads"
 )
 
 var benchScale = flag.Int("paragraph.scale", 1, "workload scale factor for benchmarks")
-
-var benchSpecEvents = flag.Int("paragraph.specevents", 10_000_000,
-	"trace length (events) for BenchmarkSpeculativeShards")
 
 func benchSuite() *harness.Suite { return harness.NewSuite(*benchScale) }
 
@@ -260,32 +254,6 @@ func BenchmarkAnalyzerThroughput(b *testing.B) {
 	b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkSuiteEngines compares whole experiment drivers end to end: the
-// fully serial suite (one workload at a time, streaming analysis) against
-// the fully parallel one (concurrent workloads, each fanning its recorded
-// trace out to all four renaming configurations).
-func BenchmarkSuiteEngines(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		jobs int
-	}{
-		{"serial", 1},
-		{"parallel", 0}, // GOMAXPROCS
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			s := benchSuite()
-			s.Workloads = pick("xlispx", "naskerx", "matrixx")
-			s.Parallelism = bc.jobs
-			s.Concurrency = bc.jobs
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Table4(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSimulatorThroughput measures the CPU simulator's instruction
 // rate (the Pixie-analogue side of the pipeline).
 func BenchmarkSimulatorThroughput(b *testing.B) {
@@ -387,172 +355,4 @@ func BenchmarkTwoPassFootprint(b *testing.B) {
 	}
 	b.ReportMetric(float64(onePeak), "onepass-live-words")
 	b.ReportMetric(float64(twoPeak), "twopass-live-words")
-}
-
-// BenchmarkShardedAnalysis measures the sharded pipeline against one
-// monolithic pass over the same stored trace bytes: the trace is split at
-// chunk boundaries and analyzed with decode of shard i+1 overlapped with
-// analysis of shard i (internal/shard). On a multi-core machine the
-// sharded/N=GOMAXPROCS case is the wall-clock win; the merged Result is
-// deep-equal to the monolithic one either way (the differential battery
-// enforces that — here it is just spot-checked).
-func BenchmarkShardedAnalysis(b *testing.B) {
-	w, _ := workloads.ByName("cc1x")
-	prog, err := w.Build(*benchScale, minic.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := WriteTrace(prog, &buf, 0); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	cfg := core.Dataflow(core.SyscallConservative)
-	cfg.Profile = false
-
-	ref, err := AnalyzeTraceFile(bytes.NewReader(data), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	events := float64(ref.Instructions)
-
-	b.Run("monolithic", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			if _, err := AnalyzeTraceFile(bytes.NewReader(data), cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(events*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-	})
-	for _, n := range []int{2, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("sharded-%d", n), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, _, err = shard.Analyze(context.Background(), data, cfg, n, shard.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if res.CriticalPath != ref.CriticalPath || res.Operations != ref.Operations {
-				b.Fatalf("sharded result drifted: critical path %d vs %d", res.CriticalPath, ref.CriticalPath)
-			}
-			b.ReportMetric(events*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
-}
-
-// synthSpecStream writes a deterministic mixed event stream (ALU, loads,
-// stores, branches, the odd syscall) straight into a v2 trace writer. No
-// CPU simulation runs, so the 10M+ event traces the speculative benchmark
-// wants regenerate in a couple of seconds instead of minutes.
-func synthSpecStream(b *testing.B, n int) []byte {
-	b.Helper()
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(41))
-	regs := []isa.Reg{isa.T0, isa.T1, isa.T2, isa.S0, isa.S1, isa.A0, isa.V0}
-	r := func() isa.Reg { return regs[rng.Intn(len(regs))] }
-	pc := uint32(0x400000)
-	for i := 0; i < n; i++ {
-		var e trace.Event
-		switch rng.Intn(10) {
-		case 0, 1, 2:
-			e = trace.Event{PC: pc, Ins: isa.Instruction{Op: isa.ADDI, Rt: r(), Rs: r(), Imm: int32(rng.Intn(64) - 32)}}
-		case 3, 4:
-			e = trace.Event{PC: pc, Ins: isa.Instruction{Op: isa.ADDU, Rd: r(), Rs: r(), Rt: r()}}
-		case 5:
-			addr := 0x10000000 + uint32(rng.Intn(1<<14))*4
-			e = trace.Event{PC: pc, Ins: isa.Instruction{Op: isa.LW, Rt: r(), Rs: isa.GP},
-				MemAddr: addr, MemSize: 4, Seg: trace.SegData}
-		case 6:
-			addr := 0x10000000 + uint32(rng.Intn(1<<14))*4
-			e = trace.Event{PC: pc, Ins: isa.Instruction{Op: isa.SW, Rt: r(), Rs: isa.GP},
-				MemAddr: addr, MemSize: 4, Seg: trace.SegData}
-		case 7:
-			addr := 0x7fff0000 + uint32(rng.Intn(1<<8))*4
-			e = trace.Event{PC: pc, Ins: isa.Instruction{Op: isa.SW, Rt: r(), Rs: isa.SP},
-				MemAddr: addr, MemSize: 4, Seg: trace.SegStack}
-		case 8:
-			e = trace.Event{PC: pc, Ins: isa.Instruction{Op: isa.BNE, Rs: r(), Rt: isa.Zero, Imm: -16},
-				Taken: rng.Intn(2) == 0}
-		default:
-			if rng.Intn(50) == 0 {
-				e = trace.Event{PC: pc, Ins: isa.Instruction{Op: isa.SYSCALL}}
-			} else {
-				e = trace.Event{PC: pc, Ins: isa.Instruction{Op: isa.LUI, Rt: r(), Imm: int32(rng.Intn(1 << 10))}}
-			}
-		}
-		if err := w.Event(&e); err != nil {
-			b.Fatal(err)
-		}
-		pc += 4
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// BenchmarkSpeculativeShards pits the chained shard runner (decode overlap
-// only; analysis is a sequential relay) against the speculative runner
-// (all shards build relocatable deltas concurrently, then a cheap
-// sequential splice resolves the seams) on one long synthetic trace.
-// On a multi-core machine the speculative/4 case is the wall-clock win;
-// on a single core it measures the compile+splice overhead instead. Both
-// paths are spot-checked against a monolithic pass (the differential
-// battery owns full deep-equality). Trace length defaults to 10M events;
-// shrink with -paragraph.specevents for quick runs.
-func BenchmarkSpeculativeShards(b *testing.B) {
-	data := synthSpecStream(b, *benchSpecEvents)
-	cfg := core.Dataflow(core.SyscallConservative)
-	cfg.Profile = false
-
-	ref, err := AnalyzeTraceFile(bytes.NewReader(data), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	events := float64(ref.Instructions)
-
-	check := func(b *testing.B, res *core.Result) {
-		b.Helper()
-		if res.CriticalPath != ref.CriticalPath || res.Operations != ref.Operations {
-			b.Fatalf("sharded result drifted: critical path %d vs %d", res.CriticalPath, ref.CriticalPath)
-		}
-	}
-	shards := 4
-	b.Run("chained-4", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		var res *core.Result
-		for i := 0; i < b.N; i++ {
-			var err error
-			res, _, err = shard.Analyze(context.Background(), data, cfg, shards, shard.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		check(b, res)
-		b.ReportMetric(events*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-	})
-	b.Run("speculative-4", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		var res *core.Result
-		for i := 0; i < b.N; i++ {
-			var err error
-			res, _, err = shard.Analyze(context.Background(), data, cfg, shards, shard.Options{Speculate: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		check(b, res)
-		b.ReportMetric(events*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-	})
 }

@@ -95,8 +95,8 @@ func main() {
 		useMmap    = flag.Bool("mmap", false, "with -trace: memory-map the trace file and decode it zero-copy (falls back to one buffered read where mmap is unavailable)")
 
 		sweepWindows = flag.String("sweep-windows", "", "comma-separated window sizes (0 = whole trace): decode the trace once and analyze every size, e.g. -sweep-windows 1,128,8192,0")
-		jobs         = flag.Int("j", 0, "with -sweep-windows: concurrent analyzers per decode pass (0 = all windows at once); with -shards: concurrent workers (0 = GOMAXPROCS, 1 = serial)")
-		shards       = flag.Int("shards", 0, "analyze the trace in N chunk-aligned shards with pipelined decode and a deterministic merge (0 = monolithic)")
+		jobs         = flag.Int("j", 0, "with -sweep-windows: concurrent analyzers per decode pass (0 = all windows at once); with -shards -speculate: concurrent shard builds (0 = GOMAXPROCS)")
+		shards       = flag.Int("shards", 0, "analyze the trace in N chunk-aligned shards, each streamed through the analyzer in turn, with a deterministic merge (0 = monolithic)")
 		speculate    = flag.Bool("speculate", false, "with -shards: analyze all shards concurrently (speculative per-shard compilation + sequential seam splice); results are identical to the chained run")
 
 		memBudget     = flag.String("mem-budget", "", "memory budget for the analyzer working set, e.g. 64M or 1G (empty = unlimited)")
@@ -434,12 +434,12 @@ func runWindowSweep(ctx context.Context, base core.Config, sizesArg string, jobs
 }
 
 // runSharded is the in-process sharded path: the trace bytes (read from a
-// file or encoded from one simulation) are split at chunk boundaries,
-// decoded by a bounded pool with decode of shard i+1 overlapping analysis
-// of shard i, and the per-shard results merged into a Result deep-equal to
-// a monolithic run (see internal/shard). With speculate, the shard chain is
-// broken entirely: all shards analyze concurrently and a sequential splice
-// fixes up the seams (see internal/shard/speculate.go).
+// file or encoded from one simulation) are split at chunk boundaries, each
+// shard streams through one analyzer in turn, and the per-shard results
+// merge into a Result deep-equal to a monolithic run (see internal/shard).
+// With speculate, the shard chain is broken: up to jobs shards build
+// concurrently and a sequential splice fixes up the seams (see
+// internal/shard/speculate.go).
 func runSharded(ctx context.Context, cfg core.Config, n, jobs int, traceFile, workload, srcFile, asmFile string, scale int, maxInst uint64, degraded, useMmap, speculate bool, plot bool, profileOut string, lifetimes, sharing bool, storageOut string) {
 	var data []byte
 	if traceFile != "" {

@@ -348,54 +348,3 @@ func (d *ShardDelta) Validate() error {
 	}
 	return nil
 }
-
-// Concat appends next's records to d, remapping next's pending slots
-// through d's touched-location table, and returns the combined delta:
-// applying it is equivalent to applying d then next. Concatenation is
-// associative — slot ids follow global first-touch order, so either
-// grouping produces a structurally identical delta — which the
-// testing/quick battery pins.
-func (d *ShardDelta) Concat(next *ShardDelta) (*ShardDelta, error) {
-	if got := d.StartEvent + d.Events; next.StartEvent != got {
-		return nil, fmt.Errorf("shard delta starts at event %d, predecessor ends at %d", next.StartEvent, got)
-	}
-	out := &ShardDelta{
-		StartEvent: d.StartEvent,
-		Events:     d.Events + next.Events,
-		Locs:       append(append([]uint32(nil), d.Locs...), make([]uint32, 0, len(next.Locs))...),
-		Code:       append(append([]uint32(nil), d.Code...), make([]uint32, 0, len(next.Code))...),
-		Syscalls:   d.Syscalls + next.Syscalls,
-	}
-	for c := range out.ClassCounts {
-		out.ClassCounts[c] = d.ClassCounts[c] + next.ClassCounts[c]
-	}
-
-	index := make(map[uint32]uint32, len(d.Locs))
-	for id, loc := range d.Locs {
-		index[loc] = uint32(id)
-	}
-	remap := make([]uint32, len(next.Locs))
-	for id, loc := range next.Locs {
-		if prev, ok := index[loc]; ok {
-			remap[id] = prev
-			continue
-		}
-		remap[id] = uint32(len(out.Locs))
-		index[loc] = remap[id]
-		out.Locs = append(out.Locs, loc)
-	}
-
-	n, err := walkRecords(next.Code, len(remap), func(rec []uint32, slots int) {
-		out.Code = append(out.Code, rec[:slots]...)
-		for _, s := range rec[slots:] {
-			out.Code = append(out.Code, remap[s])
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("shard delta: %w", err)
-	}
-	if n != next.Events {
-		return nil, fmt.Errorf("shard delta: holds %d records but declares %d events", n, next.Events)
-	}
-	return out, nil
-}

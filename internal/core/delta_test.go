@@ -264,67 +264,6 @@ func TestDeltaIdentityQuick(t *testing.T) {
 	}
 }
 
-// TestDeltaConcatQuick: splicing is compositional and associative. For
-// consecutive deltas a, b, c: Concat(a, b) applied once equals applying a
-// then b, and Concat(Concat(a,b),c) is structurally identical (deep-equal,
-// not just behaviorally equal) to Concat(a,Concat(b,c)).
-func TestDeltaConcatQuick(t *testing.T) {
-	cfgs := deltaConfigs()
-	f := func(seed int64, rawCfg uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cfg := cfgs[int(rawCfg)%len(cfgs)]
-		events := richTrace(rng, 180)
-		pts := []int{0, 60, 120, len(events)}
-
-		var ds []*ShardDelta
-		for i := 1; i < len(pts); i++ {
-			r := NewDeltaResolver(uint64(pts[i-1]), pts[i]-pts[i-1])
-			if r.Events(events[pts[i-1]:pts[i]]) != nil {
-				return false
-			}
-			ds = append(ds, r.Delta())
-		}
-
-		ab, err := ds[0].Concat(ds[1])
-		if err != nil {
-			return false
-		}
-		abc1, err := ab.Concat(ds[2])
-		if err != nil {
-			return false
-		}
-		bc, err := ds[1].Concat(ds[2])
-		if err != nil {
-			return false
-		}
-		abc2, err := ds[0].Concat(bc)
-		if err != nil {
-			return false
-		}
-		if !reflect.DeepEqual(abc1, abc2) {
-			return false
-		}
-
-		// Behavioral: one concatenated splice == three chained splices.
-		split := NewAnalyzer(cfg)
-		for _, d := range ds {
-			if split.ApplyDelta(d) != nil {
-				return false
-			}
-		}
-		whole := NewAnalyzer(cfg)
-		if whole.ApplyDelta(abc1) != nil {
-			return false
-		}
-		a, err1 := split.Finish()
-		b, err2 := whole.Finish()
-		return err1 == nil && err2 == nil && reflect.DeepEqual(a, b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestDeltaBudgetFailFastParity: under a fail-fast budget the splice fails
 // with exactly the error — same event index, same message — the sequential
 // analyzer reports.
@@ -400,7 +339,7 @@ func TestDeltaValidationParity(t *testing.T) {
 }
 
 // TestDeltaGuards: the splice refuses deltas that cannot line up — wrong
-// position, finished analyzer — and Concat refuses a seam gap.
+// position, finished analyzer.
 func TestDeltaGuards(t *testing.T) {
 	d := NewDeltaResolver(5, 0).Delta()
 	a := NewAnalyzer(Config{})
@@ -412,9 +351,6 @@ func TestDeltaGuards(t *testing.T) {
 	}
 	if err := a.ApplyDelta(NewDeltaResolver(0, 0).Delta()); err == nil {
 		t.Error("finished analyzer accepted a delta")
-	}
-	if _, err := NewDeltaResolver(0, 0).Delta().Concat(NewDeltaResolver(3, 0).Delta()); err == nil {
-		t.Error("Concat accepted a seam gap")
 	}
 }
 

@@ -5,8 +5,8 @@ package harness
 // Results deeply equal to one monolithic pass over the same bytes — for
 // every configuration the paper's sweeps use, for every shard count, on
 // clean and on damaged traces. `make differential` runs these under the
-// race detector, so they also audit the shard pipeline's decode/analysis
-// overlap for data races.
+// race detector, so they also audit the concurrent speculative shard
+// builds for data races.
 
 import (
 	"bytes"
@@ -82,6 +82,28 @@ func recordTrace(t *testing.T, name string, maxInstr uint64) []byte {
 	return enc.Bytes()
 }
 
+// shardEach runs shard.Analyze once per config over the same bytes and
+// returns the Results in config order plus the ReadStats, which every run
+// must agree on.
+func shardEach(t *testing.T, data []byte, cfgs []core.Config, n int, opts shard.Options) ([]*core.Result, trace.ReadStats) {
+	t.Helper()
+	results := make([]*core.Result, len(cfgs))
+	var first trace.ReadStats
+	for i, cfg := range cfgs {
+		res, rs, err := shard.Analyze(context.Background(), data, cfg, n, opts)
+		if err != nil {
+			t.Fatalf("n=%d config %d: %v", n, i, err)
+		}
+		if i == 0 {
+			first = rs
+		} else if rs != first {
+			t.Errorf("n=%d config %d: ReadStats %+v, config 0 read %+v", n, i, rs, first)
+		}
+		results[i] = res
+	}
+	return results, first
+}
+
 // monolithicRef is the reference implementation: one analyzer over the
 // whole trace, reading the bytes the same way the shards collectively do.
 func monolithicRef(t *testing.T, data []byte, cfg core.Config, degraded bool) (*core.Result, trace.ReadStats) {
@@ -111,10 +133,7 @@ func TestDifferentialSharded(t *testing.T) {
 				want[i], wantStats = monolithicRef(t, data, cfg, false)
 			}
 			for _, n := range shardCounts() {
-				results, rs, err := shard.AnalyzeMulti(context.Background(), data, cfgs, n, shard.Options{})
-				if err != nil {
-					t.Fatalf("n=%d: %v", n, err)
-				}
+				results, rs := shardEach(t, data, cfgs, n, shard.Options{})
 				for i := range cfgs {
 					if !reflect.DeepEqual(results[i], want[i]) {
 						t.Errorf("n=%d config %d: sharded Result differs from monolithic\nsharded:    %v\nmonolithic: %v",
@@ -158,10 +177,7 @@ func TestDifferentialShardedDegraded(t *testing.T) {
 		t.Fatalf("damage fixture too mild: %+v", wantStats)
 	}
 	for _, n := range shardCounts() {
-		results, rs, err := shard.AnalyzeMulti(context.Background(), data, cfgs, n, shard.Options{Degraded: true})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
+		results, rs := shardEach(t, data, cfgs, n, shard.Options{Degraded: true})
 		for i := range cfgs {
 			if !reflect.DeepEqual(results[i], want[i]) {
 				t.Errorf("n=%d config %d: degraded sharded Result differs from monolithic", n, i)
@@ -177,7 +193,7 @@ func TestDifferentialShardedDegraded(t *testing.T) {
 // real recorded workloads: the speculative driver (parallel entry-state-free
 // shard compilation + sequential seam splice) must match the monolithic
 // reference exactly, for every config × every shard count. Under -race this
-// also audits the build/splice pipeline's concurrency.
+// also audits the concurrent builds and the in-order splice.
 func TestDifferentialSpeculative(t *testing.T) {
 	cfgs := shardConfigs()
 	for _, name := range []string{"xlispx", "spicex"} {
@@ -191,10 +207,7 @@ func TestDifferentialSpeculative(t *testing.T) {
 				want[i], wantStats = monolithicRef(t, data, cfg, false)
 			}
 			for _, n := range shardCounts() {
-				results, rs, err := shard.AnalyzeMulti(context.Background(), data, cfgs, n, shard.Options{Speculate: true})
-				if err != nil {
-					t.Fatalf("n=%d: %v", n, err)
-				}
+				results, rs := shardEach(t, data, cfgs, n, shard.Options{Speculate: true})
 				for i := range cfgs {
 					if !reflect.DeepEqual(results[i], want[i]) {
 						t.Errorf("n=%d config %d: speculative Result differs from monolithic", n, i)
@@ -238,14 +251,8 @@ func TestDifferentialSpeculativeDegraded(t *testing.T) {
 		t.Fatalf("damage fixture too mild: %+v", wantStats)
 	}
 	for _, n := range shardCounts() {
-		spec, srs, err := shard.AnalyzeMulti(context.Background(), data, cfgs, n, shard.Options{Degraded: true, Speculate: true})
-		if err != nil {
-			t.Fatalf("speculative n=%d: %v", n, err)
-		}
-		chained, crs, err := shard.AnalyzeMulti(context.Background(), data, cfgs, n, shard.Options{Degraded: true})
-		if err != nil {
-			t.Fatalf("chained n=%d: %v", n, err)
-		}
+		spec, srs := shardEach(t, data, cfgs, n, shard.Options{Degraded: true, Speculate: true})
+		chained, crs := shardEach(t, data, cfgs, n, shard.Options{Degraded: true})
 		for i := range cfgs {
 			if !reflect.DeepEqual(spec[i], want[i]) {
 				t.Errorf("n=%d config %d: degraded speculative Result differs from monolithic", n, i)

@@ -16,7 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"paragraph/internal/core"
 	"paragraph/internal/faultinject"
+	"paragraph/internal/shard"
 )
 
 // startWorker runs a fleet worker loop against the coordinator API until
@@ -142,6 +144,11 @@ func TestFleetLeaseLifecycle(t *testing.T) {
 		if sp.Worker != "w1" {
 			t.Errorf("shard %d ran on %q, want leased worker w1", i, sp.Worker)
 		}
+	}
+	// The worker counts a completion when the coordinator's answer reaches
+	// it, which can be after the job is done: wait for the count.
+	for deadline := time.Now().Add(10 * time.Second); w.Stats().Completed < len(v.Shards) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	if st := w.Stats(); st.Completed != len(v.Shards) {
 		t.Errorf("worker completed %d leases, want %d", st.Completed, len(v.Shards))
@@ -448,6 +455,18 @@ func TestFleetWorkerSigtermDepart(t *testing.T) {
 	}
 }
 
+// acquireLease takes the next lease as the manual worker "manual",
+// waiting up to 30 s for one.
+func acquireLease(t *testing.T, api string) LeaseMsg {
+	t.Helper()
+	var lm LeaseMsg
+	code, raw := postJSON(t, api+"/v1/leases", map[string]any{"worker": "manual", "wait_ms": 30000}, &lm)
+	if code != http.StatusOK {
+		t.Fatalf("acquiring lease: %d: %s", code, raw)
+	}
+	return lm
+}
+
 // TestFleetWorkerFailureClassification: worker-reported failures classify
 // exactly like local ones — permanent degrades the job without retries,
 // panics consume attempts until the budget runs out.
@@ -458,14 +477,6 @@ func TestFleetWorkerFailureClassification(t *testing.T) {
 	})
 	_ = s
 
-	acquire := func() LeaseMsg {
-		var lm LeaseMsg
-		code, raw := postJSON(t, api+"/v1/leases", map[string]any{"worker": "manual", "wait_ms": 30000}, &lm)
-		if code != http.StatusOK {
-			t.Fatalf("acquiring lease: %d: %s", code, raw)
-		}
-		return lm
-	}
 	failLease := func(id string, body leaseFail) {
 		if code, raw := postJSON(t, api+"/v1/leases/"+id+"/fail", body, nil); code != http.StatusOK {
 			t.Fatalf("failing lease: %d: %s", code, raw)
@@ -476,7 +487,7 @@ func TestFleetWorkerFailureClassification(t *testing.T) {
 	path := writeTraceFile(t, synthTrace(t, 8000, 27))
 	tid := registerTrace(t, api, path)
 	jid := submitJob(t, api, tid, testConfig, 3)
-	lm := acquire()
+	lm := acquireLease(t, api)
 	if lm.Job != jid {
 		t.Fatalf("leased job %s, want %s", lm.Job, jid)
 	}
@@ -493,12 +504,12 @@ func TestFleetWorkerFailureClassification(t *testing.T) {
 	path2 := writeTraceFile(t, synthTrace(t, 8000, 28))
 	tid2 := registerTrace(t, api, path2)
 	jid2 := submitJob(t, api, tid2, testConfig, 3)
-	lm1 := acquire()
+	lm1 := acquireLease(t, api)
 	if lm1.Job != jid2 || lm1.Attempt != 1 {
 		t.Fatalf("lease %+v, want job %s attempt 1", lm1, jid2)
 	}
 	failLease(lm1.ID, leaseFail{Reason: "index out of range", Panicked: true})
-	lm2 := acquire()
+	lm2 := acquireLease(t, api)
 	if lm2.Job != jid2 || lm2.Attempt != 2 {
 		t.Fatalf("after panic, lease %+v, want the SAME shard back at attempt 2", lm2)
 	}
@@ -509,6 +520,67 @@ func TestFleetWorkerFailureClassification(t *testing.T) {
 	}
 	if !strings.Contains(v2.Degraded.Reason, "panic contained on worker") {
 		t.Fatalf("degradation reason %q does not classify the panic", v2.Degraded.Reason)
+	}
+}
+
+// TestFleetRejectsMiscountedUpload: an uploaded shard result whose event
+// count, or whose checkpoint's event offset, disagrees with the leased
+// shard is refused with a 400 and charged as one failed attempt, so the
+// shard is offered again instead of failing at merge or ending the job
+// with the wrong count.
+func TestFleetRejectsMiscountedUpload(t *testing.T) {
+	_, api := testServer(t, t.TempDir(), func(o *Options) {
+		o.LocalExecutors = -1
+		o.ShardAttempts = 3
+	})
+	data := synthTrace(t, 8000, 29)
+	jid := submitJob(t, api, registerTrace(t, api, writeTraceFile(t, data)), testConfig, 3)
+
+	acquire := func(attempt int) LeaseMsg {
+		t.Helper()
+		lm := acquireLease(t, api)
+		if lm.Job != jid || lm.Shard.Index != 0 || lm.Attempt != attempt {
+			t.Fatalf("lease is job %s shard %d attempt %d, want job %s shard 0 attempt %d",
+				lm.Job, lm.Shard.Index, lm.Attempt, jid, attempt)
+		}
+		return lm
+	}
+	// upload runs the leased shard for real, lets edit skew the result,
+	// and uploads it, returning the status code.
+	upload := func(lm LeaseMsg, edit func(*shard.Result, *core.Checkpoint)) (int, string) {
+		t.Helper()
+		part, cp, err := shard.RunShardBytes(context.Background(), core.NewAnalyzer(lm.Config), data,
+			lm.Config, lm.Shard, lm.Degraded, lm.Shards, lm.WantCheckpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(part, cp)
+		var buf bytes.Buffer
+		if err := shard.WriteResult(&buf, part, cp); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(api+"/v1/leases/"+lm.ID+"/complete", "application/octet-stream", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(raw)
+	}
+
+	lm := acquire(1)
+	if code, raw := upload(lm, func(p *shard.Result, _ *core.Checkpoint) { p.Events-- }); code != http.StatusBadRequest ||
+		!strings.Contains(raw, "events, shard has") {
+		t.Fatalf("upload with Events-1: %d %s, want 400 naming the count", code, raw)
+	}
+	lm = acquire(2)
+	if code, raw := upload(lm, func(_ *shard.Result, cp *core.Checkpoint) { cp.EventOffset-- }); code != http.StatusBadRequest ||
+		!strings.Contains(raw, "checkpoint is at event") {
+		t.Fatalf("upload with a checkpoint one event short: %d %s, want 400 naming the offset", code, raw)
+	}
+	lm = acquire(3)
+	if code, raw := upload(lm, func(*shard.Result, *core.Checkpoint) {}); code != http.StatusOK {
+		t.Fatalf("true upload: %d %s, want 200", code, raw)
 	}
 }
 

@@ -34,8 +34,9 @@ const (
 	claimAbandoned
 )
 
-// Offer kinds: a chained shard attempt (RunShard seeded from the previous
-// shard's checkpoint) or a speculative delta build (entry-state-free).
+// Offer kinds: a chained shard attempt (RunShardBytes seeded from the
+// previous shard's checkpoint) or a speculative delta build
+// (entry-state-free).
 const (
 	kindChain = "chain"
 	kindDelta = "delta"
@@ -161,20 +162,8 @@ func (s *Server) shardExecutor() {
 			if off == nil || !off.claim(claimLocal) {
 				continue
 			}
-			off.outcome <- s.runOffer(off)
+			off.outcome <- s.runAttempt(off)
 		}
-	}
-}
-
-// runOffer executes one claimed offer in-process.
-func (s *Server) runOffer(off *attemptOffer) attemptOutcome {
-	switch off.kind {
-	case kindDelta:
-		d, err := s.buildDeltaAttempt(off.j, off.src, off.data, off.plan, off.shard)
-		return attemptOutcome{delta: d, err: err}
-	default:
-		part, cp, err := s.runShardAttempt(off.j, off.src, off.data, off.plan, off.shard, off.prevCP)
-		return attemptOutcome{part: part, cp: cp, err: err}
 	}
 }
 
@@ -416,7 +405,9 @@ func (s *Server) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "accepted"})
 }
 
-// validatePart checks an uploaded chain result against the leased shard.
+// validatePart checks an uploaded chain result against the leased shard:
+// its place in the plan, its event range, and the event offset of its
+// outgoing checkpoint, which seeds the next shard.
 func validatePart(part *shard.Result, cp *core.Checkpoint, off *attemptOffer) error {
 	sh := off.plan.Shards[off.shard]
 	switch {
@@ -424,13 +415,18 @@ func validatePart(part *shard.Result, cp *core.Checkpoint, off *attemptOffer) er
 		return fmt.Errorf("result is shard %d/%d, lease was %d/%d", part.Index, part.Shards, sh.Index, len(off.plan.Shards))
 	case part.StartEvent != sh.StartEvent:
 		return fmt.Errorf("result starts at event %d, shard starts at %d", part.StartEvent, sh.StartEvent)
+	case part.Events != sh.Events:
+		return fmt.Errorf("result covers %d events, shard has %d", part.Events, sh.Events)
 	case off.shard < len(off.plan.Shards)-1 && cp == nil:
 		return fmt.Errorf("non-final shard uploaded without its outgoing checkpoint")
+	case cp != nil && cp.EventOffset != sh.StartEvent+sh.Events:
+		return fmt.Errorf("checkpoint is at event %d, shard ends at %d", cp.EventOffset, sh.StartEvent+sh.Events)
 	}
 	return nil
 }
 
-// validateDelta checks an uploaded speculative delta against the lease.
+// validateDelta checks an uploaded speculative delta against the lease:
+// its place in the plan and its event range.
 func validateDelta(d *shard.Delta, off *attemptOffer) error {
 	sh := off.plan.Shards[off.shard]
 	switch {
@@ -438,6 +434,8 @@ func validateDelta(d *shard.Delta, off *attemptOffer) error {
 		return fmt.Errorf("delta is shard %d/%d, lease was %d/%d", d.Index, d.Shards, sh.Index, len(off.plan.Shards))
 	case d.D.StartEvent != sh.StartEvent:
 		return fmt.Errorf("delta starts at event %d, shard starts at %d", d.D.StartEvent, sh.StartEvent)
+	case d.D.Events != sh.Events:
+		return fmt.Errorf("delta covers %d events, shard has %d", d.D.Events, sh.Events)
 	}
 	return nil
 }

@@ -676,13 +676,13 @@ func TestShardAttemptMemoryFlat(t *testing.T) {
 		for try := 0; try < 3; try++ {
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			part, _, err := s.runShardAttempt(j, nil, data, plan, 0, nil)
+			out := s.runAttempt(&attemptOffer{j: j, plan: plan, kind: kindChain, data: data})
 			runtime.ReadMemStats(&m1)
-			if err != nil {
-				t.Fatal(err)
+			if out.err != nil {
+				t.Fatal(out.err)
 			}
-			if part.Events != uint64(n) {
-				t.Fatalf("attempt analyzed %d events, want %d", part.Events, n)
+			if out.part.Events != uint64(n) {
+				t.Fatalf("attempt analyzed %d events, want %d", out.part.Events, n)
 			}
 			alloc[k] = min(alloc[k], m1.TotalAlloc-m0.TotalAlloc)
 		}

@@ -133,41 +133,26 @@ func (s *Server) runJobChain(j *job) error {
 			j.shardDone(i, part.Events)
 			continue
 		}
-		part, cp, err := s.superviseShard(j, ti, src, data, plan, i, prevCP)
+		out, err := s.supervise(j, ti, src, data, plan, i, kindChain, prevCP)
 		if err != nil {
 			if errors.Is(err, errInterrupted) {
 				return errInterrupted
 			}
 			// Retries exhausted or a permanent fault: the checkpoint chain
-			// is broken at shard i, so later shards cannot run. Keep the
-			// completed partials and mark the job degraded — the
-			// shard-level mirror of the trace format's degraded reads.
-			mark := DegradedMark{Shard: i, Attempts: j.shardAttempts(i), Reason: err.Error()}
-			if serr := s.st.saveDegraded(spec.ID, mark); serr != nil {
-				return fmt.Errorf("job %s: persisting degradation: %w", spec.ID, serr)
-			}
-			j.setDegraded(&mark, i)
-			return nil
+			// is broken at shard i, so later shards cannot run.
+			return s.degrade(j, i, err.Error())
 		}
-		if err := shard.SaveResult(s.st.shardPath(spec.ID, i), part, cp); err != nil {
+		if err := shard.SaveResult(s.st.shardPath(spec.ID, i), out.part, out.cp); err != nil {
 			return fmt.Errorf("job %s: persisting shard %d: %w", spec.ID, i, err)
 		}
-		parts[i], prevCP = part, cp
-		j.shardDone(i, part.Events)
+		parts[i], prevCP = out.part, out.cp
+		j.shardDone(i, out.part.Events)
 		if s.afterShard != nil {
 			s.afterShard(spec.ID, i)
 		}
 	}
 
-	res, rs, err := shard.Merge(parts)
-	if err != nil {
-		return fmt.Errorf("job %s: merging shard results: %w", spec.ID, err)
-	}
-	if err := s.st.saveResult(spec.ID, &JobResult{Result: res, ReadStats: rs}); err != nil {
-		return fmt.Errorf("job %s: persisting result: %w", spec.ID, err)
-	}
-	j.setState(StateDone)
-	return nil
+	return s.finishJob(j, parts)
 }
 
 // runJobSplice is the speculative job engine: every unfinished shard's
@@ -211,15 +196,6 @@ func (s *Server) runJobSplice(j *job, ti TraceInfo, src *remote.Source, data []b
 	}
 	wg.Wait()
 
-	degrade := func(i int, reason string) error {
-		mark := DegradedMark{Shard: i, Attempts: j.shardAttempts(i), Reason: reason}
-		if serr := s.st.saveDegraded(spec.ID, mark); serr != nil {
-			return fmt.Errorf("job %s: persisting degradation: %w", spec.ID, serr)
-		}
-		j.setDegraded(&mark, i)
-		return nil
-	}
-
 	var a *core.Analyzer
 	for i := 0; i < ns; i++ {
 		if s.interrupted() {
@@ -235,9 +211,9 @@ func (s *Server) runJobSplice(j *job, ti TraceInfo, src *remote.Source, data []b
 			if errors.Is(err, errInterrupted) {
 				return errInterrupted
 			}
-			// The splice cannot pass shard i; shards before it keep their
-			// persisted results, exactly like a broken checkpoint chain.
-			return degrade(i, err.Error())
+			// The splice cannot pass shard i, exactly like a broken
+			// checkpoint chain.
+			return s.degrade(j, i, err.Error())
 		}
 		if a == nil {
 			// Only reachable at shard 0: every persisted non-final shard
@@ -248,7 +224,7 @@ func (s *Server) runJobSplice(j *job, ti TraceInfo, src *remote.Source, data []b
 		part, cp, err := shard.RunShardDelta(a, d.D, spec.Config, d.ReadStats, i, ns, i < ns-1)
 		if err != nil {
 			j.shardFailed(i)
-			return degrade(i, err.Error())
+			return s.degrade(j, i, err.Error())
 		}
 		if err := shard.SaveResult(s.st.shardPath(spec.ID, i), part, cp); err != nil {
 			return fmt.Errorf("job %s: persisting shard %d: %w", spec.ID, i, err)
@@ -260,94 +236,54 @@ func (s *Server) runJobSplice(j *job, ti TraceInfo, src *remote.Source, data []b
 		}
 	}
 
+	return s.finishJob(j, parts)
+}
+
+// degrade marks the job degraded at shard i, which exhausted its attempts
+// or hit a permanent fault: the completed shards keep their persisted
+// results, the mirror of the trace format's degraded reads. It returns nil,
+// as a finished job does; the job state carries the distinction.
+func (s *Server) degrade(j *job, i int, reason string) error {
+	mark := DegradedMark{Shard: i, Attempts: j.shardAttempts(i), Reason: reason}
+	if err := s.st.saveDegraded(j.spec.ID, mark); err != nil {
+		return fmt.Errorf("job %s: persisting degradation: %w", j.spec.ID, err)
+	}
+	j.setDegraded(&mark, i)
+	return nil
+}
+
+// finishJob merges a job's shard results, persists the merged result and
+// marks the job done.
+func (s *Server) finishJob(j *job, parts []*shard.Result) error {
 	res, rs, err := shard.Merge(parts)
 	if err != nil {
-		return fmt.Errorf("job %s: merging shard results: %w", spec.ID, err)
+		return fmt.Errorf("job %s: merging shard results: %w", j.spec.ID, err)
 	}
-	if err := s.st.saveResult(spec.ID, &JobResult{Result: res, ReadStats: rs}); err != nil {
-		return fmt.Errorf("job %s: persisting result: %w", spec.ID, err)
+	if err := s.st.saveResult(j.spec.ID, &JobResult{Result: res, ReadStats: rs}); err != nil {
+		return fmt.Errorf("job %s: persisting result: %w", j.spec.ID, err)
 	}
 	j.setState(StateDone)
 	return nil
 }
 
-// superviseDelta builds one shard's speculative delta through the attempt
-// budget, reusing a delta persisted by an earlier (killed) run of the job.
-// Each attempt is offered to the shared queue — a local executor or a
-// leased fleet worker runs it; an expired lease is one failed attempt. It
-// is safe to call concurrently for different shards: remote Section
-// fetches, progress notes and backoff draws are all internally locked.
+// superviseDelta builds one shard's speculative delta through supervise,
+// reusing a delta persisted by an earlier (killed) run of the job and
+// persisting a fresh one. It is safe to call concurrently for different
+// shards: remote Section fetches, progress notes and backoff draws are all
+// internally locked.
 func (s *Server) superviseDelta(j *job, ti TraceInfo, src *remote.Source, data []byte, plan *shard.Plan, i int) (*shard.Delta, error) {
 	if d, err := shard.LoadDelta(s.st.deltaPath(j.spec.ID, i)); err == nil &&
 		d.Index == i && d.Shards == len(plan.Shards) && d.D.StartEvent == plan.Shards[i].StartEvent {
 		return d, nil
 	}
-	var lastErr error
-	for attempt := 1; attempt <= s.shardAttempts; attempt++ {
-		if s.interrupted() {
-			return nil, errInterrupted
-		}
-		j.noteAttempt(i, attempt)
-		out, derr := s.dispatch(&attemptOffer{
-			j: j, ti: ti, plan: plan, shard: i, attempt: attempt, kind: kindDelta,
-			src: src, data: data, outcome: make(chan attemptOutcome, 1),
-		})
-		if derr != nil {
-			return nil, errInterrupted
-		}
-		if out.err == nil {
-			if serr := shard.SaveDelta(s.st.deltaPath(j.spec.ID, i), out.delta); serr != nil {
-				return nil, fmt.Errorf("shard %d: persisting delta: %w", i, serr)
-			}
-			return out.delta, nil
-		}
-		if s.ctx.Err() != nil {
-			return nil, errInterrupted
-		}
-		if remote.IsPermanent(out.err) {
-			return nil, fmt.Errorf("shard %d attempt %d: %w", i, attempt, out.err)
-		}
-		lastErr = out.err
-		if attempt < s.shardAttempts {
-			s.backoff(attempt)
-		}
+	out, err := s.supervise(j, ti, src, data, plan, i, kindDelta, nil)
+	if err != nil {
+		return nil, err
 	}
-	j.shardFailed(i)
-	return nil, fmt.Errorf("shard %d: retry budget exhausted after %d attempts: %w", i, s.shardAttempts, lastErr)
-}
-
-// buildDeltaAttempt is one contained speculative build: fetch or slice the
-// shard's bytes and compile them as they decode, with no entry state.
-// Panics convert to a failed attempt, like runShardAttempt.
-func (s *Server) buildDeltaAttempt(j *job, src *remote.Source, data []byte, plan *shard.Plan, i int) (d *shard.Delta, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			d = nil
-			err = fmt.Errorf("shard %d: panic contained: %v", i, v)
-		}
-	}()
-	ctx := s.ctx
-	if s.shardTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(s.ctx, s.shardTimeout)
-		defer cancel()
+	if serr := shard.SaveDelta(s.st.deltaPath(j.spec.ID, i), out.delta); serr != nil {
+		return nil, fmt.Errorf("shard %d: persisting delta: %w", i, serr)
 	}
-	if s.beforeAttempt != nil {
-		s.beforeAttempt(j.spec.ID, i)
-	}
-
-	sh := plan.Shards[i]
-	buf := data
-	if buf == nil {
-		sect, start, end, ferr := src.Section(ctx, sh.Start, sh.End)
-		j.setRetry(src.Stats())
-		if ferr != nil {
-			return nil, ferr
-		}
-		sh.Start, sh.End = start, end
-		buf = sect
-	}
-	return shard.BuildDeltaBytes(ctx, buf, j.spec.Config, sh, plan.Degraded, len(plan.Shards))
+	return out.delta, nil
 }
 
 // jobPlan loads the persisted shard plan or computes and persists it. The
@@ -401,36 +337,36 @@ func (s *Server) jobPlan(j *job, src *remote.Source, data []byte) (*shard.Plan, 
 	return plan, nil
 }
 
-// superviseShard runs one shard through its attempt budget: each attempt
-// is offered to the shared queue, where a local executor gives it a
-// deadline and panic containment and a leased fleet worker is bounded by
-// its heartbeat TTL. Transient failures — including an expired lease —
+// supervise runs one shard attempt of the given kind through the shard's
+// attempt budget: each attempt is offered to the shared queue, where a
+// local executor runs it (runAttempt) and a leased fleet worker is bounded
+// by its heartbeat TTL. Transient failures — including an expired lease —
 // back off with seeded jitter and retry; permanent ones (and an exhausted
-// budget) fail the shard.
-func (s *Server) superviseShard(j *job, ti TraceInfo, src *remote.Source, data []byte, plan *shard.Plan, i int, prevCP *core.Checkpoint) (*shard.Result, *core.Checkpoint, error) {
+// budget) fail the shard. prevCP seeds chain attempts after shard 0.
+func (s *Server) supervise(j *job, ti TraceInfo, src *remote.Source, data []byte, plan *shard.Plan, i int, kind string, prevCP *core.Checkpoint) (attemptOutcome, error) {
 	var lastErr error
 	for attempt := 1; attempt <= s.shardAttempts; attempt++ {
 		if s.interrupted() {
-			return nil, nil, errInterrupted
+			return attemptOutcome{}, errInterrupted
 		}
 		j.noteAttempt(i, attempt)
 		out, derr := s.dispatch(&attemptOffer{
-			j: j, ti: ti, plan: plan, shard: i, attempt: attempt, kind: kindChain,
+			j: j, ti: ti, plan: plan, shard: i, attempt: attempt, kind: kind,
 			prevCP: prevCP, src: src, data: data, outcome: make(chan attemptOutcome, 1),
 		})
 		if derr != nil {
-			return nil, nil, errInterrupted
+			return attemptOutcome{}, errInterrupted
 		}
 		if out.err == nil {
-			return out.part, out.cp, nil
+			return out, nil
 		}
 		if s.ctx.Err() != nil {
 			// Root cancellation surfaces through the attempt context; it is
 			// shutdown, not a shard failure.
-			return nil, nil, errInterrupted
+			return attemptOutcome{}, errInterrupted
 		}
 		if remote.IsPermanent(out.err) {
-			return nil, nil, fmt.Errorf("shard %d attempt %d: %w", i, attempt, out.err)
+			return attemptOutcome{}, fmt.Errorf("shard %d attempt %d: %w", i, attempt, out.err)
 		}
 		lastErr = out.err
 		if attempt < s.shardAttempts {
@@ -438,19 +374,20 @@ func (s *Server) superviseShard(j *job, ti TraceInfo, src *remote.Source, data [
 		}
 	}
 	j.shardFailed(i)
-	return nil, nil, fmt.Errorf("shard %d: retry budget exhausted after %d attempts: %w", i, s.shardAttempts, lastErr)
+	return attemptOutcome{}, fmt.Errorf("shard %d: retry budget exhausted after %d attempts: %w", i, s.shardAttempts, lastErr)
 }
 
-// runShardAttempt is one contained attempt: fetch (remote) or slice
-// (local) the shard's bytes and stream them, as they decode, through an
-// analyzer seeded from the previous shard's checkpoint. A panic anywhere
-// inside — decode, analysis, or a fetch bug — converts to an error and
-// counts as a failed attempt instead of killing the worker.
-func (s *Server) runShardAttempt(j *job, src *remote.Source, data []byte, plan *shard.Plan, i int, prevCP *core.Checkpoint) (part *shard.Result, cp *core.Checkpoint, err error) {
+// runAttempt is one contained local attempt: fetch (remote) or slice
+// (local) the shard's bytes and stream them, as they decode, either through
+// an analyzer seeded from the previous shard's checkpoint (chain) or into
+// a shard resolution with no entry state (delta). A panic anywhere inside —
+// decode, analysis, or a fetch bug — converts to an error and counts as a
+// failed attempt instead of killing the executor.
+func (s *Server) runAttempt(off *attemptOffer) (out attemptOutcome) {
+	i, j, plan := off.shard, off.j, off.plan
 	defer func() {
 		if v := recover(); v != nil {
-			part, cp = nil, nil
-			err = fmt.Errorf("shard %d: panic contained: %v", i, v)
+			out = attemptOutcome{err: fmt.Errorf("shard %d: panic contained: %v", i, v)}
 		}
 	}()
 	ctx := s.ctx
@@ -464,28 +401,33 @@ func (s *Server) runShardAttempt(j *job, src *remote.Source, data []byte, plan *
 	}
 
 	sh := plan.Shards[i]
-	buf := data
+	buf := off.data
 	if buf == nil {
 		// Remote: fetch exactly this shard's byte range, stitched behind
 		// the trace header so the section reader sees a well-formed file.
-		sect, start, end, ferr := src.Section(ctx, sh.Start, sh.End)
-		j.setRetry(src.Stats())
+		sect, start, end, ferr := off.src.Section(ctx, sh.Start, sh.End)
+		j.setRetry(off.src.Stats())
 		if ferr != nil {
-			return nil, nil, ferr
+			return attemptOutcome{err: ferr}
 		}
 		sh.Start, sh.End = start, end
 		buf = sect
 	}
+	if off.kind == kindDelta {
+		out.delta, out.err = shard.BuildDeltaBytes(ctx, buf, j.spec.Config, sh, plan.Degraded, len(plan.Shards))
+		return out
+	}
 	var a *core.Analyzer
-	if prevCP != nil {
+	if off.prevCP != nil {
 		// Restore clones per call, so a retried attempt starts from the
 		// same pristine state every time, whatever a failed one consumed.
-		a = prevCP.Restore()
+		a = off.prevCP.Restore()
 	} else {
 		a = core.NewAnalyzer(j.spec.Config)
 	}
 	want := i < len(plan.Shards)-1
-	return shard.RunShardBytes(ctx, a, buf, j.spec.Config, sh, plan.Degraded, len(plan.Shards), want)
+	out.part, out.cp, out.err = shard.RunShardBytes(ctx, a, buf, j.spec.Config, sh, plan.Degraded, len(plan.Shards), want)
+	return out
 }
 
 // backoff sleeps the supervisor's jittered exponential delay for the given

@@ -189,19 +189,19 @@ func FuzzSpeculativeEquivalence(f *testing.F) {
 			{Branches: core.BranchTwoBit, PredictorBits: 4, WindowSize: 128},
 		}
 		ctx := context.Background()
-		chained, crs, cerr := AnalyzeMulti(ctx, data, cfgs, n, Options{Degraded: degraded})
-		spec, srs, serr := AnalyzeMulti(ctx, data, cfgs, n, Options{Degraded: degraded, Speculate: true})
-		if (cerr == nil) != (serr == nil) {
-			t.Fatalf("drivers disagree on failure: chained err %v, speculative err %v", cerr, serr)
-		}
-		if cerr != nil {
-			return
-		}
-		if crs != srs {
-			t.Fatalf("ReadStats: chained %+v, speculative %+v", crs, srs)
-		}
-		for i := range cfgs {
-			if !reflect.DeepEqual(chained[i], spec[i]) {
+		for i, cfg := range cfgs {
+			chained, crs, cerr := Analyze(ctx, data, cfg, n, Options{Degraded: degraded})
+			spec, srs, serr := Analyze(ctx, data, cfg, n, Options{Degraded: degraded, Speculate: true})
+			if (cerr == nil) != (serr == nil) {
+				t.Fatalf("config %d: chained and speculative runs disagree on failure: chained err %v, speculative err %v", i, cerr, serr)
+			}
+			if cerr != nil {
+				continue
+			}
+			if crs != srs {
+				t.Fatalf("config %d: ReadStats: chained %+v, speculative %+v", i, crs, srs)
+			}
+			if !reflect.DeepEqual(chained, spec) {
 				t.Fatalf("config %d: speculative Result differs from chained (n=%d, degraded=%v)", i, n, degraded)
 			}
 		}

@@ -2,11 +2,8 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"paragraph/internal/core"
 	"paragraph/internal/trace"
@@ -66,11 +63,10 @@ func streamShard(ctx context.Context, data []byte, sh Shard, degraded bool, sink
 }
 
 // DecodeShard decodes one shard's byte range into an EventBuffer, carrying
-// the shard reader's ReadStats. The buffer can be replayed by any number of
-// analyzers (different configs fan out over one decode), which is what the
-// in-process driver needs; a single-config attempt streams instead (see
-// RunShardBytes and BuildDeltaBytes). Decode honors ctx with the usual
-// CtxCheckEvery granularity.
+// the shard reader's ReadStats. Only perfbench's ladder records shards, to
+// time decode apart from analysis; analysis attempts stream (RunShardBytes,
+// BuildDeltaBytes). Decode honors ctx with the usual CtxCheckEvery
+// granularity.
 func DecodeShard(ctx context.Context, data []byte, sh Shard, degraded bool) (*trace.EventBuffer, error) {
 	buf := &trace.EventBuffer{}
 	buf.Grow(int(sh.Events)) // the plan counted this shard's events at Split time
@@ -88,7 +84,7 @@ func DecodeShard(ctx context.Context, data []byte, sh Shard, degraded bool) (*tr
 // at entry and harvests them after the replay, finishing the analysis on
 // the last shard. When wantCheckpoint is set, the analyzer's outgoing state
 // is snapshotted (before any finish) for handoff to the next shard's
-// process.
+// process. Only perfbench's ladder replays DecodeShard buffers.
 func RunShard(ctx context.Context, a *core.Analyzer, buf *trace.EventBuffer, cfg core.Config, sh Shard, total int, wantCheckpoint bool) (*Result, *core.Checkpoint, error) {
 	res := &Result{
 		Index:      sh.Index,
@@ -158,116 +154,28 @@ func runShard(a *core.Analyzer, res *Result, wantCheckpoint bool, apply func() e
 // Analyze splits the trace into n shards and analyzes it under one config,
 // returning the merged Result and the summed ReadStats — deep-equal to
 // what a monolithic core.AnalyzeTraceOpts run over the same bytes returns.
+// It runs the attempts pgshard and pgserved run: chained, each shard
+// streams through RunShardBytes into one analyzer; with opts.Speculate,
+// see spliceShards. No shard is recorded, so beyond data itself memory
+// does not grow with the trace.
 func Analyze(ctx context.Context, data []byte, cfg core.Config, n int, opts Options) (*core.Result, trace.ReadStats, error) {
-	results, rs, err := AnalyzeMulti(ctx, data, []core.Config{cfg}, n, opts)
-	if err != nil {
-		return nil, trace.ReadStats{}, err
-	}
-	return results[0], rs, nil
-}
-
-// AnalyzeMulti is the pipelined in-process shard driver: the trace is split
-// once, each shard's byte range is decoded and validated by a bounded
-// worker pool, and one analysis chain per config walks the shards in order,
-// handing analyzer state from shard to shard. Decode of shard i+1 overlaps
-// analysis of shard i, and every config's chain replays the same decoded
-// buffers (single-decode fan-out). Errors are reported deterministically:
-// the failing config with the lowest index wins.
-func AnalyzeMulti(ctx context.Context, data []byte, cfgs []core.Config, n int, opts Options) ([]*core.Result, trace.ReadStats, error) {
-	if len(cfgs) == 0 {
-		return nil, trace.ReadStats{}, errors.New("shard: no configs to analyze")
-	}
 	plan, err := Split(data, n, opts)
 	if err != nil {
 		return nil, trace.ReadStats{}, err
 	}
-	return AnalyzePlan(ctx, data, cfgs, plan, opts)
-}
-
-// AnalyzePlan runs AnalyzeMulti's decode and analysis stages over an
-// existing plan (for callers that persist plans, like the pgshard CLI).
-func AnalyzePlan(ctx context.Context, data []byte, cfgs []core.Config, plan *Plan, opts Options) ([]*core.Result, trace.ReadStats, error) {
-	if plan.TraceBytes != int64(len(data)) {
-		return nil, trace.ReadStats{}, fmt.Errorf("shard: plan is for a %d-byte trace, have %d bytes", plan.TraceBytes, len(data))
-	}
-	workers := opts.Concurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	a := core.NewAnalyzer(cfg)
+	parts := make([]*Result, len(plan.Shards))
 	if opts.Speculate {
-		return analyzePlanSpeculative(ctx, data, cfgs, plan, workers)
-	}
-	ns := len(plan.Shards)
-
-	bufs, decErrs, ready := startDecode(ctx, data, plan, workers)
-
-	// Analysis stage: one serial checkpoint-handoff chain per config, the
-	// chains themselves running in parallel (bounded separately from the
-	// decode pool — sharing one semaphore could deadlock the pipeline).
-	results := make([]*core.Result, len(cfgs))
-	readStats := make([]trace.ReadStats, len(cfgs))
-	errs := make([]error, len(cfgs))
-	anSem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for ci := range cfgs {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			anSem <- struct{}{}
-			defer func() { <-anSem }()
-			a := core.NewAnalyzer(cfgs[ci])
-			parts := make([]*Result, ns)
-			for si := range plan.Shards {
-				<-ready[si]
-				if decErrs[si] != nil {
-					errs[ci] = fmt.Errorf("config %d: %w", ci, decErrs[si])
-					return
-				}
-				part, _, err := RunShard(ctx, a, bufs[si], cfgs[ci], plan.Shards[si], ns, false)
-				if err != nil {
-					errs[ci] = fmt.Errorf("config %d: %w", ci, err)
-					return
-				}
-				parts[si] = part
+		err = spliceShards(ctx, a, data, cfg, plan, opts.Concurrency, parts)
+	} else {
+		for i, sh := range plan.Shards {
+			if parts[i], _, err = RunShardBytes(ctx, a, data, cfg, sh, plan.Degraded, len(parts), false); err != nil {
+				break
 			}
-			res, rs, err := Merge(parts)
-			if err != nil {
-				errs[ci] = fmt.Errorf("config %d: %w", ci, err)
-				return
-			}
-			results[ci], readStats[ci] = res, rs
-		}(ci)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, trace.ReadStats{}, err
 		}
 	}
-	return results, readStats[0], nil
-}
-
-// startDecode launches the decode stage shared by the chained and
-// speculative drivers: a bounded pool fills shard buffers; each buffer's
-// ready channel closes when it is decoded, so downstream stages start on
-// shard i while shard i+1 is still decoding.
-func startDecode(ctx context.Context, data []byte, plan *Plan, workers int) (bufs []*trace.EventBuffer, decErrs []error, ready []chan struct{}) {
-	ns := len(plan.Shards)
-	bufs = make([]*trace.EventBuffer, ns)
-	decErrs = make([]error, ns)
-	ready = make([]chan struct{}, ns)
-	for i := range ready {
-		ready[i] = make(chan struct{})
+	if err != nil {
+		return nil, trace.ReadStats{}, err
 	}
-	decSem := make(chan struct{}, workers)
-	go func() {
-		for i := range plan.Shards {
-			decSem <- struct{}{}
-			go func(i int) {
-				defer func() { <-decSem; close(ready[i]) }()
-				bufs[i], decErrs[i] = DecodeShard(ctx, data, plan.Shards[i], plan.Degraded)
-			}(i)
-		}
-	}()
-	return bufs, decErrs, ready
+	return Merge(parts)
 }

@@ -9,11 +9,12 @@
 // shard reader behaves exactly like one reader that had consumed the
 // preceding shards). The analysis itself is stateful — placement depends on
 // the live well, window and predictor — so shard i's analyzer is seeded
-// from shard i-1's state via checkpoint handoff, while decode/validation of
-// later shards proceeds in parallel with analysis of earlier ones. The
-// write-only statistics (parallelism/storage profiles, lifetime/sharing
-// distributions, governor accounting) are harvested per shard and merged
-// exactly; see core.ShardStats and Merge.
+// from shard i-1's state via checkpoint handoff (speculatively, shard i's
+// relocatable delta is spliced onto it; see speculate.go), and each shard
+// streams into its analyzer as it decodes. The write-only statistics
+// (parallelism/storage profiles, lifetime/sharing distributions, governor
+// accounting) are harvested per shard and merged exactly; see
+// core.ShardStats and Merge.
 //
 // The differential battery in internal/harness proves the invariant this
 // package is built around: for any shard count N >= 1, over clean or
@@ -33,8 +34,8 @@ type Options struct {
 	// Degraded reads the trace in degraded mode: damaged chunks are
 	// skipped and accounted instead of failing the analysis.
 	Degraded bool
-	// Concurrency bounds the worker pools (decode and per-config
-	// analysis); <= 0 selects GOMAXPROCS.
+	// Concurrency bounds Analyze's speculative shard builds; <= 0 selects
+	// GOMAXPROCS. A chained run analyzes one shard at a time.
 	Concurrency int
 	// Speculate analyzes all shards concurrently: each shard is compiled
 	// against an unknown entry live-well into a relocatable

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -420,27 +421,13 @@ func TestRenderMergeSmoke(t *testing.T) {
 	}
 }
 
-func TestAnalyzeMultiSharesDecode(t *testing.T) {
-	data := synthTrace(t, 10000, 8, 1024)
-	cfgs := []core.Config{fullConfig(), core.Dataflow(core.SyscallConservative)}
-	cfgs[1].WindowSize = 128
-	results, _, err := AnalyzeMulti(context.Background(), data, cfgs, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		want, _ := monolithic(t, data, cfg, false)
-		if !reflect.DeepEqual(results[i], want) {
-			t.Errorf("config %d: multi-config sharded Result differs from monolithic", i)
-		}
-	}
-}
-
 func TestAnalyzeCancellation(t *testing.T) {
 	data := synthTrace(t, 30000, 9, 1024)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := Analyze(ctx, data, fullConfig(), 4, Options{}); err == nil {
-		t.Error("canceled context did not abort sharded analysis")
+	for _, spec := range []bool{false, true} {
+		if _, _, err := Analyze(ctx, data, fullConfig(), 4, Options{Speculate: spec}); !errors.Is(err, context.Canceled) {
+			t.Errorf("speculate=%v: canceled analysis returned %v, want context.Canceled", spec, err)
+		}
 	}
 }

@@ -5,35 +5,32 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"paragraph/internal/core"
 	"paragraph/internal/trace"
 )
 
-// Speculative sharding: the chained driver (AnalyzePlan) overlaps decode
-// with analysis, but analysis of shard i+1 still waits on shard i's exit
-// live-well, so the analyzer remains the wall. The speculative driver
-// breaks the chain: every shard is compiled concurrently — with no entry
-// state at all — into a relocatable core.ShardDelta by a shard resolution
-// (core.NewDeltaResolver: validation, location-to-slot resolution, record
-// encoding), and a cheap sequential fix-up pass splices the deltas in
-// shard order onto one analyzer per config (core.Analyzer.ApplyDelta). The
-// records are policy-free, so one delta per shard serves every config. The
-// splice is exact, so results are deep-equal to the chained and monolithic
-// runs — the differential battery in speculate_test.go and
+// Speculative sharding: a chained run cannot start shard i+1 before shard
+// i's exit live-well exists, so the analyzer is the wall. A speculative
+// run breaks the chain: every shard is compiled concurrently — with no
+// entry state at all — into a relocatable core.ShardDelta by a shard
+// resolution (core.NewDeltaResolver: validation, location-to-slot
+// resolution, record encoding), and a cheap sequential fix-up pass splices
+// the deltas in shard order onto one analyzer (core.Analyzer.ApplyDelta).
+// The records are policy-free, so one delta per shard serves every config.
+// The splice is exact, so results are deep-equal to the chained and
+// monolithic runs — the differential battery in speculate_test.go and
 // internal/harness enforces it on clean, damaged and budget-governed
 // traces.
 
 // BuildShardDelta runs the speculative pass over one decoded shard. The
 // records are policy-free, so cfg is unused: any config splices the
 // result. On a validation failure the returned delta is non-nil and covers
-// the events before the bad one; callers splice that prefix before
-// reporting the error so failures surface in chained order (an earlier
-// shard's budget error must win over a later shard's bad event, and within
-// one shard a governor trip before the bad event must win too).
+// the events before the bad one. Only perfbench's ladder builds from
+// DecodeShard buffers; analysis attempts use BuildDeltaBytes.
 func BuildShardDelta(ctx context.Context, buf *trace.EventBuffer, cfg core.Config, sh Shard) (*core.ShardDelta, error) {
 	r := core.NewDeltaResolver(sh.StartEvent, buf.Len())
 	if err := buf.ReplayBatches(ctx, r); err != nil {
@@ -46,8 +43,7 @@ func BuildShardDelta(ctx context.Context, buf *trace.EventBuffer, cfg core.Confi
 // trace bytes: the shard's events stream into a shard resolution as they
 // decode, with no EventBuffer in between, and come back as the portable
 // Delta that pgshard and pgserved persist. On any failure it returns no
-// Delta: unlike BuildShardDelta's callers, no caller of a single attempt
-// splices a prefix.
+// Delta.
 func BuildDeltaBytes(ctx context.Context, data []byte, cfg core.Config, sh Shard, degraded bool, total int) (*Delta, error) {
 	r := core.NewDeltaResolver(sh.StartEvent, int(sh.Events))
 	rs, err := streamShard(ctx, data, sh, degraded, r)
@@ -78,115 +74,57 @@ func RunShardDelta(a *core.Analyzer, d *core.ShardDelta, cfg core.Config, rs tra
 	})
 }
 
-// analyzePlanSpeculative is the parallel in-process driver behind
-// Options.Speculate: shard byte ranges decode in one bounded pool, each
-// shard's speculative build runs in a second bounded pool as soon as the
-// shard is decoded, and one sequential splice chain per config consumes
-// the deltas in shard order. Every chain splices the same delta, which is
-// freed once the last chain has spliced it. The only serial work left per
-// config is the fix-up pass, so shards genuinely analyze concurrently.
-func analyzePlanSpeculative(ctx context.Context, data []byte, cfgs []core.Config, plan *Plan, workers int) ([]*core.Result, trace.ReadStats, error) {
-	ns := len(plan.Shards)
-	bufs, decErrs, ready := startDecode(ctx, data, plan, workers)
-
-	// Build stage, in shard order so every chain can start splicing
-	// shard 0 while later shards still build.
-	deltas := make([]*core.ShardDelta, ns)
-	buildErrs := make([]error, ns)
-	built := make([]chan struct{}, ns)
-	// pending[si] counts the chains still to splice shard si.
-	pending := make([]atomic.Int32, ns)
-	for si := range built {
-		built[si] = make(chan struct{})
-		pending[si].Store(int32(len(cfgs)))
+// spliceShards runs Analyze's speculative mode. Every shard builds through
+// BuildDeltaBytes, and each delta is spliced onto a with RunShardDelta as
+// soon as it is built, in shard order. A build slot frees only when its
+// delta is taken, so at most workers (<= 0: GOMAXPROCS) deltas are being
+// built or waiting. A shard whose build failed runs again as a chained
+// RunShardBytes attempt from the spliced state, so the failure reported is
+// the first in trace order (a governor trip before a bad event wins, as in
+// a monolithic run). Builds still running at return are canceled and
+// waited for.
+func spliceShards(ctx context.Context, a *core.Analyzer, data []byte, cfg core.Config, plan *Plan, workers int, parts []*Result) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	buildSem := make(chan struct{}, workers)
-	go func() {
-		for si := range plan.Shards {
-			<-ready[si]
-			if decErrs[si] != nil {
-				close(built[si])
-				continue
-			}
-			buildSem <- struct{}{}
-			go func(si int) {
-				defer func() { <-buildSem; close(built[si]) }()
-				deltas[si], buildErrs[si] = BuildShardDelta(ctx, bufs[si], cfgs[0], plan.Shards[si])
-			}(si)
-		}
-	}()
-
-	// Splice stage: one sequential fix-up chain per config (the chains
-	// themselves run in parallel, bounded separately from the pools above —
-	// sharing one semaphore could deadlock the pipeline).
-	results := make([]*core.Result, len(cfgs))
-	readStats := make([]trace.ReadStats, len(cfgs))
-	errs := make([]error, len(cfgs))
-	anSem := make(chan struct{}, workers)
+	ctx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
-	for ci := range cfgs {
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	ns := len(plan.Shards)
+	builds := make([]chan *Delta, ns)
+	start := func(i int) {
+		ch := make(chan *Delta, 1)
+		builds[i] = ch
 		wg.Add(1)
-		go func(ci int) {
+		go func() {
 			defer wg.Done()
-			anSem <- struct{}{}
-			defer func() { <-anSem }()
-			a := core.NewAnalyzer(cfgs[ci])
-			parts := make([]*Result, ns)
-			for si := range plan.Shards {
-				<-built[si]
-				if decErrs[si] != nil {
-					errs[ci] = fmt.Errorf("config %d: %w", ci, decErrs[si])
-					return
-				}
-				d, berr := deltas[si], buildErrs[si]
-				if berr != nil {
-					// Splice the prefix before reporting: if the chained
-					// run would have tripped the governor before reaching
-					// the bad event, that error must win here too.
-					if d != nil && d.Events > 0 {
-						if aerr := spliceOnly(a, d, si); aerr != nil {
-							errs[ci] = fmt.Errorf("config %d: %w", ci, aerr)
-							return
-						}
-					}
-					errs[ci] = fmt.Errorf("config %d: %w", ci, berr)
-					return
-				}
-				part, _, err := RunShardDelta(a, d, cfgs[ci], bufs[si].Stats(), si, ns, false)
-				if pending[si].Add(-1) == 0 {
-					deltas[si] = nil // every chain has spliced it
-				}
-				if err != nil {
-					errs[ci] = fmt.Errorf("config %d: %w", ci, err)
-					return
-				}
-				parts[si] = part
-			}
-			res, rs, err := Merge(parts)
-			if err != nil {
-				errs[ci] = fmt.Errorf("config %d: %w", ci, err)
-				return
-			}
-			results[ci], readStats[ci] = res, rs
-		}(ci)
+			// A failed build sends nil; the chained rerun reports why.
+			d, _ := BuildDeltaBytes(ctx, data, cfg, plan.Shards[i], plan.Degraded, ns)
+			ch <- d
+		}()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, trace.ReadStats{}, err
+	next := min(workers, ns)
+	for i := 0; i < next; i++ {
+		start(i)
+	}
+	for i, sh := range plan.Shards {
+		d := <-builds[i]
+		if next < ns {
+			start(next)
+			next++
 		}
-	}
-	return results, readStats[0], nil
-}
-
-// spliceOnly applies a prefix delta (from a failed build) without
-// harvesting a Result.
-func spliceOnly(a *core.Analyzer, d *core.ShardDelta, index int) error {
-	if err := a.BeginShard(); err != nil {
-		return fmt.Errorf("shard %d: %w", index, err)
-	}
-	if err := a.ApplyDelta(d); err != nil {
-		return fmt.Errorf("shard %d: %w", index, err)
+		var err error
+		if d == nil {
+			parts[i], _, err = RunShardBytes(ctx, a, data, cfg, sh, plan.Degraded, ns, false)
+		} else {
+			parts[i], _, err = RunShardDelta(a, d.D, cfg, d.ReadStats, i, ns, false)
+		}
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -76,24 +77,23 @@ func TestSpeculativeEqualsMonolithicDegraded(t *testing.T) {
 }
 
 // TestSpeculativeEqualsChained: the speculative and chained drivers agree
-// on a multi-config fan-out — same Results, same ReadStats — so Speculate
-// is a pure engine switch.
+// on every config of the matrix — same Results, same ReadStats — so
+// Speculate is a pure engine switch.
 func TestSpeculativeEqualsChained(t *testing.T) {
 	data := synthTrace(t, 25000, 13, 1024)
-	cfgs := speculativeConfigs()
-	chained, crs, err := AnalyzeMulti(context.Background(), data, cfgs, 6, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, srs, err := AnalyzeMulti(context.Background(), data, cfgs, 6, Options{Speculate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crs != srs {
-		t.Errorf("ReadStats: chained %+v, speculative %+v", crs, srs)
-	}
-	for i := range cfgs {
-		if !reflect.DeepEqual(chained[i], spec[i]) {
+	for i, cfg := range speculativeConfigs() {
+		chained, crs, err := Analyze(context.Background(), data, cfg, 6, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, srs, err := Analyze(context.Background(), data, cfg, 6, Options{Speculate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if crs != srs {
+			t.Errorf("config %d: ReadStats: chained %+v, speculative %+v", i, crs, srs)
+		}
+		if !reflect.DeepEqual(chained, spec) {
 			t.Errorf("config %d: speculative Result differs from chained", i)
 		}
 	}
@@ -101,11 +101,11 @@ func TestSpeculativeEqualsChained(t *testing.T) {
 
 // TestSpeculativeBudgetErrorParity: when a fail-fast budget trips, the
 // speculative driver reports the same failure the chained driver reports —
-// same config index, same shard, same analyzer error (event and cause).
-// Only the delivery wrapper differs: the chained engine surfaces errors
-// through batch replay ("trace: replay batch at event N"), the splice
-// applies records directly, so parity is pinned on the prefix and the
-// "core: ..." suffix rather than the full string.
+// same shard, same analyzer error (event and cause). Only the delivery
+// wrapper differs: the chained attempt surfaces errors through its event
+// batches ("event batch at N"), the splice applies records directly, so
+// parity is pinned on the prefix and the "core: ..." suffix rather than
+// the full string.
 func TestSpeculativeBudgetErrorParity(t *testing.T) {
 	data := synthTrace(t, 30000, 14, 1024)
 	cfg := core.Config{MemBudget: 16 << 10, BudgetPolicy: budget.FailFast}
@@ -128,13 +128,67 @@ func TestSpeculativeBudgetErrorParity(t *testing.T) {
 	if coreOf(serr) != coreOf(cerr) {
 		t.Errorf("speculative analyzer error %q, want chained's %q", coreOf(serr), coreOf(cerr))
 	}
-	const at = "config 0: shard 0:"
+	const at = "shard 0:"
 	if !strings.HasPrefix(serr.Error(), at) || !strings.HasPrefix(cerr.Error(), at) {
-		t.Errorf("errors disagree on the failing config/shard:\n  chained:     %v\n  speculative: %v", cerr, serr)
+		t.Errorf("errors disagree on the failing shard:\n  chained:     %v\n  speculative: %v", cerr, serr)
 	}
 	if !strings.Contains(serr.Error(), "budget") {
 		t.Errorf("error %q does not mention the budget", serr)
 	}
+}
+
+// TestSpeculativeFailedBuildRerunsChained: a shard whose speculative build
+// fails is run again chained from the spliced state, so a speculative
+// Analyze reports exactly the chained run's error: the bad event when
+// nothing trips before it, and a fail-fast budget that trips earlier in the
+// same shard when one does.
+func TestSpeculativeFailedBuildRerunsChained(t *testing.T) {
+	events := synthEvents(6000, 25)
+	bad := 5000 // in the last of three shards
+	for events[bad].MemSize > 0 {
+		bad++
+	}
+	// An ALU op with a memory access fails validation, so the build fails.
+	events[bad].MemAddr, events[bad].MemSize, events[bad].Seg = 0x10000000, 4, trace.SegData
+	data := encodeEvents(t, events, 512)
+	plan, err := Split(data, 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := plan.Shards[len(plan.Shards)-1]
+	if last.StartEvent > uint64(bad) {
+		t.Fatalf("bad event %d precedes the last shard (starts at %d)", bad, last.StartEvent)
+	}
+	ctx := context.Background()
+	same := func(cfg core.Config) error {
+		t.Helper()
+		_, _, cerr := Analyze(ctx, data, cfg, 3, Options{})
+		_, _, serr := Analyze(ctx, data, cfg, 3, Options{Speculate: true})
+		if cerr == nil || serr == nil || cerr.Error() != serr.Error() {
+			t.Errorf("chained error %v, speculative %v; want the same error", cerr, serr)
+		}
+		return cerr
+	}
+	var bee *core.BadEventError
+	if err := same(fullConfig()); !errors.As(err, &bee) || bee.Index != uint64(bad) {
+		t.Errorf("error %v, want the bad event at %d", err, bad)
+	}
+
+	// Grow a fail-fast budget until it first trips inside the last shard,
+	// which is then before the bad event.
+	var be *budget.Error
+	for limit := int64(4 << 10); limit < 16<<20; limit += limit / 8 {
+		cfg := fullConfig()
+		cfg.MemBudget, cfg.BudgetPolicy = limit, budget.FailFast
+		_, _, err := Analyze(ctx, data, cfg, 3, Options{})
+		if errors.As(err, &be) && strings.HasPrefix(err.Error(), fmt.Sprintf("shard %d:", last.Index)) {
+			if err := same(cfg); !errors.As(err, &be) {
+				t.Errorf("error %v, want the budget trip", err)
+			}
+			return
+		}
+	}
+	t.Fatal("no budget trips first inside the last shard")
 }
 
 // TestSpliceThroughFiles simulates the distributed speculative workflow:

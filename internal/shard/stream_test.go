@@ -5,8 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"paragraph/internal/core"
 	"paragraph/internal/trace"
@@ -198,4 +201,53 @@ func TestStreamingAttemptFirstFailureInTraceOrder(t *testing.T) {
 	if _, err := BuildDeltaBytes(ctx, data, cfg, sh, false, 3); !errors.As(err, &bee) || errors.As(err, &cce) {
 		t.Errorf("BuildDeltaBytes: got %v, want the bad event", err)
 	}
+}
+
+// TestAnalyzeMemoryFlat: Analyze streams every shard into its analyzer, so
+// what a chained run allocates does not grow with the trace. Recording the
+// shards first would cost 28 bytes per event, megabytes more for the
+// longer trace; the bound is one batch of recorded events. Each size keeps
+// its least-allocating run, so a stray allocation elsewhere in the test
+// binary cannot fail the test.
+func TestAnalyzeMemoryFlat(t *testing.T) {
+	cfg := core.Dataflow(core.SyscallConservative)
+	cfg.ProfileBuckets = 64 // both trace lengths fill every profile bucket
+	var alloc [2]uint64
+	sizes := []int{20_000, 200_000}
+	for k, n := range sizes {
+		// Fold the data segment onto 256 words, so both lengths touch
+		// every location and the analyzer's own state is the same size at
+		// both. 8 KB chunks give both lengths four shards and keep the
+		// plan's chunk list small next to the bound.
+		events := synthEvents(n, 24)
+		for i := range events {
+			if events[i].Seg == trace.SegData {
+				events[i].MemAddr = 0x10000000 + events[i].MemAddr%1024
+			}
+		}
+		data := encodeEvents(t, events, 8<<10)
+		if plan, err := Split(data, 4, Options{}); err != nil || len(plan.Shards) != 4 {
+			t.Fatalf("%d events: plan %v, err %v; want 4 shards", n, plan, err)
+		}
+		alloc[k] = math.MaxUint64
+		for try := 0; try < 3; try++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			res, _, err := Analyze(context.Background(), data, cfg, 4, Options{})
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Instructions != uint64(n) {
+				t.Fatalf("analyzed %d events, want %d", res.Instructions, n)
+			}
+			alloc[k] = min(alloc[k], m1.TotalAlloc-m0.TotalAlloc)
+		}
+	}
+	batch := uint64(trace.DefaultBatchEvents) * uint64(unsafe.Sizeof(trace.Event{}))
+	if alloc[1] > alloc[0]+batch {
+		t.Errorf("Analyze allocated %d bytes at %d events and %d at %d; want them within one batch (%d bytes)",
+			alloc[0], sizes[0], alloc[1], sizes[1], batch)
+	}
+	t.Logf("Analyze allocated %d bytes at %d events, %d at %d", alloc[0], sizes[0], alloc[1], sizes[1])
 }

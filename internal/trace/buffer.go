@@ -21,6 +21,8 @@ import (
 // the event, so concurrent replays never share mutable state; that copy is
 // reused for the next event, so sinks must not retain the pointer across
 // calls (the Sink contract the CPU tracer and trace.Reader share).
+// Outside tests only perfbench's ladder still records into one; every
+// analysis path streams.
 type EventBuffer struct {
 	events []Event
 	stats  ReadStats

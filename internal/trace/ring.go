@@ -26,6 +26,8 @@ import (
 // A Ring is bound to a context at construction: a cancellation unblocks
 // both a producer waiting for ring space and consumers waiting for data,
 // each returning an error wrapping ctx.Err().
+// Outside tests only perfbench's ladder (its trace.ring stage) still uses
+// a Ring; the multi-config engine broadcasts record segments over SegRing.
 type Ring struct {
 	seg         *SegRing[[]Event]
 	batchEvents int

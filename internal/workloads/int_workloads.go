@@ -7,14 +7,17 @@ import "fmt"
 // walking tree structures. Those activities produce irregular control flow
 // and pointer-chasing-style serial chains broken up by independent
 // per-token work — the paper measured cc1 at a modest 36x parallelism with
-// a long critical path.
+// a long critical path. The symbol table has 1024 slots per unit of scale:
+// each scale unit adds two passes of fresh identifiers (872 distinct at
+// scale 1, 1,502 at scale 2), and the linear probe ends only while a slot
+// is free.
 func cc1xSource(scale int) string {
 	return fmt.Sprintf(`
 // cc1x: scanner + symbol table + tree walk (models cc1)
 int text[4096];
 int textLen = 0;
-int htabKey[1024];
-int htabCount[1024];
+int htabKey[%[1]d];
+int htabCount[%[1]d];
 int treeVal[2048];
 int treeLeft[2048];
 int treeRight[2048];
@@ -47,10 +50,10 @@ void gentext(int seed) {
 }
 
 int hashInsert(int key) {
-    int h = key %% 1024;
-    if (h < 0) { h = h + 1024; }
+    int h = key %% %[1]d;
+    if (h < 0) { h = h + %[1]d; }
     while (htabKey[h] != 0 && htabKey[h] != key) {
-        h = (h + 1) %% 1024;
+        h = (h + 1) %% %[1]d;
     }
     htabKey[h] = key;
     htabCount[h] = htabCount[h] + 1;
@@ -79,7 +82,7 @@ int main() {
     int numbers = 0;
     int ops = 0;
     int checksum = 0;
-    for (pass = 0; pass < %d; pass = pass + 1) {
+    for (pass = 0; pass < %[2]d; pass = pass + 1) {
         gentext(pass * 7919 + 13);
         int i = 0;
         while (i < textLen) {
@@ -119,7 +122,7 @@ int main() {
     print_char(10);
     return 0;
 }
-`, 2*scale)
+`, 1024*scale, 2*scale)
 }
 
 // eqntottx models eqntott (boolean equation to truth table conversion):

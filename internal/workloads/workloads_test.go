@@ -1,9 +1,11 @@
 package workloads
 
 import (
+	"io"
 	"strings"
 	"testing"
 
+	"paragraph/internal/cpu"
 	"paragraph/internal/minic"
 	"paragraph/internal/trace"
 )
@@ -94,21 +96,41 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestScaleGrowsTrace: scale 2 must execute roughly twice the instructions
-// of scale 1.
+// TestScaleGrowsTrace: every analogue terminates at scales 2 and 4 and
+// executes about scale times its scale-1 instruction count (within 25%).
+// Each run is capped at twice that, so an analogue that stops terminating
+// (cc1x's symbol table once filled up at scale 2) fails fast with
+// cpu.ErrLimit instead of hanging.
 func TestScaleGrowsTrace(t *testing.T) {
-	w, _ := ByName("naskerx")
-	r1, err := w.Run(1, minic.Options{}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
+	run := func(w *Workload, scale int, limit uint64) (uint64, error) {
+		prog, err := w.Build(scale, minic.Options{})
+		if err != nil {
+			return 0, err
+		}
+		m, err := cpu.New(prog, cpu.WithStdout(io.Discard))
+		if err != nil {
+			return 0, err
+		}
+		return m.Run(limit)
 	}
-	r2, err := w.Run(2, minic.Options{}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := float64(r2.Instructions) / float64(r1.Instructions)
-	if ratio < 1.5 || ratio > 2.5 {
-		t.Errorf("scale-2/scale-1 instruction ratio = %.2f, want ~2", ratio)
+	for _, w := range All() {
+		t.Run(w.Name, func(t *testing.T) {
+			t.Parallel()
+			base, err := run(w, 1, 0)
+			if err != nil {
+				t.Fatalf("scale 1: %v", err)
+			}
+			for _, scale := range []int{2, 4} {
+				n, err := run(w, scale, 2*uint64(scale)*base)
+				if err != nil {
+					t.Fatalf("scale %d: %v", scale, err)
+				}
+				ratio := float64(n) / float64(base)
+				if ratio < 0.75*float64(scale) || ratio > 1.25*float64(scale) {
+					t.Errorf("scale-%d/scale-1 instruction ratio = %.2f, want ~%d", scale, ratio, scale)
+				}
+			}
+		})
 	}
 }
 
