@@ -152,24 +152,11 @@ func main() {
 		Sharing:         *sharing,
 		StorageProfile:  *storageOut != "",
 	}
-	switch *branches {
-	case "perfect":
-		cfg.Branches = core.BranchPerfect
-	case "stall":
-		cfg.Branches = core.BranchStall
-	case "static", "btfn":
-		cfg.Branches = core.BranchStatic
-	case "twobit", "2bit":
-		cfg.Branches = core.BranchTwoBit
-	default:
+	var ok bool
+	if cfg.Branches, ok = core.ParseBranchPolicy(*branches); !ok {
 		fatal(fmt.Errorf("bad -branches value %q", *branches))
 	}
-	switch *syscalls {
-	case "conservative", "cons":
-		cfg.Syscalls = core.SyscallConservative
-	case "optimistic", "opt":
-		cfg.Syscalls = core.SyscallOptimistic
-	default:
+	if cfg.Syscalls, ok = core.ParseSyscallPolicy(*syscalls); !ok {
 		fatal(fmt.Errorf("bad -syscalls value %q", *syscalls))
 	}
 	if *renameAll || (!*renameRegs && !*renameStack && !*renameData) {

@@ -151,24 +151,11 @@ func runAnalyze(ctx context.Context, args []string) {
 		Sharing:         *sharing,
 		StorageProfile:  *storage,
 	}
-	switch *branches {
-	case "perfect":
-		cfg.Branches = core.BranchPerfect
-	case "stall":
-		cfg.Branches = core.BranchStall
-	case "static", "btfn":
-		cfg.Branches = core.BranchStatic
-	case "twobit", "2bit":
-		cfg.Branches = core.BranchTwoBit
-	default:
+	var ok bool
+	if cfg.Branches, ok = core.ParseBranchPolicy(*branches); !ok {
 		fatal(fmt.Errorf("bad -branches value %q", *branches))
 	}
-	switch *syscalls {
-	case "conservative", "cons":
-		cfg.Syscalls = core.SyscallConservative
-	case "optimistic", "opt":
-		cfg.Syscalls = core.SyscallOptimistic
-	default:
+	if cfg.Syscalls, ok = core.ParseSyscallPolicy(*syscalls); !ok {
 		fatal(fmt.Errorf("bad -syscalls value %q", *syscalls))
 	}
 	if *renameAll || (!*renameRegs && !*renameStack && !*renameData) {

@@ -1,7 +1,7 @@
 // Package budget implements the resource governor of the analysis stack:
 // always-on, amortized metering of the analyzer's dominant working sets —
-// the live well, the sliding-window state, and recorded trace.EventBuffer
-// bytes — against a configurable memory budget.
+// the live well and the sliding-window state — against a configurable
+// memory budget, which the resolved engine's segment ring also fits into.
 //
 // The paper's live well was the reproduction target's dominant memory
 // consumer (~32 MB for 100M-instruction SPEC'89 traces); at larger scales an
@@ -106,11 +106,9 @@ const (
 	// Window is the sliding-instruction-window state (plus the
 	// functional-unit schedule, which scales the same way).
 	Window Resource = "window"
-	// EventBuffer is a recorded trace buffer feeding the fan-out engine.
-	EventBuffer Resource = "event-buffer"
-	// Total is the sum of every metered resource; reported when the
-	// overage has no single dominant resource.
-	Total Resource = "total"
+	// SegmentRing is the resolved engine's ring of dependence-record
+	// segments, sized before the run starts.
+	SegmentRing Resource = "segment-ring"
 )
 
 // Error is a structured budget failure: which resource dominated the
@@ -135,26 +133,18 @@ func (e *Error) Unwrap() error { return ErrBudgetExceeded }
 type Usage struct {
 	LiveWellBytes int64
 	WindowBytes   int64
-	BufferBytes   int64
 }
 
 // Total sums the metered resources.
-func (u Usage) Total() int64 { return u.LiveWellBytes + u.WindowBytes + u.BufferBytes }
+func (u Usage) Total() int64 { return u.LiveWellBytes + u.WindowBytes }
 
-// dominant names the largest component of the observation, or Total when no
-// single component accounts for the majority of usage.
+// dominant names the larger component of the observation; a tie goes to
+// the live well.
 func (u Usage) dominant() Resource {
-	max, res := u.LiveWellBytes, LiveWell
-	if u.WindowBytes > max {
-		max, res = u.WindowBytes, Window
+	if u.WindowBytes > u.LiveWellBytes {
+		return Window
 	}
-	if u.BufferBytes > max {
-		max, res = u.BufferBytes, EventBuffer
-	}
-	if max*2 < u.Total() {
-		return Total
-	}
-	return res
+	return LiveWell
 }
 
 // GovernorStats is the governor's ReadStats-style accounting: what was
@@ -176,8 +166,8 @@ type GovernorStats struct {
 	// EffectiveWindow is the instruction window after the last
 	// degradation; 0 while the window has never been tightened.
 	EffectiveWindow int
-	// EngineDowngraded records that a buffered (fan-out) engine fell back
-	// to the streaming engine because recording the trace would have
+	// EngineDowngraded records that the resolved engine fell back to the
+	// streaming engine because its minimum segment ring would have
 	// exceeded the budget.
 	EngineDowngraded bool
 }
@@ -247,9 +237,6 @@ func (g *Governor) Policy() Policy { return g.policy }
 
 // Stats returns the accounting so far.
 func (g *Governor) Stats() GovernorStats { return g.stats }
-
-// NoteEngineDowngrade records a buffered→streaming engine fallback.
-func (g *Governor) NoteEngineDowngrade() { g.stats.EngineDowngraded = true }
 
 // Govern meters one observation. window is the caller's current effective
 // instruction window (0 = unlimited); the returned window is what the caller

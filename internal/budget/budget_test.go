@@ -47,11 +47,10 @@ func TestDominantResource(t *testing.T) {
 		u    Usage
 		want Resource
 	}{
-		{Usage{LiveWellBytes: 100, WindowBytes: 1, BufferBytes: 1}, LiveWell},
-		{Usage{LiveWellBytes: 1, WindowBytes: 100, BufferBytes: 1}, Window},
-		{Usage{LiveWellBytes: 1, WindowBytes: 1, BufferBytes: 100}, EventBuffer},
-		// No majority component: reported as total.
-		{Usage{LiveWellBytes: 40, WindowBytes: 35, BufferBytes: 30}, Total},
+		{Usage{LiveWellBytes: 100, WindowBytes: 1}, LiveWell},
+		{Usage{LiveWellBytes: 1, WindowBytes: 100}, Window},
+		// A tie goes to the live well.
+		{Usage{LiveWellBytes: 40, WindowBytes: 40}, LiveWell},
 	}
 	for _, c := range cases {
 		if got := c.u.dominant(); got != c.want {
@@ -114,7 +113,7 @@ func TestDegradeUnderBudgetLeavesWindowAlone(t *testing.T) {
 func TestWarnOnlyCountsButNeverChanges(t *testing.T) {
 	g := New(10, WarnOnly)
 	for i := 0; i < 3; i++ {
-		w, err := g.Govern(Usage{BufferBytes: 100}, 77)
+		w, err := g.Govern(Usage{WindowBytes: 100}, 77)
 		if err != nil || w != 77 {
 			t.Fatalf("warn-only intervened: w=%d err=%v", w, err)
 		}
@@ -159,9 +158,11 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
+// TestEngineDowngradeNote: an engine downgrade alone, which the harness
+// records on a Result's stats, makes the run count as governed.
 func TestEngineDowngradeNote(t *testing.T) {
 	g := New(10, Degrade)
-	g.NoteEngineDowngrade()
+	g.RestoreStats(GovernorStats{EngineDowngraded: true})
 	if st := g.Stats(); !st.EngineDowngraded || !st.Governed() {
 		t.Fatalf("downgrade note lost: %+v", st)
 	}

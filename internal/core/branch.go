@@ -46,6 +46,21 @@ func (p BranchPolicy) String() string {
 	return "branch-policy?"
 }
 
+// ParseBranchPolicy maps the CLI spellings, and String's, to a policy.
+func ParseBranchPolicy(s string) (BranchPolicy, bool) {
+	switch s {
+	case "perfect":
+		return BranchPerfect, true
+	case "stall":
+		return BranchStall, true
+	case "static", "btfn", "static-btfn":
+		return BranchStatic, true
+	case "twobit", "2bit", "two-bit":
+		return BranchTwoBit, true
+	}
+	return BranchPerfect, false
+}
+
 // defaultPredictorBits sizes the two-bit counter table (2^bits entries).
 const defaultPredictorBits = 12
 

@@ -58,6 +58,17 @@ func (p SyscallPolicy) String() string {
 	return "optimistic"
 }
 
+// ParseSyscallPolicy maps the CLI spellings to a policy.
+func ParseSyscallPolicy(s string) (SyscallPolicy, bool) {
+	switch s {
+	case "conservative", "cons":
+		return SyscallConservative, true
+	case "optimistic", "opt":
+		return SyscallOptimistic, true
+	}
+	return SyscallConservative, false
+}
+
 // Config carries the analysis switches of Section 3.2 of the paper. The
 // zero value is the most constrained sensible configuration: conservative
 // system calls, no renaming anywhere, unlimited window and functional

@@ -115,3 +115,44 @@ func TestConcurrentAnalyzersIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestParsePolicies covers every CLI spelling of the branch and syscall
+// policies, and the round trip through each policy's String.
+func TestParsePolicies(t *testing.T) {
+	for s, want := range map[string]BranchPolicy{
+		"perfect": BranchPerfect,
+		"stall":   BranchStall,
+		"static":  BranchStatic, "btfn": BranchStatic,
+		"twobit": BranchTwoBit, "2bit": BranchTwoBit,
+	} {
+		if got, ok := ParseBranchPolicy(s); !ok || got != want {
+			t.Errorf("ParseBranchPolicy(%q) = %v, %v; want %v", s, got, ok, want)
+		}
+	}
+	for s, want := range map[string]SyscallPolicy{
+		"conservative": SyscallConservative, "cons": SyscallConservative,
+		"optimistic": SyscallOptimistic, "opt": SyscallOptimistic,
+	} {
+		if got, ok := ParseSyscallPolicy(s); !ok || got != want {
+			t.Errorf("ParseSyscallPolicy(%q) = %v, %v; want %v", s, got, ok, want)
+		}
+	}
+	for _, p := range []BranchPolicy{BranchPerfect, BranchStall, BranchStatic, BranchTwoBit} {
+		if back, ok := ParseBranchPolicy(p.String()); !ok || back != p {
+			t.Errorf("branch policy %v does not round-trip: %v, %v", p, back, ok)
+		}
+	}
+	for _, p := range []SyscallPolicy{SyscallConservative, SyscallOptimistic} {
+		if back, ok := ParseSyscallPolicy(p.String()); !ok || back != p {
+			t.Errorf("syscall policy %v does not round-trip: %v, %v", p, back, ok)
+		}
+	}
+	for _, bad := range []string{"", "Perfect", "oracle", "two bit"} {
+		if _, ok := ParseBranchPolicy(bad); ok {
+			t.Errorf("ParseBranchPolicy accepted %q", bad)
+		}
+		if _, ok := ParseSyscallPolicy(bad); ok {
+			t.Errorf("ParseSyscallPolicy accepted %q", bad)
+		}
+	}
+}

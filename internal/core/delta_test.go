@@ -339,7 +339,8 @@ func TestDeltaValidationParity(t *testing.T) {
 }
 
 // TestDeltaGuards: the splice refuses deltas that cannot line up — wrong
-// position, finished analyzer.
+// position, finished analyzer — and the replay both the splice and the
+// Scheduler run refuses a record kind that does not exist.
 func TestDeltaGuards(t *testing.T) {
 	d := NewDeltaResolver(5, 0).Delta()
 	a := NewAnalyzer(Config{})
@@ -351,6 +352,13 @@ func TestDeltaGuards(t *testing.T) {
 	}
 	if err := a.ApplyDelta(NewDeltaResolver(0, 0).Delta()); err == nil {
 		t.Error("finished analyzer accepted a delta")
+	}
+	const kind7 = "unknown record kind 7 at event 0" // kinds stop at 4
+	if err := NewAnalyzer(Config{}).ApplyDelta(&ShardDelta{Code: []uint32{7}, Events: 1}); err == nil || !strings.Contains(err.Error(), kind7) {
+		t.Errorf("splice of a corrupt record: %v", err)
+	}
+	if err := NewScheduler(Config{}).Apply(&DepSegment{Code: []uint32{7}, Events: 1}); err == nil || !strings.Contains(err.Error(), kind7) {
+		t.Errorf("schedule of a corrupt record: %v", err)
 	}
 }
 

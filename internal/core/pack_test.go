@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"encoding/gob"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -209,6 +210,29 @@ func TestCheckpointRetiredFormats(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "retired") {
 			t.Errorf("%s checkpoint: err = %v, want a refusal naming the format", old, err)
 		}
+	}
+}
+
+// TestCheckpointRefusesBadHistogram: a checkpoint whose profile could not
+// have come from a histogram is refused, as ReadResult refuses such a
+// shard result, before the restored analyzer can place anything into it.
+func TestCheckpointRefusesBadHistogram(t *testing.T) {
+	cfg := Dataflow(SyscallConservative)
+	a := NewAnalyzer(cfg)
+	for _, e := range richTrace(rand.New(rand.NewSource(17)), 100) {
+		if err := a.Event(&e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := a.Snapshot().state()
+	st.Profile.Width = math.MaxInt64
+	var b bytes.Buffer
+	b.WriteString(checkpointMagic)
+	if err := gob.NewEncoder(&b).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadCheckpoint(&b); err == nil || !strings.Contains(err.Error(), "power of two") {
+		t.Fatalf("ReadCheckpoint = %v, want the bucket width refused", err)
 	}
 }
 

@@ -221,6 +221,11 @@ func (st *checkpointState) restore() (*Checkpoint, error) {
 		classCounts:  st.ClassCounts,
 		maxLiveMem:   st.MaxLiveMem,
 	}
+	for _, h := range []*stats.LevelHistogramState{st.Profile, st.Storage} {
+		if err := h.Validate(); err != nil {
+			return nil, fmt.Errorf("core: corrupt checkpoint: %w", err)
+		}
+	}
 	if st.Profile != nil {
 		a.profile = stats.LevelHistogramFromState(*st.Profile)
 	}

@@ -373,9 +373,8 @@ func (r *Resolver) build(e *trace.Event) error {
 // counting, predictor, governor cadence, histograms — with array indexing
 // only; no hashing and no live well.
 type Scheduler struct {
-	a      *Analyzer
-	rp     deltaReplay
-	sealed bool // a SchedulerGang replayed for it; its slots stay there
+	a  *Analyzer
+	rp deltaReplay
 }
 
 // NewScheduler creates a scheduler for one config. Any resolution can feed
@@ -392,9 +391,6 @@ func (s *Scheduler) Apply(seg *DepSegment) (err error) {
 	a := s.a
 	if a.finished {
 		return errors.New("core: Event after Finish")
-	}
-	if s.sealed {
-		return errors.New("core: Apply on a scheduler sealed by its gang")
 	}
 	start := a.instructions
 	defer func() {
@@ -443,3 +439,25 @@ func (s *Scheduler) Finish(totals ResolveTotals) (*Result, error) {
 	}
 	return a.Finish()
 }
+
+// SchedulerGang applies each segment to a group of Schedulers in turn, so
+// perfbench's core.gang ladder stage times the per-config schedules
+// segment by segment. It exists only for that stage; the benchmark change
+// that retires the stage (ROADMAP item 1) deletes this type with it.
+type SchedulerGang struct{ sch []*Scheduler }
+
+// NewSchedulerGang groups freshly created schedulers.
+func NewSchedulerGang(scheds []*Scheduler) *SchedulerGang { return &SchedulerGang{sch: scheds} }
+
+// Apply replays one segment through every scheduler of the group.
+func (g *SchedulerGang) Apply(seg *DepSegment) error {
+	for _, s := range g.sch {
+		if err := s.Apply(seg); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Seal does nothing: each scheduler already holds its own final state.
+func (g *SchedulerGang) Seal() {}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,13 +12,24 @@ import (
 )
 
 // resolveRun pushes events through a Resolver cut into segments at the
-// given event boundaries (via explicit Flush calls) and replays the
-// segments through one Scheduler per config, returning per-config Results.
+// given event boundaries (via explicit Flush calls) and applies every
+// segment to one Scheduler per config as it is emitted, recycling it right
+// after — pinning the schedulers' retain-nothing contract against buffer
+// reuse — then returns per-config Results.
 func resolveRun(t *testing.T, cfgs []Config, events []trace.Event, pts []int) []*Result {
 	t.Helper()
-	var segs []*DepSegment
-	r := NewResolver(cfgs[0], func(seg *DepSegment) error {
-		segs = append(segs, seg)
+	scheds := make([]*Scheduler, len(cfgs))
+	for ci, cfg := range cfgs {
+		scheds[ci] = NewScheduler(cfg)
+	}
+	var r *Resolver
+	r = NewResolver(cfgs[0], func(seg *DepSegment) error {
+		defer r.Reuse(seg)
+		for ci, s := range scheds {
+			if err := s.Apply(seg); err != nil {
+				return fmt.Errorf("config %d: apply: %w", ci, err)
+			}
+		}
 		return nil
 	})
 	for i := 1; i < len(pts); i++ {
@@ -34,13 +46,7 @@ func resolveRun(t *testing.T, cfgs []Config, events []trace.Event, pts []int) []
 	totals := r.Totals()
 
 	results := make([]*Result, len(cfgs))
-	for ci, cfg := range cfgs {
-		s := NewScheduler(cfg)
-		for _, seg := range segs {
-			if err := s.Apply(seg); err != nil {
-				t.Fatalf("config %d: apply: %v", ci, err)
-			}
-		}
+	for ci, s := range scheds {
 		res, err := s.Finish(totals)
 		if err != nil {
 			t.Fatalf("config %d: finish: %v", ci, err)
@@ -119,6 +125,56 @@ func TestResolveSharedAcrossConfigs(t *testing.T) {
 			want := analyze(t, cfg, events)
 			if !reflect.DeepEqual(got[i], want) {
 				t.Errorf("trial %d config %d: shared resolution diverged from sequential analyzer", trial, i)
+			}
+		}
+	}
+}
+
+// TestResolveDifferentialPolicyMatrix pins per-config schedulers fed by one
+// recycling resolution deep-equal to the sequential analyzer across window,
+// FU, latency and profile variation, under every branch policy (a
+// misprediction enlivens the branch's source slots, so each policy's
+// enliven pattern must match the analyzer's) and three syscall and
+// renaming bases.
+func TestResolveDifferentialPolicyMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	group := func(base Config, policy BranchPolicy) []Config {
+		base.Branches = policy
+		if policy == BranchTwoBit {
+			base.PredictorBits = 4
+		}
+		mk := func(f func(*Config)) Config {
+			c := base.Clone()
+			f(&c)
+			return c
+		}
+		return []Config{
+			base, // profile on, unwindowed
+			mk(func(c *Config) { c.WindowSize = 1; c.Profile = false }),
+			mk(func(c *Config) { c.WindowSize = 16 }),
+			mk(func(c *Config) { c.WindowSize = 1024; c.Profile = false }),
+			mk(func(c *Config) { c.FunctionalUnits = 2 }),
+			mk(func(c *Config) { c.UnitLatency = true; c.WindowSize = 64 }),
+		}
+	}
+	bases := []Config{
+		Dataflow(SyscallConservative),
+		{Syscalls: SyscallOptimistic, Profile: true},
+		{Syscalls: SyscallConservative, RenameStack: true, Profile: true},
+	}
+	for bi, base := range bases {
+		for _, policy := range []BranchPolicy{BranchPerfect, BranchStall, BranchStatic, BranchTwoBit} {
+			cfgs := group(base, policy)
+			for trial := 0; trial < 3; trial++ {
+				events := richTrace(rng, 200+rng.Intn(400))
+				got := resolveRun(t, cfgs, events, cuts(rng, len(events)))
+				for i, cfg := range cfgs {
+					want := analyze(t, cfg, events)
+					if !reflect.DeepEqual(got[i], want) {
+						t.Errorf("base %d policy %v trial %d config %d: scheduler diverged from sequential analyzer\n got: %+v\nwant: %+v",
+							bi, policy, trial, i, got[i], want)
+					}
+				}
 			}
 		}
 	}

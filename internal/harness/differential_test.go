@@ -88,8 +88,8 @@ func sequentialResults(t testing.TB, buf *trace.EventBuffer, cfgs []core.Config)
 
 // topologies are FanOutResolved's two scheduling topologies: the SegRing
 // broadcast to one scheduler goroutine per config (multi-core hosts), and
-// the inline serial path (single CPU or Concurrency 1), which replays a
-// gang-eligible group as one SchedulerGang.
+// the inline serial path (single CPU or Concurrency 1), which sweeps each
+// batch of segments scheduler by scheduler.
 var topologies = []struct {
 	name   string
 	serial bool

@@ -92,6 +92,13 @@ func TestSuiteBudgetFailFast(t *testing.T) {
 	if !errors.Is(err, budget.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
+	// The resolved engine refuses before it starts: what overflows is its
+	// minimum segment ring.
+	var be *budget.Error
+	if !errors.As(err, &be) || be.Resource != budget.SegmentRing ||
+		be.UsageBytes != int64(trace.MinSegRingDepth)*core.ResolveSegmentBytes {
+		t.Fatalf("err = %v, want the minimum segment ring named", err)
+	}
 }
 
 // TestSuiteBudgetDegradeCompletes: under the Degrade policy the same

@@ -204,31 +204,26 @@ func scheduleOne(ring *trace.SegRing[*core.DepSegment], i int, cfg core.Config, 
 // resolvedSerial reports whether FanOutResolved should schedule inline on
 // the producer's goroutine instead of broadcasting segments through a
 // SegRing. On a single-CPU runtime the ring buys no overlap — schedulers
-// would only time-slice against the resolver — while the inline walk keeps
-// each segment cache-resident across all N Apply calls. A variable so the
-// differential tests pin both topologies regardless of the host's core
-// count.
+// would only time-slice against the resolver — while the inline sweep keeps
+// each scheduler's tables cache-hot across a batch of segments. A variable
+// so the differential tests pin both topologies regardless of the host's
+// core count.
 var resolvedSerial = func() bool { return runtime.GOMAXPROCS(0) == 1 }
 
 // errSchedulersDone aborts the producer once every scheduler has failed;
 // the serial path's analogue of trace.ErrRingDrained.
 var errSchedulersDone = errors.New("harness: every scheduler has failed")
 
-// fanOutResolvedSerial is FanOutResolved without the ring. When the
-// configs are gang-eligible (core.NewSchedulerGang), each emitted segment
-// is replayed once for every config by a SchedulerGang and segment buffers
-// are recycled — the fastest path by far, since the config-invariant
-// record work is not repeated per config. Otherwise the resolver's emit
-// callback copies each segment into a bounded batch of persistent buffers
-// and a full batch is swept scheduler-major: each scheduler replays the
-// whole batch before the next scheduler starts, so a scheduler's slot
-// table and window stay cache-hot across depth segments while the record
-// words stream through sequentially. Either way the run holds only the
-// resolver's recycled pair plus at most depth buffered segments, matching
-// the ring's depth*ResolveSegmentBytes budget with zero per-segment
-// garbage. Error semantics mirror the ring path: a failed scheduler stops
-// receiving segments while the rest continue (a gang failure fails every
-// config at once, exactly as a corrupt record would on the ring), and the
+// fanOutResolvedSerial is FanOutResolved without the ring. The resolver's
+// emit callback copies each segment into a bounded batch of persistent
+// buffers and recycles the segment; a full batch is swept scheduler-major:
+// each scheduler replays the whole batch before the next scheduler starts,
+// so a scheduler's slot table and window stay cache-hot across depth
+// segments while the record words stream through sequentially. The run
+// holds only the resolver's recycled pair plus at most depth buffered
+// segments, matching the ring's depth*ResolveSegmentBytes budget with zero
+// per-segment garbage. Error semantics mirror the ring path: a failed
+// scheduler stops receiving segments while the rest continue, and the
 // lowest-index failure decides the reported error.
 func fanOutResolvedSerial(ctx context.Context, produce func(*ResolverStream) error, cfgs []core.Config, depth int) ([]*core.Result, trace.ReadStats, error) {
 	if depth <= 0 {
@@ -246,10 +241,9 @@ func fanOutResolvedSerial(ctx context.Context, produce func(*ResolverStream) err
 	errs := make([]error, len(cfgs))
 	live := len(cfgs)
 
-	gang := core.NewSchedulerGang(scheds)
-	var batch []core.DepSegment
+	batch := make([]core.DepSegment, depth)
 	nbatch := 0
-	sweep := func() error {
+	sweep := func() {
 		for i := range scheds {
 			if scheds[i] == nil {
 				continue
@@ -264,61 +258,32 @@ func fanOutResolvedSerial(ctx context.Context, produce func(*ResolverStream) err
 			}
 		}
 		nbatch = 0
-		if live == 0 {
-			return errSchedulersDone
-		}
-		return nil
 	}
-	var emit func(*core.DepSegment) error
-	if gang != nil {
-		emit = func(seg *core.DepSegment) error {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			if aerr := gang.Apply(seg); aerr != nil {
-				for i := range scheds {
-					errs[i] = aerr
-					scheds[i] = nil
-				}
-				live = 0
+	rs.res = core.NewResolver(cfgs[0], func(seg *core.DepSegment) error {
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
+		b := &batch[nbatch]
+		b.Events = seg.Events
+		b.NewLocs = append(b.NewLocs[:0], seg.NewLocs...)
+		b.Code = append(b.Code[:0], seg.Code...)
+		rs.res.Reuse(seg)
+		nbatch++
+		if nbatch == len(batch) {
+			sweep()
+			if live == 0 {
 				return errSchedulersDone
 			}
-			rs.res.Reuse(seg)
-			return nil
 		}
-	} else {
-		batch = make([]core.DepSegment, depth)
-		emit = func(seg *core.DepSegment) error {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			b := &batch[nbatch]
-			b.Events = seg.Events
-			b.NewLocs = append(b.NewLocs[:0], seg.NewLocs...)
-			b.Code = append(b.Code[:0], seg.Code...)
-			rs.res.Reuse(seg)
-			nbatch++
-			if nbatch == len(batch) {
-				return sweep()
-			}
-			return nil
-		}
-	}
-	rs.res = core.NewResolver(cfgs[0], emit)
+		return nil
+	})
 
 	perr := rs.drive(produce)
 	if errors.Is(perr, errSchedulersDone) {
 		perr = nil // the schedulers' own errors explain the early stop
 	}
-	if perr == nil && gang == nil {
-		if serr := sweep(); serr != nil && !errors.Is(serr, errSchedulersDone) {
-			perr = serr
-		}
-	}
 	if perr == nil {
-		if gang != nil && live > 0 {
-			gang.Seal()
-		}
+		sweep() // the last, partial batch
 		totals := rs.res.Totals()
 		for i := range scheds {
 			if scheds[i] == nil {
@@ -368,7 +333,7 @@ func (s *Suite) analyzeResolved(wctx context.Context, w *workloads.Workload, cfg
 				return results, run, err
 			case budget.FailFast:
 				return nil, nil, &budget.Error{
-					Resource:   budget.EventBuffer,
+					Resource:   budget.SegmentRing,
 					UsageBytes: int64(trace.MinSegRingDepth) * core.ResolveSegmentBytes,
 					LimitBytes: limit,
 				}

@@ -31,7 +31,7 @@ import (
 )
 
 // windowSweepConfigs is the Figure 8 shape: one syscall and renaming
-// policy, many window sizes — a gang-eligible group.
+// policy, many window sizes.
 func windowSweepConfigs() []core.Config {
 	var cfgs []core.Config
 	for _, size := range []int{1, 32, 128, 2048, 65536, 0} {
@@ -139,7 +139,7 @@ func governedConfigs() []core.Config {
 // TestDifferentialResolvedEngine: the same recorded trace pushed through
 // one resolver into a window sweep's schedulers yields Results deeply
 // equal to per-config sequential analyzers, through a deliberately tiny
-// segment ring and through the serial gang.
+// segment ring and through the serial batched sweep.
 func TestDifferentialResolvedEngine(t *testing.T) {
 	cfgs := windowSweepConfigs()
 	for _, name := range []string{"xlispx", "matrixx", "spicex"} {
@@ -157,28 +157,29 @@ func TestDifferentialResolvedEngine(t *testing.T) {
 
 // TestDifferentialResolvedTopologies pins FanOutResolved's scheduling
 // topologies against sequential analyzers on one recorded trace: the
-// SegRing broadcast (multi-core hosts), the serial gang (single-CPU,
-// gang-eligible group) and the serial batched sweep (single-CPU, a group
-// made gang-ineligible by a lifetimes-collecting config).
+// SegRing broadcast (multi-core hosts) and the serial batched sweep
+// (single CPU), each over a window sweep and over that sweep plus a
+// lifetimes- and sharing-collecting config, whose Finish retires every
+// live slot.
 func TestDifferentialResolvedTopologies(t *testing.T) {
 	w, ok := workloads.ByName("xlispx")
 	if !ok {
 		t.Fatal("unknown workload xlispx")
 	}
 	buf := recordWorkload(t, w)
-	gangCfgs := windowSweepConfigs()
+	sweepCfgs := windowSweepConfigs()
 	lifet := core.Dataflow(core.SyscallConservative)
 	lifet.Lifetimes = true
 	lifet.Sharing = true
-	mixed := append(append([]core.Config{}, gangCfgs...), lifet)
+	mixed := append(append([]core.Config{}, sweepCfgs...), lifet)
 
 	for _, tc := range []struct {
 		name   string
 		serial bool
 		cfgs   []core.Config
 	}{
-		{"ring/sweep", false, gangCfgs},
-		{"serial/gang", true, gangCfgs},
+		{"ring/sweep", false, sweepCfgs},
+		{"serial/sweep", true, sweepCfgs},
 		{"ring/mixed", false, mixed},
 		{"serial/batched", true, mixed},
 	} {

@@ -4,9 +4,9 @@ package harness
 // engine must hold peak heap flat (within 10%) between a 1M-event and a
 // 50M-event synthetic trace — a 50× longer trace with the same footprint —
 // on both scheduling topologies (the segment ring's four scheduler
-// goroutines, and the inline gang), while its results stay deeply equal
-// to a streaming (analyzer-fed-directly) pass over the identical event
-// stream.
+// goroutines, and the inline batched sweep), while its results stay
+// deeply equal to a streaming (analyzer-fed-directly) pass over the
+// identical event stream.
 
 import (
 	"math/rand"

@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"paragraph/internal/core"
 	"paragraph/internal/faultinject"
+	"paragraph/internal/stats"
 	"paragraph/internal/trace"
 )
 
@@ -294,6 +297,94 @@ func FuzzReadDelta(f *testing.F) {
 		}
 		if _, err := a.Finish(); err != nil {
 			t.Fatalf("finish after splicing an accepted delta: %v", err)
+		}
+	})
+}
+
+// resultFiles runs a two-shard chain over a small trace with every
+// mergeable collection on and returns both shard-result files: shard 0's
+// carries a checkpoint, shard 1's the finished Result.
+func resultFiles(t testing.TB) [][]byte {
+	t.Helper()
+	data := synthTrace(t, 600, 7, 256)
+	plan, err := Split(data, 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Shards) != 2 {
+		t.Fatalf("plan has %d shards, want 2", len(plan.Shards))
+	}
+	cfg := fullConfig()
+	a := core.NewAnalyzer(cfg)
+	var files [][]byte
+	for i, sh := range plan.Shards {
+		res, cp, err := RunShardBytes(context.Background(), a, data, cfg, sh, false, 2, i == 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := WriteResult(&b, res, cp); err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, b.Bytes())
+	}
+	return files
+}
+
+// withProfileWidth rewrites a shard-result file with its profile's bucket
+// width replaced.
+func withProfileWidth(t testing.TB, file []byte, width int64) []byte {
+	t.Helper()
+	res, cp, err := ReadResult(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Stats.Profile.Width = width
+	var b bytes.Buffer
+	if err := WriteResult(&b, res, cp); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestReadResultRefusesBadHistogram: a shard result whose profile bucket
+// width is not a power of two is refused on read. Merging it would
+// double another shard's width past int64 to zero and loop forever.
+func TestReadResultRefusesBadHistogram(t *testing.T) {
+	bad := withProfileWidth(t, resultFiles(t)[0], math.MaxInt64)
+	if _, _, err := ReadResult(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "power of two") {
+		t.Fatalf("ReadResult = %v, want the bucket width refused", err)
+	}
+}
+
+// FuzzReadResult feeds arbitrary bytes — real shard-result files, one with
+// a checkpoint and one final, their truncations, one with a bucket width
+// that stalls a merge, garbage — through ReadResult. It never panics, and
+// a result it accepts merges as a one-shard chain without panicking or
+// stalling. A longer chain also folds each shard's histograms into its
+// predecessors', so the accepted histograms are folded into fresh ones too.
+func FuzzReadResult(f *testing.F) {
+	files := resultFiles(f)
+	for _, file := range files {
+		f.Add(file)
+		f.Add(file[:len(file)/2])
+	}
+	f.Add(withProfileWidth(f, files[1], math.MaxInt64))
+	f.Add([]byte(resultMagic))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, _, err := ReadResult(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		one := *res
+		one.Index, one.Shards, one.StartEvent = 0, 1, 0
+		_, _, _ = Merge([]*Result{&one})
+		for _, st := range []*stats.LevelHistogramState{res.Stats.Profile, res.Stats.Storage} {
+			if st != nil {
+				stats.NewLevelHistogram(st.MaxBuckets).Merge(stats.LevelHistogramFromState(*st))
+			}
 		}
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"slices"
 
 	"paragraph/internal/core"
+	"paragraph/internal/stats"
 )
 
 // File formats for distributed sharding: the plan travels as JSON (small,
@@ -88,6 +89,8 @@ func WriteResult(w io.Writer, res *Result, cp *core.Checkpoint) error {
 
 // ReadResult reads a shard-result stream written by WriteResult. The
 // returned checkpoint is nil when the file carries none (the last shard).
+// The result's histogram states are validated, so a hostile file is
+// refused here instead of stalling Merge.
 func ReadResult(r io.Reader) (*Result, *core.Checkpoint, error) {
 	magic := make([]byte, len(resultMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -102,6 +105,11 @@ func ReadResult(r io.Reader) (*Result, *core.Checkpoint, error) {
 	}
 	if rec.Result == nil {
 		return nil, nil, fmt.Errorf("shard: result file carries no result")
+	}
+	for _, h := range []*stats.LevelHistogramState{rec.Result.Stats.Profile, rec.Result.Stats.Storage} {
+		if err := h.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("shard %d: %w", rec.Result.Index, err)
+		}
 	}
 	var cp *core.Checkpoint
 	if len(rec.Checkpoint) > 0 {

@@ -7,7 +7,10 @@
 // for rendering tables, CSV series and ASCII plots.
 package stats
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // DefaultMaxBuckets is the profile resolution used when none is specified.
 // 1<<16 buckets keep profiles of multi-million-level DDGs under a megabyte.
@@ -29,13 +32,15 @@ type LevelHistogram struct {
 // NewLevelHistogram returns a histogram holding at most maxBuckets buckets;
 // maxBuckets <= 0 selects DefaultMaxBuckets.
 func NewLevelHistogram(maxBuckets int) *LevelHistogram {
+	return &LevelHistogram{width: 1, maxBuckets: bucketCap(maxBuckets)}
+}
+
+// bucketCap is the bucket capacity a histogram asked for maxBuckets gets.
+func bucketCap(maxBuckets int) int {
 	if maxBuckets <= 0 {
-		maxBuckets = DefaultMaxBuckets
+		return DefaultMaxBuckets
 	}
-	if maxBuckets < 2 {
-		maxBuckets = 2
-	}
-	return &LevelHistogram{width: 1, maxBuckets: maxBuckets}
+	return max(maxBuckets, 2)
 }
 
 // Add records n operations at the given level.
@@ -142,6 +147,29 @@ func (h *LevelHistogram) State() LevelHistogramState {
 		MaxLevel:   h.maxLevel,
 		HaveLevel:  h.haveLevel,
 	}
+}
+
+// Validate refuses a snapshot no histogram could have reached: a bucket
+// width that is not a positive power of two, more buckets than its
+// capacity, or a last bucket whose first level overflows int64. Merging
+// such a state would coarsen forever or place counts at negative levels,
+// so every reader of persisted states calls Validate first. A nil state,
+// a collection that was off, is valid.
+func (s *LevelHistogramState) Validate() error {
+	if s == nil {
+		return nil
+	}
+	if s.Width <= 0 || s.Width&(s.Width-1) != 0 {
+		return fmt.Errorf("stats: histogram bucket width %d is not a positive power of two", s.Width)
+	}
+	n := len(s.Counts)
+	if c := bucketCap(s.MaxBuckets); n > c {
+		return fmt.Errorf("stats: histogram holds %d buckets, more than its capacity of %d", n, c)
+	}
+	if n > 1 && s.Width > math.MaxInt64/int64(n-1) {
+		return fmt.Errorf("stats: histogram of %d buckets %d levels wide overflows the level range", n, s.Width)
+	}
+	return nil
 }
 
 // LevelHistogramFromState rebuilds a histogram from a snapshot.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -122,6 +123,41 @@ func TestLevelHistogramMerge(t *testing.T) {
 	maxL, _ := a.MaxLevel()
 	if maxL != 7 {
 		t.Errorf("merged max = %d", maxL)
+	}
+}
+
+// TestLevelHistogramStateValidate: every state a histogram reaches is
+// valid, and each kind of state none could reach is refused — the widths
+// that stall Merge's coarsening loop, more buckets than the capacity, and
+// buckets past the int64 level range.
+func TestLevelHistogramStateValidate(t *testing.T) {
+	h := NewLevelHistogram(4)
+	for _, level := range []int64{0, 9, 1 << 40, math.MaxInt64} {
+		h.Add(level, 1)
+		st := h.State()
+		if err := st.Validate(); err != nil {
+			t.Fatalf("state after adding level %d refused: %v", level, err)
+		}
+	}
+	if err := (*LevelHistogramState)(nil).Validate(); err != nil {
+		t.Errorf("nil state refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		st   LevelHistogramState
+		want string
+	}{
+		{"zero width", LevelHistogramState{Width: 0}, "power of two"},
+		{"negative width", LevelHistogramState{Width: -4}, "power of two"},
+		{"odd width", LevelHistogramState{Width: 3}, "power of two"},
+		{"max width", LevelHistogramState{Width: math.MaxInt64}, "power of two"},
+		{"over capacity", LevelHistogramState{Width: 1, MaxBuckets: 4, Counts: make([]uint64, 5)}, "capacity"},
+		{"over default capacity", LevelHistogramState{Width: 1, Counts: make([]uint64, DefaultMaxBuckets+1)}, "capacity"},
+		{"level overflow", LevelHistogramState{Width: 1 << 62, MaxBuckets: 4, Counts: make([]uint64, 3)}, "overflows"},
+	} {
+		if err := tc.st.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 

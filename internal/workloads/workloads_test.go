@@ -100,8 +100,13 @@ func TestDeterminism(t *testing.T) {
 // executes about scale times its scale-1 instruction count (within 25%).
 // Each run is capped at twice that, so an analogue that stops terminating
 // (cc1x's symbol table once filled up at scale 2) fails fast with
-// cpu.ErrLimit instead of hanging.
+// cpu.ErrLimit instead of hanging. Each simulation runs on one goroutine,
+// so the race detector has nothing to audit here, yet it made this test
+// most of the package's -race run time; it is skipped under -race.
 func TestScaleGrowsTrace(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("single-goroutine simulations; skipped under -race")
+	}
 	run := func(w *Workload, scale int, limit uint64) (uint64, error) {
 		prog, err := w.Build(scale, minic.Options{})
 		if err != nil {
