@@ -32,9 +32,9 @@ differential:
 
 # Short coverage-guided runs of the trace-reader, reader-equivalence,
 # trace-splitter, speculative-equivalence, shard-delta-reader,
-# shard-result-reader, checkpoint-reader and autosave-log-recovery fuzzers
-# on top of their seed corpora. Minimization is bounded so the budget is
-# spent fuzzing.
+# shard-result-reader, shard-result-field, checkpoint-reader, job-result
+# and autosave-log-recovery fuzzers on top of their seed corpora.
+# Minimization is bounded so the budget is spent fuzzing.
 fuzz:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzTraceReader \
 		-fuzztime 10s -fuzzminimizetime 20x
@@ -48,7 +48,11 @@ fuzz:
 		-fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/shard/ -run '^$$' -fuzz FuzzReadResult \
 		-fuzztime 10s -fuzzminimizetime 20x
+	$(GO) test ./internal/shard/ -run '^$$' -fuzz FuzzResultFields \
+		-fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzReadCheckpoint \
+		-fuzztime 10s -fuzzminimizetime 20x
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzLoadResult \
 		-fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./cmd/specrun/ -run '^$$' -fuzz FuzzStoreRecovery \
 		-fuzztime 10s -fuzzminimizetime 20x

@@ -62,6 +62,8 @@ func (c *ClassCounts) GobDecode(data []byte) error {
 type Analyzer struct {
 	cfg  Config
 	well *liveWell
+	// lat is cfg's operation time per class (Config.classLatencies).
+	lat [16]int64
 
 	// highestLevel is the paper's firewall floor: no operation may be
 	// placed so that it begins above highestLevel-1. preLevel in the
@@ -88,7 +90,9 @@ type Analyzer struct {
 	classCounts  [16]uint64
 	maxLiveMem   int
 
-	srcBuf   []isa.Reg
+	// plans is the operand-plan table (plan.go), allocated at the first
+	// event: schedulers and splices, which see no events, never need one.
+	plans    *planTable
 	finished bool
 }
 
@@ -99,6 +103,7 @@ func NewAnalyzer(cfg Config) *Analyzer {
 	a := &Analyzer{
 		cfg:     cfg.Clone(),
 		well:    newLiveWell(),
+		lat:     cfg.classLatencies(),
 		deepest: -1,
 	}
 	a.well.preLevel = -1 // highestLevel(0) - 1
@@ -130,7 +135,11 @@ func (a *Analyzer) Event(e *trace.Event) (err error) {
 		return errors.New("core: Event after Finish")
 	}
 	seq := a.instructions
-	if verr := validateEvent(e, seq); verr != nil {
+	if a.plans == nil {
+		a.plans = new(planTable)
+	}
+	p, verr := a.plans.get(e, seq)
+	if verr != nil {
 		return verr
 	}
 	defer func() {
@@ -138,9 +147,7 @@ func (a *Analyzer) Event(e *trace.Event) (err error) {
 			err = &AnalysisError{Event: seq, Stage: "event", Cause: recoveredError(v)}
 		}
 	}()
-	if err := a.event(e, seq); err != nil {
-		return err
-	}
+	a.event(e, seq, p)
 	if a.deaths != nil {
 		a.evictDead(seq)
 	}
@@ -173,15 +180,17 @@ func (a *Analyzer) Events(batch []trace.Event) (err error) {
 			err = &AnalysisError{Event: seq, Stage: "event", Cause: recoveredError(v)}
 		}
 	}()
+	if a.plans == nil {
+		a.plans = new(planTable)
+	}
 	for i := range batch {
 		e := &batch[i]
 		seq = a.instructions
-		if verr := validateEvent(e, seq); verr != nil {
+		p, verr := a.plans.get(e, seq)
+		if verr != nil {
 			return verr
 		}
-		if err := a.event(e, seq); err != nil {
-			return err
-		}
+		a.event(e, seq, p)
 		if a.deaths != nil {
 			a.evictDead(seq)
 		}
@@ -236,7 +245,9 @@ func (a *Analyzer) governBudgetAt(memLen int) error {
 // validateEvent checks an event's internal consistency. The checks mirror
 // the invariants the CPU tracer maintains; an event violating them came from
 // a corrupt trace or a buggy producer, and processing it would poison the
-// DDG state silently.
+// DDG state silently. It is the only code that builds bad-event errors:
+// planTable.get checks the same conditions against a plan and calls it
+// when one fails.
 func validateEvent(e *trace.Event, seq uint64) error {
 	if e.Ins.Op >= isa.NumOps {
 		return &BadEventError{Index: seq, PC: e.PC,
@@ -261,8 +272,9 @@ func validateEvent(e *trace.Event, seq uint64) error {
 	return nil
 }
 
-// event dispatches one instruction; seq is its trace position.
-func (a *Analyzer) event(e *trace.Event, seq uint64) error {
+// event dispatches one instruction through its plan; seq is its trace
+// position.
+func (a *Analyzer) event(e *trace.Event, seq uint64, p *opPlan) {
 	a.instructions++
 
 	// Slide the instruction window: instructions displaced by this one
@@ -271,43 +283,33 @@ func (a *Analyzer) event(e *trace.Event, seq uint64) error {
 		a.window.displace(seq, uint64(w), a)
 	}
 
-	op := e.Ins.Op
-	info := op.Info()
-	a.classCounts[info.Class]++
+	a.classCounts[p.class]++
 
-	switch {
-	case op == isa.NOP:
-		return nil
-	case e.IsSyscall():
+	switch p.kind {
+	case planSkip:
+	case planSyscall:
 		a.syscalls++
-		if a.cfg.Syscalls == SyscallOptimistic {
-			return nil // assumed to modify nothing; ignored
+		if a.cfg.Syscalls != SyscallOptimistic { // optimistic: assumed to modify nothing
+			a.placeSyscall(seq)
 		}
-		a.placeSyscall(seq)
-		return nil
-	case info.IsJump:
+	case planJump:
 		// Jumps and calls are control instructions and are excluded
 		// from the DDG, but calls produce a return-address value
 		// that later code saves and restores. The return address is
 		// a static constant (PC+4), so the value is bound as if it
 		// pre-existed: available immediately, delaying nothing.
-		if d, ok := e.Ins.Dest(); ok {
-			a.bindConstant(d)
-		}
-		return nil
-	case info.IsBranch:
+		a.bindConstant(p.bind)
+	case planBranch:
 		// Control instructions are never placed, but under an
 		// imperfect branch model a misprediction firewalls the DDG at
 		// the branch's resolution level: nothing later may be placed
 		// above it.
 		if a.pred != nil && a.pred.mispredicted(e.PC, e.Ins.Imm < 0, e.Taken) {
-			a.raiseFloor(a.branchResolution(e) + 1)
+			a.raiseFloor(a.branchResolution(p) + 1)
 		}
-		return nil
+	default:
+		a.place(e, seq, p)
 	}
-
-	a.place(e, seq)
-	return nil
 }
 
 // bindConstant binds a register to an immediately available value at the
@@ -334,30 +336,6 @@ func (a *Analyzer) retire(old value) {
 	}
 }
 
-// regDests appends the register destinations of the instruction (HI and LO
-// both, for multiply/divide).
-func regDests(ins *isa.Instruction, dst []isa.Reg) []isa.Reg {
-	info := ins.Op.Info()
-	switch {
-	case info.WritesRd:
-		dst = append(dst, ins.Rd)
-	case info.WritesRt:
-		dst = append(dst, ins.Rt)
-	case info.WritesHILO:
-		switch ins.Op {
-		case isa.MTHI:
-			dst = append(dst, isa.HI)
-		case isa.MTLO:
-			dst = append(dst, isa.LO)
-		default: // mult/div write both halves
-			dst = append(dst, isa.HI, isa.LO)
-		}
-	case info.WritesFCC:
-		dst = append(dst, isa.FCC)
-	}
-	return dst
-}
-
 // wordRange returns the inclusive range of word addresses covered by a
 // memory access. The live well tracks memory at word granularity, the
 // paper's "located by address" resolution; sub-word stores therefore kill
@@ -380,27 +358,22 @@ func (a *Analyzer) renamedSeg(seg trace.Segment) bool {
 
 // place assigns the instruction its DDG level using the placement rule and
 // updates the live well. This is the heart of Paragraph.
-func (a *Analyzer) place(e *trace.Event, seq uint64) {
-	op := e.Ins.Op
-	info := op.Info()
-	top := a.cfg.latency(op)
+func (a *Analyzer) place(e *trace.Event, seq uint64, p *opPlan) {
+	top := a.lat[p.class]
+	srcs, dsts := p.src[:p.nsrc], p.dst[:p.ndst]
 
 	// Base level: the deepest of the firewall floor and the source
 	// availability levels. The operation executes in levels
 	// base+1 .. base+top and its result becomes available at base+top.
 	base := a.highestLevel - 1
 
-	a.srcBuf = e.Ins.SourceRegs(a.srcBuf[:0])
-	for _, r := range a.srcBuf {
-		if r == isa.Zero {
-			continue // hardwired zero: a constant, never a dependency
-		}
+	for _, r := range srcs {
 		if rec := a.well.reg(r); rec.level > base {
 			base = rec.level
 		}
 	}
 	var memLo, memHi uint32
-	if info.IsLoad {
+	if p.load {
 		memLo, memHi = wordRange(e.MemAddr, e.MemSize)
 		for w := memLo; w <= memHi; w++ {
 			if v := a.well.memRead(w); v.level > base {
@@ -412,17 +385,13 @@ func (a *Analyzer) place(e *trace.Event, seq uint64) {
 	// Storage-dependency term (Ddest+1): only when renaming is off for
 	// the destination's location class.
 	if !a.cfg.RenameRegisters {
-		var dbuf [2]isa.Reg
-		for _, d := range regDests(&e.Ins, dbuf[:0]) {
-			if d == isa.Zero {
-				continue
-			}
+		for _, d := range dsts {
 			if rec, live := a.well.regIfLive(d); live && rec.lastUse+1 > base {
 				base = rec.lastUse + 1
 			}
 		}
 	}
-	if info.IsStore {
+	if p.store {
 		memLo, memHi = wordRange(e.MemAddr, e.MemSize)
 		if !a.renamedSeg(e.Seg) {
 			for w := memLo; w <= memHi; w++ {
@@ -443,17 +412,14 @@ func (a *Analyzer) place(e *trace.Event, seq uint64) {
 
 	// The sources are consumed at the base level; record the deepest
 	// consumption for future storage dependencies, and the fan-out.
-	for _, r := range a.srcBuf {
-		if r == isa.Zero {
-			continue
-		}
+	for _, r := range srcs {
 		rec := a.well.reg(r)
 		rec.uses++
 		if base > rec.lastUse {
 			rec.lastUse = base
 		}
 	}
-	if info.IsLoad {
+	if p.load {
 		for w := memLo; w <= memHi; w++ {
 			v := a.well.memRead(w)
 			v.uses++
@@ -469,18 +435,12 @@ func (a *Analyzer) place(e *trace.Event, seq uint64) {
 	// after this operation began (one level of WAW spacing), and the
 	// storage-dependency term then grows with each consumer.
 	newVal := value{level: ldest, lastUse: base}
-	{
-		var dbuf [2]isa.Reg
-		for _, d := range regDests(&e.Ins, dbuf[:0]) {
-			if d == isa.Zero {
-				continue
-			}
-			if old, wasLive := a.well.setReg(d, newVal); wasLive {
-				a.retire(old)
-			}
+	for _, d := range dsts {
+		if old, wasLive := a.well.setReg(d, newVal); wasLive {
+			a.retire(old)
 		}
 	}
-	if info.IsStore {
+	if p.store {
 		for w := memLo; w <= memHi; w++ {
 			if old, wasLive := a.well.memPut(w, newVal); wasLive {
 				a.retire(old)
@@ -519,7 +479,7 @@ func (a *Analyzer) placeSyscall(seq uint64) {
 	if a.anyOps && a.deepest > base {
 		base = a.deepest
 	}
-	ldest := base + a.cfg.latency(isa.SYSCALL)
+	ldest := base + a.lat[isa.ClassSyscall]
 	a.placed(seq, ldest)
 	a.raiseFloor(ldest + 1)
 }

@@ -1,10 +1,5 @@
 package core
 
-import (
-	"paragraph/internal/isa"
-	"paragraph/internal/trace"
-)
-
 // BranchPolicy models control dependencies. The paper's headline analysis
 // assumes perfect control flow ("the window size is the same size as the
 // trace (no control dependencies)"), but Section 3.2 notes that "the
@@ -130,16 +125,12 @@ func (p *predictor) mispredicted(pc uint32, immNeg, taken bool) bool {
 // branchResolution computes the DDG level at which a conditional branch's
 // outcome is known: one step after its deepest source value (or the
 // firewall floor).
-func (a *Analyzer) branchResolution(e *trace.Event) int64 {
+func (a *Analyzer) branchResolution(p *opPlan) int64 {
 	base := a.highestLevel - 1
-	a.srcBuf = e.Ins.SourceRegs(a.srcBuf[:0])
-	for _, r := range a.srcBuf {
-		if r == isa.Zero {
-			continue
-		}
+	for _, r := range p.src[:p.nsrc] {
 		if rec := a.well.reg(r); rec.level > base {
 			base = rec.level
 		}
 	}
-	return base + a.cfg.latency(e.Ins.Op)
+	return base + a.lat[p.class]
 }

@@ -69,7 +69,7 @@ func (a *Analyzer) clone() *Analyzer {
 	if a.gov != nil {
 		b.gov = a.gov.Clone()
 	}
-	b.srcBuf = nil
+	b.plans = nil // a clone plans afresh: tables are never shared
 	return &b
 }
 

@@ -189,3 +189,13 @@ func (c *Config) latency(op isa.Op) int64 {
 	}
 	return int64(op.Latency())
 }
+
+// classLatencies tabulates latency by operation class, which is all an
+// operation's time depends on.
+func (c *Config) classLatencies() [16]int64 {
+	var lat [16]int64
+	for op := isa.Op(0); op < isa.NumOps; op++ {
+		lat[op.Class()] = c.latency(op)
+	}
+	return lat
+}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Packed encodings of the bulk arrays in persisted artifacts: a shard
@@ -184,6 +186,59 @@ func (d *ShardDelta) GobDecode(b []byte) error {
 // each entry as the uvarint gap from the previous word, the zigzag-coded
 // level and last use, and the use count: at least four bytes per entry.
 type memWords []memValueState
+
+// sort orders the words by address in place, with a most-significant-digit
+// radix sort on bytes of the word: a level counts its digits and swaps
+// each entry straight into its digit's range, so it moves 32-byte entries
+// a few times instead of a comparison sort's n log n times, and needs no
+// second array. A level is skipped when every word has the same digit, as
+// the high bytes of a program's nearby addresses do; a short range is left
+// to slices.SortFunc. Live words are unique, so the order is the one any
+// sort gives.
+func (m memWords) sort() { m.sortDigit(24) }
+
+func (m memWords) sortDigit(shift uint) {
+	if len(m) <= 32 {
+		slices.SortFunc(m, func(x, y memValueState) int { return cmp.Compare(x.Word, y.Word) })
+		return
+	}
+	var count [256]int
+	for i := range m {
+		count[uint8(m[i].Word>>shift)]++
+	}
+	if count[uint8(m[0].Word>>shift)] < len(m) {
+		// next[d] is the first position of digit d's range not yet holding
+		// a digit-d entry; end[d] is the range's end.
+		var next, end [256]int
+		at := 0
+		for d, n := range count {
+			next[d] = at
+			at += n
+			end[d] = at
+		}
+		for d := range next {
+			for next[d] < end[d] {
+				e := m[next[d]]
+				for b := uint8(e.Word >> shift); int(b) != d; b = uint8(e.Word >> shift) {
+					m[next[b]], e = e, m[next[b]]
+					next[b]++
+				}
+				m[next[d]] = e
+				next[d]++
+			}
+		}
+	}
+	if shift == 0 {
+		return
+	}
+	at := 0
+	for _, n := range count {
+		if n > 1 {
+			m[at : at+n].sortDigit(shift - 8)
+		}
+		at += n
+	}
+}
 
 // GobEncode packs the words, which must be strictly ascending.
 func (m memWords) GobEncode() ([]byte, error) {

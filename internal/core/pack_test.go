@@ -82,6 +82,34 @@ func TestMemWordsPackQuick(t *testing.T) {
 	}
 }
 
+// TestMemWordsSortQuick: the checkpoint's radix sort orders live words
+// exactly as slices.SortFunc by address does — for scattered words, for
+// words clustered in a few pages, where digits shared by every word are
+// skipped, and for sets small enough to skip the radix levels.
+func TestMemWordsSortQuick(t *testing.T) {
+	sorted := func(seed int64, n uint16, spread uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		mask := uint32(1)<<(spread%32+1) - 1
+		base := rng.Uint32()
+		seen := make(map[uint32]bool)
+		var m memWords
+		for i := 0; i < int(n%6000); i++ {
+			w := base + rng.Uint32()&mask
+			if !seen[w] {
+				seen[w] = true
+				m = append(m, memValueState{Word: w, Val: valueState{Level: int64(i), LastUse: -int64(i), Uses: w % 7}})
+			}
+		}
+		want := slices.Clone(m)
+		slices.SortFunc(want, func(x, y memValueState) int { return cmp.Compare(x.Word, y.Word) })
+		m.sort()
+		return slices.Equal(m, want)
+	}
+	if err := quick.Check(sorted, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestMemWordsRejectsDisorder: the word list is strictly ascending on
 // both sides — the encoder refuses an unsorted or duplicated list, and the
 // decoder refuses a repeated word and a word past 32 bits.

@@ -201,7 +201,7 @@ func wellStateOf(w *liveWell) wellState {
 	w.mem.forEach(func(word uint32, v value) {
 		ws.Mem = append(ws.Mem, memValueState{Word: word, Val: valueState{Level: v.level, LastUse: v.lastUse, Uses: v.uses}})
 	})
-	slices.SortFunc(ws.Mem, func(x, y memValueState) int { return cmp.Compare(x.Word, y.Word) })
+	ws.Mem.sort()
 	return ws
 }
 
@@ -210,6 +210,7 @@ func (st *checkpointState) restore() (*Checkpoint, error) {
 	a := &Analyzer{
 		cfg:          st.Config.Clone(),
 		well:         newLiveWell(),
+		lat:          st.Config.classLatencies(),
 		highestLevel: st.HighestLevel,
 		deepest:      st.Deepest,
 		anyOps:       st.AnyOps,

@@ -98,7 +98,9 @@ type Resolver struct {
 
 	regSlot [isa.NumRegs]int32
 	memSlot *slotTable
-	srcBuf  []isa.Reg
+	// plans is the operand-plan table (plan.go), allocated at the first
+	// event.
+	plans *planTable
 
 	// start is the absolute trace position of the first event.
 	start uint64
@@ -254,117 +256,85 @@ func newDepSegment() DepSegment {
 	}
 }
 
-// build compiles one event into the record stream. The dispatch mirrors
-// Analyzer.event, except that every policy decision is left to the replay;
-// the slot references are emitted in exactly the order the analyzer
-// touches the corresponding live-well locations, so the replay is
-// operation-for-operation identical.
+// build compiles one event into the record stream from its plan. Every
+// policy decision is left to the replay; the slot references are emitted
+// in exactly the order Analyzer.event touches the corresponding live-well
+// locations, so the replay is operation-for-operation identical.
 func (r *Resolver) build(e *trace.Event) error {
 	seq := r.start + r.totals.Events
-	if verr := validateEvent(e, seq); verr != nil {
+	if r.plans == nil {
+		r.plans = new(planTable)
+	}
+	p, verr := r.plans.get(e, seq)
+	if verr != nil {
 		return verr
 	}
 	r.totals.Events++
 	r.seg.Events++
+	r.totals.ClassCounts[p.class]++
 
-	op := e.Ins.Op
-	info := op.Info()
-	r.totals.ClassCounts[info.Class]++
-
-	w0 := uint32(deltaKindSkip) | uint32(op)<<8
-	switch {
-	case op == isa.NOP:
-		r.seg.Code = append(r.seg.Code, w0)
-		return nil
-	case e.IsSyscall():
+	switch p.kind {
+	case planSkip:
+		r.seg.Code = append(r.seg.Code, p.w0)
+	case planSyscall:
 		r.totals.Syscalls++
-		r.seg.Code = append(r.seg.Code, w0|deltaKindSyscall)
-		return nil
-	case info.IsJump:
-		if dst, ok := e.Ins.Dest(); ok {
-			// bindConstant does not skip $zero, so neither does the
-			// record: the binding is observable through retirement
-			// statistics.
-			r.seg.Code = append(r.seg.Code, w0|deltaKindJump|1<<24, r.regSlotID(dst))
-		} else {
-			r.seg.Code = append(r.seg.Code, w0)
-		}
-		return nil
-	case info.IsBranch:
+		r.seg.Code = append(r.seg.Code, p.w0)
+	case planJump:
+		// bindConstant does not skip $zero, so neither does the record:
+		// the binding is observable through retirement statistics.
+		r.seg.Code = append(r.seg.Code, p.w0, r.regSlotID(p.bind))
+	case planBranch:
 		// Whether the branch mispredicts can depend on predictor state
 		// flowing across a shard seam, so the record carries everything
 		// the replay needs to decide: outcome, direction sign, PC and the
 		// source slots that set the resolution level.
-		w0 |= deltaKindBranch
+		w0 := p.w0
 		if e.Taken {
 			w0 |= deltaFlagTaken
 		}
-		if e.Ins.Imm < 0 {
-			w0 |= deltaFlagImmNeg
-		}
-		r.srcBuf = e.Ins.SourceRegs(r.srcBuf[:0])
-		nsrc := uint32(0)
-		at := len(r.seg.Code)
-		r.seg.Code = append(r.seg.Code, 0, e.PC)
-		for _, reg := range r.srcBuf {
-			if reg == isa.Zero {
-				continue
-			}
+		r.seg.Code = append(r.seg.Code, w0, e.PC)
+		for _, reg := range p.src[:p.nsrc] {
 			r.seg.Code = append(r.seg.Code, r.regSlotID(reg))
-			nsrc++
 		}
-		r.seg.Code[at] = w0 | nsrc<<16
-		return nil
+	default:
+		r.place(e, p)
 	}
+	return nil
+}
 
-	// Ordinary placement. Source and destination slots are emitted in
-	// live-well touch order: registers before memory words, memory words
-	// lo..hi. nsrc and ndst fit a byte: at most 3 register sources and —
-	// MemSize being a byte — at most 65 words per access. A store writes
-	// no register, so one record's destinations share a class.
-	w0 |= deltaKindPlace
-	at := len(r.seg.Code)
-	r.seg.Code = append(r.seg.Code, 0)
-
-	r.srcBuf = e.Ins.SourceRegs(r.srcBuf[:0])
-	nsrc := uint32(0)
-	for _, reg := range r.srcBuf {
-		if reg == isa.Zero {
-			continue
-		}
-		r.seg.Code = append(r.seg.Code, r.regSlotID(reg))
-		nsrc++
+// place compiles an ordinary placement. Source and destination slots are
+// emitted in live-well touch order: registers before memory words, memory
+// words lo..hi. The plan's word0 counts the register operands; the memory
+// words of the access are added to it here.
+func (r *Resolver) place(e *trace.Event, p *opPlan) {
+	w0 := p.w0
+	code := append(r.seg.Code, 0)
+	at := len(code) - 1
+	for _, reg := range p.src[:p.nsrc] {
+		code = append(code, r.regSlotID(reg))
 	}
-	if info.IsLoad {
+	if p.load {
 		lo, hi := wordRange(e.MemAddr, e.MemSize)
 		for w := lo; w <= hi; w++ {
-			r.seg.Code = append(r.seg.Code, r.memSlotID(w))
-			nsrc++
+			code = append(code, r.memSlotID(w))
 		}
+		w0 += (hi - lo + 1) << 16
 	}
-
-	ndst := uint32(0)
-	var dbuf [2]isa.Reg
-	for _, dst := range regDests(&e.Ins, dbuf[:0]) {
-		if dst == isa.Zero {
-			continue
-		}
-		r.seg.Code = append(r.seg.Code, r.regSlotID(dst))
-		ndst++
+	for _, reg := range p.dst[:p.ndst] {
+		code = append(code, r.regSlotID(reg))
 	}
-	if info.IsStore {
-		w0 |= deltaFlagIsStore
+	if p.store {
 		if e.Seg == trace.SegStack {
 			w0 |= deltaFlagIsStack
 		}
 		lo, hi := wordRange(e.MemAddr, e.MemSize)
 		for w := lo; w <= hi; w++ {
-			r.seg.Code = append(r.seg.Code, r.memSlotID(w))
-			ndst++
+			code = append(code, r.memSlotID(w))
 		}
+		w0 += (hi - lo + 1) << 24
 	}
-	r.seg.Code[at] = w0 | nsrc<<16 | ndst<<24
-	return nil
+	code[at] = w0
+	r.seg.Code = code
 }
 
 // Scheduler is the per-config stage-2 pass: a fresh analyzer whose events

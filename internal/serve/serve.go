@@ -589,7 +589,12 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, ResultSummary{
+	writeJSON(w, http.StatusOK, summarize(res, v.Retry))
+}
+
+// summarize builds a loaded job result's JSON summary.
+func summarize(res *JobResult, retry remote.Stats) ResultSummary {
+	return ResultSummary{
 		Instructions:       res.Result.Instructions,
 		Operations:         res.Result.Operations,
 		Syscalls:           res.Result.Syscalls,
@@ -599,8 +604,8 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		Mispredictions:     res.Result.Mispredictions,
 		MaxLiveMemoryWords: res.Result.MaxLiveMemoryWords,
 		ReadStats:          res.ReadStats,
-		Retry:              v.Retry,
-	})
+		Retry:              retry,
+	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

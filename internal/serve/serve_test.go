@@ -65,7 +65,7 @@ func synthTrace(t testing.TB, n int, seed int64) []byte {
 	return buf.Bytes()
 }
 
-func writeTraceFile(t *testing.T, data []byte) string {
+func writeTraceFile(t testing.TB, data []byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.pgt")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -77,7 +77,7 @@ func writeTraceFile(t *testing.T, data []byte) string {
 // testServer builds a Server with fast test timings and a no-op sleep, and
 // wraps its handler in an httptest server so every interaction goes
 // through the real HTTP API.
-func testServer(t *testing.T, stateDir string, mod func(*Options)) (*Server, string) {
+func testServer(t testing.TB, stateDir string, mod func(*Options)) (*Server, string) {
 	t.Helper()
 	opts := Options{
 		StateDir:  stateDir,
@@ -100,7 +100,7 @@ func testServer(t *testing.T, stateDir string, mod func(*Options)) (*Server, str
 	return s, api.URL
 }
 
-func postJSON(t *testing.T, url string, body any, out any) (int, string) {
+func postJSON(t testing.TB, url string, body any, out any) (int, string) {
 	t.Helper()
 	data, err := json.Marshal(body)
 	if err != nil {
@@ -120,7 +120,7 @@ func postJSON(t *testing.T, url string, body any, out any) (int, string) {
 	return resp.StatusCode, string(raw)
 }
 
-func getJSON(t *testing.T, url string, out any) (int, string) {
+func getJSON(t testing.TB, url string, out any) (int, string) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -136,7 +136,7 @@ func getJSON(t *testing.T, url string, out any) (int, string) {
 	return resp.StatusCode, string(raw)
 }
 
-func registerTrace(t *testing.T, api, location string) string {
+func registerTrace(t testing.TB, api, location string) string {
 	t.Helper()
 	var ti TraceInfo
 	code, raw := postJSON(t, api+"/v1/traces", map[string]string{"location": location}, &ti)
@@ -146,7 +146,7 @@ func registerTrace(t *testing.T, api, location string) string {
 	return ti.ID
 }
 
-func submitJob(t *testing.T, api, traceID string, cfg core.Config, shards int) string {
+func submitJob(t testing.TB, api, traceID string, cfg core.Config, shards int) string {
 	t.Helper()
 	var resp map[string]string
 	code, raw := postJSON(t, api+"/v1/jobs", map[string]any{
@@ -160,7 +160,7 @@ func submitJob(t *testing.T, api, traceID string, cfg core.Config, shards int) s
 
 // waitJob polls the status endpoint until the job reaches a terminal
 // state, returning the final view.
-func waitJob(t *testing.T, api, id string) JobView {
+func waitJob(t testing.TB, api, id string) JobView {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {

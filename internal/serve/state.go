@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -75,6 +76,11 @@ type JobResult struct {
 // resultMagic versions the persisted job-result format (gob, like shard
 // results: the histogram states need exact float64 round-trips).
 const resultMagic = "pgserved-result-v1\n"
+
+// errNoResult classifies a job-result file that decodes but carries no
+// analysis result: gob round-trips a nil Result without complaint, and
+// every reader of a loaded result dereferences it.
+var errNoResult = errors.New("job-result file holds no analysis result")
 
 // state is the on-disk layout under the daemon's state directory:
 //
@@ -196,6 +202,9 @@ func (st *state) loadResult(id string) (*JobResult, error) {
 	var res JobResult
 	if err := gob.NewDecoder(f).Decode(&res); err != nil {
 		return nil, fmt.Errorf("serve: job %s: decoding result: %w", id, err)
+	}
+	if res.Result == nil {
+		return nil, fmt.Errorf("serve: job %s: %w", id, errNoResult)
 	}
 	return &res, nil
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"math"
@@ -331,15 +332,15 @@ func resultFiles(t testing.TB) [][]byte {
 	return files
 }
 
-// withProfileWidth rewrites a shard-result file with its profile's bucket
-// width replaced.
-func withProfileWidth(t testing.TB, file []byte, width int64) []byte {
+// rewriteResult decodes a shard-result file, applies edit to its result
+// and checkpoint, and encodes it again.
+func rewriteResult(t testing.TB, file []byte, edit func(*Result, *core.Checkpoint)) []byte {
 	t.Helper()
 	res, cp, err := ReadResult(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Stats.Profile.Width = width
+	edit(res, cp)
 	var b bytes.Buffer
 	if err := WriteResult(&b, res, cp); err != nil {
 		t.Fatal(err)
@@ -347,11 +348,14 @@ func withProfileWidth(t testing.TB, file []byte, width int64) []byte {
 	return b.Bytes()
 }
 
+// maxWidth sets a result's profile bucket width to math.MaxInt64.
+func maxWidth(res *Result, _ *core.Checkpoint) { res.Stats.Profile.Width = math.MaxInt64 }
+
 // TestReadResultRefusesBadHistogram: a shard result whose profile bucket
 // width is not a power of two is refused on read. Merging it would
 // double another shard's width past int64 to zero and loop forever.
 func TestReadResultRefusesBadHistogram(t *testing.T) {
-	bad := withProfileWidth(t, resultFiles(t)[0], math.MaxInt64)
+	bad := rewriteResult(t, resultFiles(t)[0], maxWidth)
 	if _, _, err := ReadResult(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "power of two") {
 		t.Fatalf("ReadResult = %v, want the bucket width refused", err)
 	}
@@ -369,22 +373,150 @@ func FuzzReadResult(f *testing.F) {
 		f.Add(file)
 		f.Add(file[:len(file)/2])
 	}
-	f.Add(withProfileWidth(f, files[1], math.MaxInt64))
+	f.Add(rewriteResult(f, files[1], maxWidth))
 	f.Add([]byte(resultMagic))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		res, _, err := ReadResult(bytes.NewReader(data))
+		if res, _, err := ReadResult(bytes.NewReader(data)); err == nil {
+			mergeAccepted(res)
+		}
+	})
+}
+
+// mergeAccepted merges a result ReadResult accepted as a one-shard chain,
+// and folds its histograms into fresh ones as a longer chain's merge
+// would. Neither may panic or stall.
+func mergeAccepted(res *Result) {
+	one := *res
+	one.Index, one.Shards, one.StartEvent = 0, 1, 0
+	_, _, _ = Merge([]*Result{&one})
+	for _, st := range []*stats.LevelHistogramState{res.Stats.Profile, res.Stats.Storage} {
+		if st != nil {
+			stats.NewLevelHistogram(st.MaxBuckets).Merge(stats.LevelHistogramFromState(*st))
+		}
+	}
+}
+
+// Fields FuzzResultFields may overwrite, one bit each in its mask.
+const (
+	fieldWidth = 1 << iota
+	fieldMaxBuckets
+	fieldCountsLen
+	fieldCounts
+	fieldEvents
+	fieldStartEvent
+	fieldEventOffset
+	fieldStorage // edit the storage profile instead of the parallelism profile
+)
+
+// fieldEdit is one FuzzResultFields input: which of the two files to edit,
+// the mask of fields to overwrite, and the values to write.
+type fieldEdit struct {
+	Which, Mask  uint8
+	Width        int64
+	MaxBuckets   int64
+	Len          uint16
+	Count, Event uint64
+}
+
+// bytes encodes the edit the way fieldEditOf decodes it.
+func (e fieldEdit) bytes() []byte {
+	b := []byte{e.Which, e.Mask}
+	b = binary.LittleEndian.AppendUint64(b, uint64(e.Width))
+	b = binary.LittleEndian.AppendUint64(b, uint64(e.MaxBuckets))
+	b = binary.LittleEndian.AppendUint16(b, e.Len)
+	b = binary.LittleEndian.AppendUint64(b, e.Count)
+	return binary.LittleEndian.AppendUint64(b, e.Event)
+}
+
+// fieldEditOf decodes an edit from fuzz input; missing bytes read as zero.
+// Values come from raw input bytes rather than typed fuzz arguments
+// because the byte mutators write extreme values (all-ones words, flipped
+// high bits), while an integer argument only ever moves by small steps.
+func fieldEditOf(data []byte) fieldEdit {
+	var buf [36]byte
+	copy(buf[:], data)
+	le := binary.LittleEndian
+	return fieldEdit{
+		Which: buf[0], Mask: buf[1],
+		Width:      int64(le.Uint64(buf[2:])),
+		MaxBuckets: int64(le.Uint64(buf[10:])),
+		Len:        le.Uint16(buf[18:]),
+		Count:      le.Uint64(buf[20:]),
+		Event:      le.Uint64(buf[28:]),
+	}
+}
+
+// FuzzResultFields mutates decoded fields where FuzzReadResult mutates
+// bytes: byte mutations of a gob stream rarely produce a well-formed state
+// with an odd field value. It decodes a real two-shard chain's .pgsr files,
+// overwrites the fields the input's mask selects — a histogram's bucket
+// width, bucket capacity, bucket count and bucket values, the result's
+// Events and StartEvent, the checkpoint's EventOffset — with values drawn
+// from the input, re-encodes the file with WriteResult, and then reads it
+// back with ReadResult and merges what it accepts, alone as in
+// FuzzReadResult and in its chain with the other shard. Nothing may panic
+// or stall.
+func FuzzResultFields(f *testing.F) {
+	files := resultFiles(f)
+	for _, e := range []fieldEdit{
+		{},
+		{Which: 1, Mask: fieldWidth | fieldCountsLen, Width: 3, Len: 40},
+		{Mask: fieldStorage | fieldMaxBuckets | fieldCounts, MaxBuckets: 1, Count: 1 << 63},
+		{Mask: fieldEvents | fieldStartEvent | fieldEventOffset, Event: 599, Count: 1},
+	} {
+		f.Add(e.bytes())
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e := fieldEditOf(data)
+		i := int(e.Which % 2)
+		file := rewriteResult(t, files[i], func(res *Result, cp *core.Checkpoint) {
+			h := res.Stats.Profile
+			if e.Mask&fieldStorage != 0 {
+				h = res.Stats.Storage
+			}
+			if h == nil {
+				h = &stats.LevelHistogramState{}
+			}
+			if e.Mask&fieldWidth != 0 {
+				h.Width = e.Width
+			}
+			if e.Mask&fieldMaxBuckets != 0 {
+				h.MaxBuckets = int(e.MaxBuckets)
+			}
+			if e.Mask&fieldCountsLen != 0 {
+				n := int(e.Len)
+				h.Counts = append(h.Counts[:min(len(h.Counts), n)], make([]uint64, max(n-len(h.Counts), 0))...)
+			}
+			if e.Mask&fieldCounts != 0 {
+				for j := range h.Counts {
+					h.Counts[j] = e.Count >> (j % 64)
+				}
+				h.Total = e.Count
+			}
+			if e.Mask&fieldEvents != 0 {
+				res.Events = e.Event
+			}
+			if e.Mask&fieldStartEvent != 0 {
+				res.StartEvent = e.Event + e.Count
+			}
+			if e.Mask&fieldEventOffset != 0 && cp != nil {
+				cp.EventOffset = e.Event
+			}
+		})
+		res, _, err := ReadResult(bytes.NewReader(file))
 		if err != nil {
 			return
 		}
-		one := *res
-		one.Index, one.Shards, one.StartEvent = 0, 1, 0
-		_, _, _ = Merge([]*Result{&one})
-		for _, st := range []*stats.LevelHistogramState{res.Stats.Profile, res.Stats.Storage} {
-			if st != nil {
-				stats.NewLevelHistogram(st.MaxBuckets).Merge(stats.LevelHistogramFromState(*st))
-			}
+		mergeAccepted(res)
+		other, _, err := ReadResult(bytes.NewReader(files[1-i]))
+		if err != nil {
+			t.Fatal(err)
 		}
+		chain := make([]*Result, 2)
+		chain[i], chain[1-i] = res, other
+		_, _, _ = Merge(chain)
 	})
 }
