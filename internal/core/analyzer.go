@@ -152,7 +152,7 @@ func (a *Analyzer) Event(e *trace.Event) (err error) {
 		a.evictDead(seq)
 	}
 	if a.storage != nil {
-		a.storage.Add(int64(seq), uint64(a.well.memLen()))
+		a.storage.Add(int64(seq), uint64(a.well.mem.len()))
 	}
 	if a.gov != nil && a.instructions%budget.CheckEvery == 0 {
 		if err := a.governBudget(); err != nil {
@@ -195,7 +195,7 @@ func (a *Analyzer) Events(batch []trace.Event) (err error) {
 			a.evictDead(seq)
 		}
 		if a.storage != nil {
-			a.storage.Add(int64(seq), uint64(a.well.memLen()))
+			a.storage.Add(int64(seq), uint64(a.well.mem.len()))
 		}
 		if a.gov != nil && a.instructions%budget.CheckEvery == 0 {
 			if err := a.governBudget(); err != nil {
@@ -219,7 +219,7 @@ const regFileBytes = int64(isa.NumRegs) * 24
 // Result.Config.WindowSize); under fail-fast it returns the structured
 // budget error that aborts the analysis.
 func (a *Analyzer) governBudget() error {
-	return a.governBudgetAt(a.well.memLen())
+	return a.governBudgetAt(a.well.mem.len())
 }
 
 // governBudgetAt is governBudget with the live-memory count supplied by the
@@ -395,7 +395,7 @@ func (a *Analyzer) place(e *trace.Event, seq uint64, p *opPlan) {
 		memLo, memHi = wordRange(e.MemAddr, e.MemSize)
 		if !a.renamedSeg(e.Seg) {
 			for w := memLo; w <= memHi; w++ {
-				if v, live := a.well.memGet(w); live && v.lastUse+1 > base {
+				if v, live := a.well.mem.get(w); live && v.lastUse+1 > base {
 					base = v.lastUse + 1
 				}
 			}
@@ -426,7 +426,7 @@ func (a *Analyzer) place(e *trace.Event, seq uint64, p *opPlan) {
 			if base > v.lastUse {
 				v.lastUse = base
 			}
-			a.well.memPut(w, v)
+			a.well.mem.put(w, v)
 		}
 	}
 
@@ -442,11 +442,11 @@ func (a *Analyzer) place(e *trace.Event, seq uint64, p *opPlan) {
 	}
 	if p.store {
 		for w := memLo; w <= memHi; w++ {
-			if old, wasLive := a.well.memPut(w, newVal); wasLive {
+			if old, wasLive := a.well.mem.put(w, newVal); wasLive {
 				a.retire(old)
 			}
 		}
-		if n := a.well.memLen(); n > a.maxLiveMem {
+		if n := a.well.mem.len(); n > a.maxLiveMem {
 			a.maxLiveMem = n
 		}
 	}

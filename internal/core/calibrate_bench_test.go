@@ -15,37 +15,33 @@ import (
 // ~77.3 B at minimum load (3/8, just after one). The budgeted constant is
 // the expected cost at a random point of the growth cycle,
 // 29/0.375*ln 2 ~= 54 B, rounded up — so the governor is honest on
-// average and within 1.4x of the instantaneous truth everywhere outside
-// the brief two-table migration window. If either measured metric drifts
-// from the comment above (slot layout changed), recalibrate the constant.
+// average and within 1.4x of the instantaneous truth everywhere. If either
+// measured metric drifts from the comment above (slot layout changed),
+// recalibrate the constant.
 //
 //	go test ./internal/core -run xxx -bench LiveWellCalibration -benchtime 1x
 func BenchmarkLiveWellCalibration(b *testing.B) {
 	const maxLoadEntries = (1 << 20) * 3 / 4 // fills a 1<<20 table to its 3/4 threshold
 
 	b.Run("max-load", func(b *testing.B) {
-		calibrate(b, maxLoadEntries, 0)
+		calibrate(b, maxLoadEntries)
 	})
 	b.Run("post-grow", func(b *testing.B) {
-		// One entry past the threshold doubles the table; the update
-		// churn afterwards drains the incremental migration so only the
-		// grown, 3/8-loaded table remains.
-		calibrate(b, maxLoadEntries+1, 20000)
+		// One entry past the threshold doubles the table, leaving it 3/8
+		// loaded; the rehash frees the old arrays.
+		calibrate(b, maxLoadEntries+1)
 	})
 }
 
-func calibrate(b *testing.B, entries int, churn int) {
+func calibrate(b *testing.B, entries int) {
 	for i := 0; i < b.N; i++ {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 
-		t := &memTable{}
+		t := &memTable[value]{}
 		for k := 0; k < entries; k++ {
 			t.put(uint32(k)*4, value{level: int64(k), lastUse: int64(k), uses: 1})
-		}
-		for k := 0; k < churn; k++ {
-			t.put(uint32(k)*4, value{level: int64(k), lastUse: int64(k), uses: 2})
 		}
 
 		runtime.GC()

@@ -121,81 +121,6 @@ type ShardDelta struct {
 	Syscalls    uint64
 }
 
-// slotTable maps memory word addresses to dense slot ids during a
-// resolution:
-// open addressing with Fibonacci hashing and linear probing, mirroring the
-// live well's memTable but with 8-byte entries and no deletion.
-type slotTable struct {
-	keys []uint32
-	ids  []int32 // -1 = empty
-	n    int
-	mask uint32
-}
-
-func newSlotTable() *slotTable {
-	const initSize = 1024
-	t := &slotTable{
-		keys: make([]uint32, initSize),
-		ids:  make([]int32, initSize),
-		mask: initSize - 1,
-	}
-	for i := range t.ids {
-		t.ids[i] = -1
-	}
-	return t
-}
-
-func slotHash(w, mask uint32) uint32 {
-	return (w * 2654435769) & mask
-}
-
-// lookup returns the slot id for word, or -1.
-func (t *slotTable) lookup(w uint32) int32 {
-	for i := slotHash(w, t.mask); ; i = (i + 1) & t.mask {
-		if t.ids[i] < 0 {
-			return -1
-		}
-		if t.keys[i] == w {
-			return t.ids[i]
-		}
-	}
-}
-
-// insert adds a word known to be absent.
-func (t *slotTable) insert(w uint32, id int32) {
-	if t.n >= len(t.ids)*3/4 {
-		t.grow()
-	}
-	i := slotHash(w, t.mask)
-	for t.ids[i] >= 0 {
-		i = (i + 1) & t.mask
-	}
-	t.keys[i], t.ids[i] = w, id
-	t.n++
-}
-
-func (t *slotTable) grow() {
-	oldKeys, oldIDs := t.keys, t.ids
-	size := len(oldIDs) * 2
-	t.keys = make([]uint32, size)
-	t.ids = make([]int32, size)
-	t.mask = uint32(size - 1)
-	for i := range t.ids {
-		t.ids[i] = -1
-	}
-	for i, id := range oldIDs {
-		if id < 0 {
-			continue
-		}
-		w := oldKeys[i]
-		j := slotHash(w, t.mask)
-		for t.ids[j] >= 0 {
-			j = (j + 1) & t.mask
-		}
-		t.keys[j], t.ids[j] = w, id
-	}
-}
-
 // deltaSlot is the splice-time state of one pending location: the value
 // record, its liveness, and whether the location is a memory word (which
 // drives live-memory accounting).
@@ -246,7 +171,7 @@ func (a *Analyzer) ApplyDelta(d *ShardDelta) (err error) {
 	slots := make([]deltaSlot, len(d.Locs))
 	for i, loc := range d.Locs {
 		if loc&deltaMemLoc != 0 {
-			v, live := a.well.memGet(loc &^ deltaMemLoc)
+			v, live := a.well.mem.get(loc &^ deltaMemLoc)
 			slots[i] = deltaSlot{val: v, live: live, isMem: true}
 		} else {
 			slots[i] = deltaSlot{val: a.well.regs[loc], live: a.well.regLive[loc]}
@@ -256,7 +181,7 @@ func (a *Analyzer) ApplyDelta(d *ShardDelta) (err error) {
 	var rp deltaReplay
 	rp.init(a)
 	rp.slots = slots
-	rp.curMem = a.well.memLen()
+	rp.curMem = a.well.mem.len()
 	if rerr := rp.run(d.Code); rerr != nil {
 		return rerr
 	}
@@ -273,7 +198,7 @@ func (a *Analyzer) ApplyDelta(d *ShardDelta) (err error) {
 			continue
 		}
 		if loc := d.Locs[i]; sl.isMem {
-			a.well.memPut(loc&^deltaMemLoc, sl.val)
+			a.well.mem.put(loc&^deltaMemLoc, sl.val)
 		} else {
 			a.well.regs[loc] = sl.val
 			a.well.regLive[loc] = true

@@ -19,16 +19,16 @@ type value struct {
 }
 
 // liveWell is the hash table of live values of Section 3.2. Register-space
-// locations use a dense array; memory words use an open-addressed table
-// keyed by word address (see memTable — linear probing, backward-shift
-// deletion, incremental growth). A value becomes dead when its location is
+// locations use a dense array; memory words use the open-addressed word
+// table the resolver's slot map also uses (memTable), and callers read and
+// write mem directly. A value becomes dead when its location is
 // overwritten, at which point the record is recycled — the paper's
 // single-pass forward cleanup strategy ("a value has become dead after its
 // storage location is reused").
 type liveWell struct {
 	regs    [isa.NumRegs]value
 	regLive [isa.NumRegs]bool
-	mem     memTable
+	mem     memTable[value]
 
 	// preLevel is where locations that existed before the program began
 	// (pre-initialized registers, DATA-segment words) are considered to
@@ -75,50 +75,17 @@ func (w *liveWell) setReg(r isa.Reg, v value) (value, bool) {
 	return old, wasLive
 }
 
-// memGet returns the record for a memory word (by word address = byte
-// address >> 2), creating nothing. The bool reports liveness.
-func (w *liveWell) memGet(word uint32) (value, bool) {
-	return w.mem.get(word)
-}
-
 // memRead returns the record for a memory word for use as a source,
 // creating a pre-existing record on first touch (DATA-segment values and
 // untouched stack/heap read before any traced write).
 func (w *liveWell) memRead(word uint32) value {
-	if v, ok := w.mem.get(word); ok {
-		return v
+	i, ok := w.mem.find(word)
+	if ok {
+		return w.mem.vals[i]
 	}
 	v := w.preExisting()
-	w.mem.put(word, v)
+	w.mem.insertAt(i, word, v)
 	return v
-}
-
-// memPut stores the record for a memory word, returning the previous record
-// and whether one was live.
-func (w *liveWell) memPut(word uint32, v value) (value, bool) {
-	return w.mem.put(word, v)
-}
-
-// memDelete evicts a memory word's record (two-pass dead-value analysis).
-func (w *liveWell) memDelete(word uint32) {
-	w.mem.del(word)
-}
-
-// memLen returns the number of live memory words.
-func (w *liveWell) memLen() int {
-	return w.mem.len()
-}
-
-// size returns the number of live locations (registers + memory words);
-// this is the live-well working set the paper had to fight to keep in 32 MB.
-func (w *liveWell) size() int {
-	n := w.mem.len()
-	for _, live := range w.regLive {
-		if live {
-			n++
-		}
-	}
-	return n
 }
 
 // forEachLive visits every live record; used to flush lifetime/sharing

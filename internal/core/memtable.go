@@ -1,62 +1,52 @@
 package core
 
-// memTable is the open-addressed hash table behind the live well's memory
-// half: word address -> value record. It replaces the earlier
-// map[uint32]value, which paid a hash-map bucket walk (plus interface-free
-// but cache-hostile overflow chasing) on every load and store of the
-// analysis hot loop. The design is tuned for the trace access pattern —
-// word addresses are dense in a few regions, lookups vastly outnumber
-// deletes, and the table grows monotonically except under two-pass
-// eviction:
+// memTable is the open-addressed hash table keyed by memory word address
+// (byte address >> 2) that serves both halves of placement: the live well
+// maps words to value records (memTable[value]) and the resolver maps them
+// to dense slot ids (memTable[int32]). Every load and store of the analysis
+// hot loop lands here, so the layout is chosen for the trace access
+// pattern — word addresses are dense in a few regions, lookups vastly
+// outnumber deletes, and the table grows monotonically except under
+// two-pass eviction:
 //
 //   - power-of-two capacity with Fibonacci (multiplicative) hashing, so
-//     the probe start is a multiply and a shift, no modulo;
-//   - linear probing, so a probe sequence is one cache line most of the
-//     time (keys are stored apart from the 24-byte records, keeping the
-//     key scan dense);
+//     the probe start is a multiply and a shift, no modulo, and nearby
+//     addresses scatter;
+//   - linear probing over keys stored apart from the values, so a probe
+//     sequence scans one dense cache line most of the time;
+//   - occupancy in its own array, never a sentinel key or value: key 0
+//     (byte addresses 0–3) is a valid word and every value is storable;
 //   - tombstone-free deletion by backward shift, so deletes (two-pass
-//     dead-value eviction) never degrade later probes;
-//   - incremental growth: when the load factor crosses 3/4 the table
-//     allocates a double-size successor and migrates a bounded number of
-//     slots per subsequent write, so no single Event call pays a
-//     full-table rehash.
+//     dead-value eviction) never lengthen later probes;
+//   - doubling at 3/4 load by one full rehash. Every caller is a batch
+//     analysis, so no single operation's latency matters, and the rehash
+//     work amortizes to O(1) per insert.
 //
 // The zero memTable is ready to use. The table is not safe for concurrent
-// use, matching the analyzer it belongs to.
-type memTable struct {
+// use, matching the analyzer and resolver that own it.
+type memTable[V any] struct {
 	keys []uint32
-	vals []value
+	vals []V
 	used []bool
 	mask uint32 // len(keys) - 1
-	n    int    // live entries in keys/vals/used
-
-	// Pending migration source: while old is non-nil, lookups consult it
-	// after the main table and every mutating call moves up to
-	// memMigrateStep old slots forward. oldN tracks entries still there.
-	old     *memTable
-	oldScan uint32 // next old slot to migrate
+	n    int    // live entries
 }
 
-const (
-	// memTableMinCap is the initial capacity of a table's first
-	// allocation; must be a power of two.
-	memTableMinCap = 256
-	// memMigrateStep bounds how many source slots one mutating operation
-	// migrates while a grown table drains its predecessor.
-	memMigrateStep = 64
-)
+// memTableMinCap is the capacity of a table's first allocation; must be a
+// power of two.
+const memTableMinCap = 256
 
 // hash maps a word address to its home slot with Fibonacci hashing
-// (2654435769 = floor(2^32/phi)); high bits select the slot, so nearby
-// addresses scatter.
-func (t *memTable) hash(key uint32) uint32 {
+// (2654435769 = floor(2^32/phi)).
+func (t *memTable[V]) hash(key uint32) uint32 {
 	return (key * 2654435769) & t.mask
 }
 
-// find returns the slot holding key and whether it is present, probing
-// only the main table.
-func (t *memTable) find(key uint32) (uint32, bool) {
-	if t.n == 0 {
+// find returns the slot holding key and true, or the empty slot that ends
+// key's probe sequence and false. On an unallocated table the miss slot is
+// meaningless, and insertAt allocates before using it.
+func (t *memTable[V]) find(key uint32) (uint32, bool) {
+	if t.used == nil {
 		return 0, false
 	}
 	i := t.hash(key)
@@ -69,61 +59,62 @@ func (t *memTable) find(key uint32) (uint32, bool) {
 	return i, false
 }
 
-// get returns the record for key, consulting the in-migration predecessor
-// when one exists.
-func (t *memTable) get(key uint32) (value, bool) {
+// get returns the value bound to key and whether there is one.
+func (t *memTable[V]) get(key uint32) (v V, ok bool) {
 	if i, ok := t.find(key); ok {
 		return t.vals[i], true
 	}
-	if t.old != nil {
-		if i, ok := t.old.find(key); ok {
-			return t.old.vals[i], true
-		}
-	}
-	return value{}, false
+	return v, false
 }
 
-// put binds key to v, returning the previous record and whether one was
-// present (the live well's memPut contract).
-func (t *memTable) put(key uint32, v value) (value, bool) {
-	t.migrate()
-	if t.keys == nil {
-		t.init(memTableMinCap)
-	}
-	if i, ok := t.find(key); ok {
+// put binds key to v, returning the previous value and whether there was
+// one.
+func (t *memTable[V]) put(key uint32, v V) (V, bool) {
+	i, ok := t.find(key)
+	if ok {
 		old := t.vals[i]
 		t.vals[i] = v
 		return old, true
 	}
-	// Not in the main table; an in-migration predecessor may still hold
-	// the key — move its record's slot here so there is exactly one copy.
-	var old value
-	var had bool
-	if t.old != nil {
-		if i, ok := t.old.find(key); ok {
-			old, had = t.old.vals[i], true
-			t.old.del(key)
+	t.insertAt(i, key, v)
+	var zero V
+	return zero, false
+}
+
+// insertAt binds key, which find has just reported absent at slot i, to v.
+// When the insert would cross the 3/4 load ceiling the table grows first
+// and i is found again.
+func (t *memTable[V]) insertAt(i, key uint32, v V) {
+	if 4*(t.n+1) > 3*len(t.keys) {
+		t.grow()
+		i, _ = t.find(key)
+	}
+	t.keys[i], t.vals[i], t.used[i] = key, v, true
+	t.n++
+}
+
+// grow doubles the capacity (or allocates the first arrays) and rehashes
+// every entry into the new arrays.
+func (t *memTable[V]) grow() {
+	old := *t
+	c := max(2*len(old.keys), memTableMinCap)
+	t.keys = make([]uint32, c)
+	t.vals = make([]V, c)
+	t.used = make([]bool, c)
+	t.mask = uint32(c - 1)
+	for j, u := range old.used {
+		if u {
+			i, _ := t.find(old.keys[j])
+			t.keys[i], t.vals[i], t.used[i] = old.keys[j], old.vals[j], true
 		}
 	}
-	t.insert(key, v)
-	return old, had
 }
 
-// del removes key if present, reporting whether it was, with
-// backward-shift compaction so no tombstone is left behind.
-func (t *memTable) del(key uint32) bool {
-	t.migrate()
-	if t.delMain(key) {
-		return true
-	}
-	return t.old != nil && t.old.delMain(key)
-}
-
-// delMain deletes from this table only (no predecessor lookup). Knuth's
-// backward-shift: the hole moves forward through the probe cluster,
-// pulling back every entry whose home position permits it, until the
-// cluster ends.
-func (t *memTable) delMain(key uint32) bool {
+// del removes key if present, reporting whether it was. Knuth's backward
+// shift: the hole moves forward through the probe cluster, pulling back
+// every entry whose home slot permits it, until the cluster ends, so no
+// tombstone is left behind.
+func (t *memTable[V]) del(key uint32) bool {
 	i, ok := t.find(key)
 	if !ok {
 		return false
@@ -151,141 +142,24 @@ func (t *memTable) delMain(key uint32) bool {
 	}
 }
 
-// insert places a key known to be absent, growing first when the write
-// would cross the 3/4 load ceiling.
-func (t *memTable) insert(key uint32, v value) {
-	if 4*(t.n+1) > 3*len(t.keys) {
-		t.grow()
-	}
-	i := t.hash(key)
-	for t.used[i] {
-		i = (i + 1) & t.mask
-	}
-	t.keys[i], t.vals[i], t.used[i] = key, v, true
-	t.n++
-}
+// len returns the number of live entries.
+func (t *memTable[V]) len() int { return t.n }
 
-// init allocates the slot arrays at capacity c (a power of two).
-func (t *memTable) init(c int) {
-	t.keys = make([]uint32, c)
-	t.vals = make([]value, c)
-	t.used = make([]bool, c)
-	t.mask = uint32(c - 1)
-}
-
-// grow starts (or, if one is already pending, completes) an incremental
-// migration into a table of twice the capacity. The successor is sized so
-// that it cannot itself need growing before the predecessor drains at
-// memMigrateStep slots per write.
-func (t *memTable) grow() {
-	if t.old != nil {
-		// Rare: the successor filled before the predecessor drained
-		// (possible only under adversarial delete/insert interleaving).
-		// Finish the pending migration before stacking another.
-		t.drain()
-	}
-	prev := *t
-	t.init(2 * len(prev.keys))
-	t.n = 0
-	t.old, t.oldScan = &prev, 0
-	t.old.old = nil
-	t.migrate()
-}
-
-// migrate advances a pending migration by at least memMigrateStep source
-// slots, releasing the predecessor once it is empty. The frontier only ever
-// rests on an empty old slot: stopping mid-cluster would break the probe
-// chain of any key stored past the frontier whose home slot precedes it
-// (old.find would die at the cleared home slot and report the key absent),
-// so after the bounded sweep the scan continues until it clears a whole
-// number of probe clusters. The wrap-around cluster at the array end needs
-// no special casing — its tail (slots [0,e)) is cleared whole by the first
-// sweep, and every key remaining in its head has home and storage both in
-// the head (a forward probe cannot cross the empty slot that bounds it).
-func (t *memTable) migrate() {
-	if t.old == nil {
-		return
-	}
-	end := uint32(len(t.old.keys))
-	limit := t.oldScan + memMigrateStep
-	if limit > end {
-		limit = end
-	}
-	for t.oldScan < limit {
-		t.migrateSlot()
-	}
-	for t.oldScan < end && t.old.used[t.oldScan] {
-		t.migrateSlot()
-	}
-	if t.old.n == 0 {
-		t.old = nil
-		return
-	}
-	if t.oldScan >= end {
-		// Invariant violation: the scan cleared every slot yet the entry
-		// count says records remain (backward-shift deletes cannot move an
-		// entry across the empty slot the frontier rests on). Rescue with a
-		// full sweep rather than dropping live records, then release.
-		for i := range t.old.used {
-			if t.old.used[i] {
-				t.insert(t.old.keys[i], t.old.vals[i])
-				t.old.used[i] = false
-			}
-		}
-		t.old = nil
-	}
-}
-
-// migrateSlot moves one predecessor slot into the main table and advances
-// the frontier past it.
-func (t *memTable) migrateSlot() {
-	if t.old.used[t.oldScan] {
-		t.insert(t.old.keys[t.oldScan], t.old.vals[t.oldScan])
-		t.old.used[t.oldScan] = false
-		t.old.n--
-	}
-	t.oldScan++
-}
-
-// drain completes any pending migration in one go.
-func (t *memTable) drain() {
-	for t.old != nil {
-		t.migrate()
-	}
-}
-
-// len returns the number of live entries, including any still awaiting
-// migration.
-func (t *memTable) len() int {
-	n := t.n
-	if t.old != nil {
-		n += t.old.n
-	}
-	return n
-}
-
-// forEach visits every live entry, predecessor included. Visit order is
-// unspecified (as it was with the map); callers fold entries into
-// order-independent accumulators.
-func (t *memTable) forEach(fn func(key uint32, v value)) {
+// forEach visits every live entry. Visit order is unspecified; callers
+// fold entries into order-independent accumulators or sort.
+func (t *memTable[V]) forEach(fn func(key uint32, v V)) {
 	for i, u := range t.used {
 		if u {
 			fn(t.keys[i], t.vals[i])
 		}
 	}
-	if t.old != nil {
-		t.old.forEach(fn)
-	}
 }
 
-// clone deep-copies the table, pending migration and all.
-func (t *memTable) clone() *memTable {
+// clone deep-copies the table.
+func (t *memTable[V]) clone() *memTable[V] {
 	c := *t
 	c.keys = append([]uint32(nil), t.keys...)
-	c.vals = append([]value(nil), t.vals...)
+	c.vals = append([]V(nil), t.vals...)
 	c.used = append([]bool(nil), t.used...)
-	if t.old != nil {
-		c.old = t.old.clone()
-	}
 	return &c
 }

@@ -6,20 +6,32 @@ import (
 	"testing/quick"
 )
 
-// tableOps drives a memTable and a map[uint32]value reference through the
-// same operation sequence and reports the first divergence. Keys are drawn
-// from a small space so puts, overwrites and deletes collide often, and the
-// table is forced through several incremental growths.
-func tableOps(t *testing.T, seed int64, ops int, keySpace uint32) {
+// The table serves two instantiations: value records for the live well and
+// int32 slot ids for the resolver. Every equivalence test runs both.
+func recordOf(i int) value { return value{level: int64(i), lastUse: int64(i), uses: uint32(i)} }
+func slotIDOf(i int) int32 { return int32(i) }
+
+// tableOps drives a memTable and a map reference through the same
+// operation sequence and reports the first divergence. Keys are drawn from
+// a small space so puts, overwrites and deletes collide often, key 0 recurs
+// on a fixed cadence, and the table is forced through several doublings
+// with deletes interleaved.
+func tableOps[V comparable](t *testing.T, seed int64, ops int, keySpace uint32, mk func(int) V) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	var tab memTable
-	ref := make(map[uint32]value)
+	var tab memTable[V]
+	ref := make(map[uint32]V)
 	for i := 0; i < ops; i++ {
 		key := rng.Uint32() % keySpace
+		if i%101 == 0 {
+			key = 0
+		}
 		switch rng.Intn(10) {
 		case 0, 1: // delete
-			tab.del(key)
+			_, want := ref[key]
+			if had := tab.del(key); had != want {
+				t.Fatalf("seed %d op %d: del(%d) = %v want %v", seed, i, key, had, want)
+			}
 			delete(ref, key)
 		case 2: // get
 			got, ok := tab.get(key)
@@ -28,7 +40,7 @@ func tableOps(t *testing.T, seed int64, ops int, keySpace uint32) {
 				t.Fatalf("seed %d op %d: get(%d) = %v,%v want %v,%v", seed, i, key, got, ok, want, wantOK)
 			}
 		default: // put
-			v := value{level: int64(i), lastUse: int64(i), uses: uint32(i)}
+			v := mk(i)
 			old, had := tab.put(key, v)
 			wantOld, wantHad := ref[key]
 			ref[key] = v
@@ -40,44 +52,59 @@ func tableOps(t *testing.T, seed int64, ops int, keySpace uint32) {
 			t.Fatalf("seed %d op %d: len = %d want %d", seed, i, tab.len(), len(ref))
 		}
 	}
-	// Full-content check, both directions.
-	seen := 0
-	tab.forEach(func(key uint32, v value) {
-		seen++
+	checkTable(t, &tab, ref)
+}
+
+// checkTable requires tab and ref to hold the same entries, both ways, and
+// forEach to visit each entry exactly once.
+func checkTable[V comparable](t *testing.T, tab *memTable[V], ref map[uint32]V) {
+	t.Helper()
+	if tab.len() != len(ref) {
+		t.Fatalf("len = %d want %d", tab.len(), len(ref))
+	}
+	seen := make(map[uint32]bool, len(ref))
+	tab.forEach(func(key uint32, v V) {
+		if seen[key] {
+			t.Fatalf("forEach visited key %d twice", key)
+		}
+		seen[key] = true
 		if want, ok := ref[key]; !ok || want != v {
-			t.Fatalf("seed %d: forEach visited (%d,%v), reference has %v,%v", seed, key, v, want, ok)
+			t.Fatalf("forEach visited (%d,%v), reference has %v,%v", key, v, want, ok)
 		}
 	})
-	if seen != len(ref) {
-		t.Fatalf("seed %d: forEach visited %d entries, want %d", seed, seen, len(ref))
+	if len(seen) != len(ref) {
+		t.Fatalf("forEach visited %d entries, want %d", len(seen), len(ref))
 	}
 	for key, want := range ref {
 		if got, ok := tab.get(key); !ok || got != want {
-			t.Fatalf("seed %d: get(%d) = %v,%v want %v,true", seed, key, got, ok, want)
+			t.Fatalf("get(%d) = %v,%v want %v,true", key, got, ok, want)
 		}
 	}
 }
 
 // TestDifferentialMemTable proves the open-addressed table is
-// observation-equivalent to the map it replaced, across collision-heavy
-// random workloads that exercise backward-shift deletion and incremental
-// growth mid-migration.
+// observation-equivalent to a map, for both instantiations, across
+// collision-heavy random workloads that exercise backward-shift deletion
+// and growth.
 func TestDifferentialMemTable(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		tableOps(t, seed, 20000, 1<<10) // dense: constant collisions, many overwrites
-		tableOps(t, seed, 20000, 1<<20) // sparse: growth-dominated
+		tableOps(t, seed, 20000, 1<<10, recordOf) // dense: constant collisions, many overwrites
+		tableOps(t, seed, 20000, 1<<20, recordOf) // sparse: growth-dominated
+		tableOps(t, seed, 20000, 1<<10, slotIDOf)
+		tableOps(t, seed, 20000, 1<<20, slotIDOf)
 	}
 }
 
-// TestMemTableQuick drives the same equivalence through testing/quick with
+// quickTable drives the map equivalence through testing/quick with
 // arbitrary key sets, including key 0 (a valid word address — byte address
 // 0–3 — which an open-addressed table must not confuse with an empty slot).
-func TestMemTableQuick(t *testing.T) {
+func quickTable[V comparable](t *testing.T, mk func(int) V) {
+	t.Helper()
 	check := func(keys []uint32) bool {
-		var tab memTable
-		ref := make(map[uint32]value)
+		var tab memTable[V]
+		ref := make(map[uint32]V)
 		for i, k := range keys {
-			v := value{level: int64(i)}
+			v := mk(i)
 			tab.put(k, v)
 			ref[k] = v
 		}
@@ -106,21 +133,31 @@ func TestMemTableQuick(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-	// Explicit key-zero case.
-	var tab memTable
+	// Explicit key-zero case, with the zero value stored.
+	var tab memTable[V]
 	if _, ok := tab.get(0); ok {
 		t.Fatal("empty table claims key 0 is present")
 	}
-	tab.put(0, value{level: 7})
-	if v, ok := tab.get(0); !ok || v.level != 7 {
-		t.Fatalf("get(0) = %v,%v want level 7", v, ok)
+	if tab.del(0) {
+		t.Fatal("del(0) on an empty table reported present")
+	}
+	tab.put(0, mk(0))
+	if v, ok := tab.get(0); !ok || v != mk(0) {
+		t.Fatalf("get(0) = %v,%v want %v,true", v, ok, mk(0))
 	}
 	if !tab.del(0) {
 		t.Fatal("del(0) reported absent")
 	}
-	if tab.len() != 0 {
-		t.Fatalf("len = %d after deleting only entry", tab.len())
+	if _, ok := tab.get(0); ok || tab.len() != 0 {
+		t.Fatalf("key 0 still present (len %d) after deleting the only entry", tab.len())
 	}
+}
+
+// TestMemTableQuick runs the testing/quick equivalence over both
+// instantiations.
+func TestMemTableQuick(t *testing.T) {
+	quickTable(t, recordOf)
+	quickTable(t, slotIDOf)
 }
 
 // homedKeys returns n distinct non-zero keys whose home slot under mask is
@@ -136,99 +173,105 @@ func homedKeys(home, mask uint32, n int) []uint32 {
 	return keys
 }
 
-// TestMemTableMigrationClusterStraddle is the regression test for the
-// incremental-migration probe-chain bug: clusters of colliding keys are
-// packed so they straddle every memMigrateStep multiple of the initial
-// table, plus the wrap-around cluster at the array end, the table is pushed
-// through the 256->512 growth, and full get/put/del equivalence against a
-// reference map is asserted at every step while the migration is pending.
-// With a frontier that stops mid-cluster, a key stored past the frontier
-// whose home slot precedes it vanishes from get (old.find dies at its
-// cleared home slot), which this test observes immediately after growth.
-func TestMemTableMigrationClusterStraddle(t *testing.T) {
-	const mask = memTableMinCap - 1
+// TestMemTableClusterGrowth pushes crafted probe clusters through the
+// first doubling and deletes through them on both sides of it, checking
+// map equivalence after every put and delete. The clusters are colliding
+// keys around fixed home slots, plus one cluster that wraps across the
+// array end; keys are homed under the grown table's mask, so each cluster
+// keeps its shape in both tables (home h in the grown table is home
+// h mod memTableMinCap in the first). Deleting from the wrap-around cluster
+// is the deterministic check that backward shift pulls entries back across
+// the array end without breaking a probe chain.
+func TestMemTableClusterGrowth(t *testing.T) {
+	const grownMask = 2*memTableMinCap - 1
 	var keys []uint32
-	// Clusters [b-6, b+5] straddling each migration-step boundary b.
-	for b := uint32(memMigrateStep); b < memTableMinCap; b += memMigrateStep {
-		keys = append(keys, homedKeys(b-6, mask, 12)...)
+	// Clusters [b-6, b+5] around home slots 58, 122 and 186.
+	for b := uint32(64); b < memTableMinCap; b += 64 {
+		keys = append(keys, homedKeys(b-6, grownMask, 12)...)
 	}
-	// Wrap-around cluster spanning the array end: slots [252..255, 0..5].
-	keys = append(keys, homedKeys(memTableMinCap-4, mask, 10)...)
+	// Wrap-around cluster homed 4 slots before the grown array's end, so it
+	// also starts 4 slots before the first array's end: it spans slots
+	// [252..255, 0..5] before the doubling and [508..511, 0..5] after.
+	wrap := homedKeys(2*memTableMinCap-4, grownMask, 10)
+	keys = append(keys, wrap...)
 	// Filler homed clear of the crafted clusters, enough that the next
-	// insert crosses the 3/4 load ceiling and starts a migration.
+	// insert crosses the 3/4 load ceiling.
 	for h := uint32(8); len(keys) < 3*memTableMinCap/4 && h < memTableMinCap; h += 2 {
-		if h%memMigrateStep < 8 || h%memMigrateStep > 48 {
+		if h%64 < 8 || h%64 > 48 {
 			continue
 		}
-		keys = append(keys, homedKeys(h, mask, 2)...)
+		keys = append(keys, homedKeys(h, grownMask, 2)...)
 	}
-	var tab memTable
+
+	var tab memTable[value]
 	ref := make(map[uint32]value)
-	for i, k := range keys {
-		v := value{level: int64(i + 1), lastUse: int64(i), uses: uint32(i)}
+	put := func(k uint32, v value) {
+		t.Helper()
 		tab.put(k, v)
 		ref[k] = v
+		checkTable(t, &tab, ref)
 	}
-	if tab.old != nil {
-		t.Fatal("migration started before the load ceiling was crossed")
-	}
-	// Crafted keys are brute-forced from 1 upward, so anything >= 1<<20 is
-	// guaranteed fresh.
-	next := uint32(1 << 20)
-	tab.put(next, value{level: -1})
-	ref[next] = value{level: -1}
-	next++
-	if tab.old == nil {
-		t.Fatal("growth did not leave a migration pending")
-	}
-	checkAll := func(step int) {
+	del := func(k uint32) {
 		t.Helper()
-		if tab.len() != len(ref) {
-			t.Fatalf("step %d: len = %d want %d", step, tab.len(), len(ref))
-		}
-		for k, want := range ref {
-			if got, ok := tab.get(k); !ok || got != want {
-				t.Fatalf("step %d (migration pending: %v): get(%d) = %v,%v want %v,true",
-					step, tab.old != nil, k, got, ok, want)
-			}
-		}
-	}
-	checkAll(0)
-	for step := 1; tab.old != nil; step++ {
-		// Delete a crafted key (often still unmigrated, past the frontier)
-		// and insert a fresh one; each mutating call advances the frontier.
-		k := keys[len(keys)-1]
-		keys = keys[:len(keys)-1]
 		if !tab.del(k) {
-			t.Fatalf("step %d: del(%d) reported absent", step, k)
+			t.Fatalf("del(%d) reported absent", k)
 		}
 		delete(ref, k)
-		v := value{level: int64(1000 + step)}
-		tab.put(next, v)
-		ref[next] = v
-		next++
-		checkAll(step)
+		checkTable(t, &tab, ref)
 	}
-	checkAll(-1)
-	// The drain must leave exactly one copy of every key: the original bug
-	// made memRead fabricate a fresh record for an invisible key, and the
-	// later migration re-inserted the stale copy as a duplicate.
-	seen := make(map[uint32]bool, len(ref))
-	tab.forEach(func(key uint32, v value) {
-		if seen[key] {
-			t.Fatalf("forEach visited key %d twice after drain", key)
+	// wrapsEnd guards the crafting: the wrap cluster must hold slots at
+	// both ends of the current array.
+	wrapsEnd := func() {
+		t.Helper()
+		lo, hi := false, false
+		for _, k := range wrap {
+			i, _ := tab.find(k)
+			lo = lo || i < 8
+			hi = hi || i >= uint32(len(tab.keys)-4)
 		}
-		seen[key] = true
-	})
-	if len(seen) != len(ref) {
-		t.Fatalf("forEach visited %d keys, want %d", len(seen), len(ref))
+		if !lo || !hi {
+			t.Fatalf("the wrap cluster does not cross the end of a %d-slot array", len(tab.keys))
+		}
+	}
+	for i, k := range keys {
+		put(k, value{level: int64(i + 1), lastUse: int64(i), uses: uint32(i)})
+	}
+	if len(tab.keys) != memTableMinCap {
+		t.Fatalf("table grew to %d slots before the load ceiling was crossed", len(tab.keys))
+	}
+	wrapsEnd()
+	// Before the doubling: delete each wrap-cluster key and put it back,
+	// so every position of the cluster is vacated once.
+	for i, k := range wrap {
+		del(k)
+		put(k, value{level: int64(-i)})
+	}
+	if len(tab.keys) != memTableMinCap {
+		t.Fatalf("table grew to %d slots at constant load", len(tab.keys))
+	}
+
+	// Crafted keys are brute-forced from 1 upward, so anything >= 1<<20 is
+	// fresh.
+	next := uint32(1 << 20)
+	put(next, value{level: -1})
+	next++
+	if len(tab.keys) != 2*memTableMinCap {
+		t.Fatalf("crossing the load ceiling left %d slots, want %d", len(tab.keys), 2*memTableMinCap)
+	}
+	wrapsEnd()
+	// After the doubling: delete every crafted key, in reverse insertion
+	// order, and insert a fresh key after each delete.
+	for step, i := 1, len(keys)-1; i >= 0; step, i = step+1, i-1 {
+		del(keys[i])
+		put(next, value{level: int64(1000 + step)})
+		next++
 	}
 }
 
-// TestMemTableClone verifies clone independence, including a clone taken
-// mid-migration.
+// TestMemTableClone verifies that a clone is a deep copy: mutating the
+// original after a clone leaves the clone intact.
 func TestMemTableClone(t *testing.T) {
-	var tab memTable
+	var tab memTable[value]
 	for i := uint32(0); i < 1000; i++ {
 		tab.put(i, value{level: int64(i)})
 	}

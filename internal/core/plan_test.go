@@ -42,7 +42,7 @@ func (a *refAnalyzer) Event(e *trace.Event) error {
 		a.evictDead(seq)
 	}
 	if a.storage != nil {
-		a.storage.Add(int64(seq), uint64(a.well.memLen()))
+		a.storage.Add(int64(seq), uint64(a.well.mem.len()))
 	}
 	if a.gov != nil && a.instructions%budget.CheckEvery == 0 {
 		return a.governBudget()
@@ -127,7 +127,7 @@ func (a *refAnalyzer) place(e *trace.Event, seq uint64) {
 		memLo, memHi = wordRange(e.MemAddr, e.MemSize)
 		if !a.renamedSeg(e.Seg) {
 			for w := memLo; w <= memHi; w++ {
-				if v, live := a.well.memGet(w); live && v.lastUse+1 > base {
+				if v, live := a.well.mem.get(w); live && v.lastUse+1 > base {
 					base = v.lastUse + 1
 				}
 			}
@@ -154,7 +154,7 @@ func (a *refAnalyzer) place(e *trace.Event, seq uint64) {
 			if base > v.lastUse {
 				v.lastUse = base
 			}
-			a.well.memPut(w, v)
+			a.well.mem.put(w, v)
 		}
 	}
 	newVal := value{level: ldest, lastUse: base}
@@ -168,11 +168,11 @@ func (a *refAnalyzer) place(e *trace.Event, seq uint64) {
 	}
 	if info.IsStore {
 		for w := memLo; w <= memHi; w++ {
-			if old, wasLive := a.well.memPut(w, newVal); wasLive {
+			if old, wasLive := a.well.mem.put(w, newVal); wasLive {
 				a.retire(old)
 			}
 		}
-		if n := a.well.memLen(); n > a.maxLiveMem {
+		if n := a.well.mem.len(); n > a.maxLiveMem {
 			a.maxLiveMem = n
 		}
 	}

@@ -84,7 +84,9 @@ const ResolveSegmentBytes = int64(resolveSegWords+160) * 2 * 4
 // Resolver is the config-invariant stage-1 pass. It implements trace.Sink
 // and trace.BatchSink, validating events exactly as a sequential analyzer
 // does (same absolute indices, same error values) and compiling them into
-// dependence records. It owns the slot tables — the only hashing in the
+// dependence records. It owns the slot tables: a dense array for registers
+// and, for memory words, the word table the live well also uses
+// (memTable[int32], word address -> slot id) — the only hashing in the
 // whole sweep happens here, once.
 //
 // On a validation error the records for every event before the bad one are
@@ -97,7 +99,7 @@ type Resolver struct {
 	emit func(*DepSegment) error // nil for a shard resolution
 
 	regSlot [isa.NumRegs]int32
-	memSlot *slotTable
+	memSlot memTable[int32]
 	// plans is the operand-plan table (plan.go), allocated at the first
 	// event.
 	plans *planTable
@@ -137,7 +139,7 @@ func NewDeltaResolver(start uint64, n int) *Resolver {
 }
 
 func newResolver(emit func(*DepSegment) error, start uint64, cut int, seg DepSegment) *Resolver {
-	r := &Resolver{emit: emit, memSlot: newSlotTable(), start: start, seg: seg, cut: cut}
+	r := &Resolver{emit: emit, start: start, seg: seg, cut: cut}
 	for i := range r.regSlot {
 		r.regSlot[i] = -1
 	}
@@ -186,12 +188,15 @@ func (r *Resolver) regSlotID(reg isa.Reg) uint32 {
 }
 
 // memSlotID resolves a memory word to its slot, allocating on first touch.
+// One probe serves both outcomes: a miss inserts at the slot find stopped
+// on.
 func (r *Resolver) memSlotID(w uint32) uint32 {
-	if id := r.memSlot.lookup(w); id >= 0 {
-		return uint32(id)
+	i, ok := r.memSlot.find(w)
+	if ok {
+		return uint32(r.memSlot.vals[i])
 	}
 	id := r.nextSlot()
-	r.memSlot.insert(w, int32(id))
+	r.memSlot.insertAt(i, w, int32(id))
 	r.seg.NewLocs = append(r.seg.NewLocs, w|deltaMemLoc)
 	return id
 }

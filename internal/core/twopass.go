@@ -118,9 +118,9 @@ func (a *Analyzer) evictDead(seq uint64) {
 		if !a.renamedSeg(seg) {
 			continue
 		}
-		if v, live := a.well.memGet(w); live {
+		if v, live := a.well.mem.get(w); live {
 			a.retire(v)
-			a.well.memDelete(w)
+			a.well.mem.del(w)
 		}
 	}
 }

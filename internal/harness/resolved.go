@@ -215,16 +215,16 @@ var resolvedSerial = func() bool { return runtime.GOMAXPROCS(0) == 1 }
 var errSchedulersDone = errors.New("harness: every scheduler has failed")
 
 // fanOutResolvedSerial is FanOutResolved without the ring. The resolver's
-// emit callback copies each segment into a bounded batch of persistent
-// buffers and recycles the segment; a full batch is swept scheduler-major:
-// each scheduler replays the whole batch before the next scheduler starts,
-// so a scheduler's slot table and window stay cache-hot across depth
-// segments while the record words stream through sequentially. The run
-// holds only the resolver's recycled pair plus at most depth buffered
-// segments, matching the ring's depth*ResolveSegmentBytes budget with zero
-// per-segment garbage. Error semantics mirror the ring path: a failed
-// scheduler stops receiving segments while the rest continue, and the
-// lowest-index failure decides the reported error.
+// emit callback holds each segment in a bounded batch; a full batch is
+// swept scheduler-major: each scheduler replays the whole batch before the
+// next scheduler starts, so a scheduler's slot table and window stay
+// cache-hot across depth segments while the record words stream through
+// sequentially. Refilling a batch slot hands its swept segment back to the
+// resolver, as the ring path recycles displaced segments, so the run holds
+// depth+1 segment buffers whatever the trace length, the ring's
+// footprint. Error semantics mirror the ring path: a failed scheduler
+// stops receiving segments while the rest continue, and the lowest-index
+// failure decides the reported error.
 func fanOutResolvedSerial(ctx context.Context, produce func(*ResolverStream) error, cfgs []core.Config, depth int) ([]*core.Result, trace.ReadStats, error) {
 	if depth <= 0 {
 		depth = trace.DefaultSegRingDepth
@@ -241,7 +241,7 @@ func fanOutResolvedSerial(ctx context.Context, produce func(*ResolverStream) err
 	errs := make([]error, len(cfgs))
 	live := len(cfgs)
 
-	batch := make([]core.DepSegment, depth)
+	batch := make([]*core.DepSegment, depth)
 	nbatch := 0
 	sweep := func() {
 		for i := range scheds {
@@ -249,7 +249,7 @@ func fanOutResolvedSerial(ctx context.Context, produce func(*ResolverStream) err
 				continue
 			}
 			for j := 0; j < nbatch; j++ {
-				if aerr := contain("panic", func() error { return scheds[i].Apply(&batch[j]) }); aerr != nil {
+				if aerr := contain("panic", func() error { return scheds[i].Apply(batch[j]) }); aerr != nil {
 					errs[i] = aerr
 					scheds[i] = nil
 					live--
@@ -263,11 +263,10 @@ func fanOutResolvedSerial(ctx context.Context, produce func(*ResolverStream) err
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
-		b := &batch[nbatch]
-		b.Events = seg.Events
-		b.NewLocs = append(b.NewLocs[:0], seg.NewLocs...)
-		b.Code = append(b.Code[:0], seg.Code...)
-		rs.res.Reuse(seg)
+		if swept := batch[nbatch]; swept != nil {
+			rs.res.Reuse(swept)
+		}
+		batch[nbatch] = seg
 		nbatch++
 		if nbatch == len(batch) {
 			sweep()

@@ -576,3 +576,43 @@ func TestResolvedRingFootprint(t *testing.T) {
 			grow, long, short)
 	}
 }
+
+// TestResolvedInlineFootprint pins segment recycling on the inline path:
+// the serial sweep holds each batch by pointer and hands a swept segment
+// back to the resolver when its batch slot is refilled, so a Concurrency 1
+// analysis allocates no more than the ring path's. A batch that copied
+// segments into buffers of its own would allocate each buffer on its first
+// copy and again whenever a later copy outgrew it.
+func TestResolvedInlineFootprint(t *testing.T) {
+	w, ok := workloads.ByName("espressox")
+	if !ok {
+		t.Fatal("unknown workload espressox")
+	}
+	old := resolvedSerial
+	resolvedSerial = func() bool { return false }
+	defer func() { resolvedSerial = old }()
+	cfgs := Table3Experiment().Configs
+	alloc := func(concurrency int) uint64 {
+		s := NewSuite(1)
+		s.Concurrency = concurrency
+		s.MaxInstr = 2_000_000
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rs, err := s.AnalyzeMulti(context.Background(), w, cfgs)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("Concurrency %d: %v", concurrency, err)
+		}
+		if rs[0].Instructions != uint64(s.MaxInstr) {
+			t.Fatalf("Concurrency %d analyzed %d events, want %d", concurrency, rs[0].Instructions, s.MaxInstr)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	alloc(2) // warm the workload's compile and any other one-time state
+	ring, inline := alloc(2), alloc(1)
+	if excess := int64(inline) - int64(ring); excess > core.ResolveSegmentBytes {
+		t.Errorf("inline fan-out allocated %d bytes, ring fan-out %d: %d more than the ring, over one segment (%d bytes)",
+			inline, ring, excess, core.ResolveSegmentBytes)
+	}
+}
