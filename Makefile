@@ -32,8 +32,10 @@ differential:
 
 # Short coverage-guided runs of the trace-reader, reader-equivalence,
 # trace-splitter, speculative-equivalence, shard-delta-reader,
-# shard-result-reader, shard-result-field, checkpoint-reader, job-result
-# and autosave-log-recovery fuzzers on top of their seed corpora.
+# shard-result-reader, shard-result-field, checkpoint-reader, DDG-oracle
+# (FuzzOracle: every engine against the explicit-graph oracle on random
+# assembled programs), job-result and autosave-log-recovery fuzzers on top
+# of their seed corpora.
 # Minimization is bounded so the budget is spent fuzzing.
 fuzz:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzTraceReader \
@@ -51,6 +53,8 @@ fuzz:
 	$(GO) test ./internal/shard/ -run '^$$' -fuzz FuzzResultFields \
 		-fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzReadCheckpoint \
+		-fuzztime 10s -fuzzminimizetime 20x
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzOracle \
 		-fuzztime 10s -fuzzminimizetime 20x
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzLoadResult \
 		-fuzztime 10s -fuzzminimizetime 20x

@@ -197,12 +197,12 @@ const CheckEvery = 1024
 // Measured per-entry working-set costs in bytes for the analyzer's metered
 // structures. LiveWellEntryBytes is calibrated against runtime.MemStats by
 // BenchmarkLiveWellCalibration in internal/core (heap growth divided by
-// live entries for the open-addressed live-well table, which stores a
-// 4-byte key, a 24-byte record and an occupancy byte per slot and runs
-// between 3/8 and 3/4 load): measured 38.7 B/entry at maximum load and
-// 77.3 B/entry just after a doubling; the constant is the expected cost at
-// a random point of the growth cycle (29 B/slot / 0.375 * ln 2 ~= 54 B),
-// rounded up. The window costs are exact: one uint64 and one int64 per
+// live entries for a live memory word: a 9-byte slot of the open-addressed
+// word table, which runs between 3/8 and 3/4 load, plus a 24-byte record in
+// a growing slot slice): measured 40.3 B/entry at maximum load and 52.3
+// B/entry just after a doubling, both under the constant, which was set for
+// an earlier 29-byte table slot (29 / 0.375 * ln 2 ~= 54 B, rounded up)
+// and stays. The window costs are exact: one uint64 and one int64 per
 // in-window instruction, an int64 key plus an int per functional-unit
 // schedule entry.
 const (

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"paragraph/internal/budget"
@@ -54,20 +55,38 @@ func (c *ClassCounts) GobDecode(data []byte) error {
 }
 
 // Analyzer builds and analyzes the dynamic dependency graph of a serial
-// execution trace in a single forward pass. It implements trace.Sink, so it
-// can be attached directly to the CPU simulator or fed from a trace file.
+// execution trace in a single forward pass. It implements trace.Sink and
+// trace.BatchSink, so it can be attached directly to the CPU simulator or
+// fed from a trace file.
+//
+// The analyzer is a resolver feeding its own schedule: its Resolver
+// validates each event and compiles it into a dependence record, and the
+// pending records are replayed on the analyzer's slot table by the one
+// placement core (deltaReplay) every budget.CheckEvery events, at the end
+// of every batch, and before anything reads the state. The resolver's word
+// table and the slot table together are the paper's live well: each
+// storage location that holds a live value maps to a slot holding the
+// value's level, last use and use count.
 //
 // Feed events with Event, then call Finish exactly once to obtain the
 // metrics. An Analyzer is not safe for concurrent use.
 type Analyzer struct {
-	cfg  Config
-	well *liveWell
-	// lat is cfg's operation time per class (Config.classLatencies).
-	lat [16]int64
+	cfg Config
+	rp  deltaReplay
+	// res is the analyzer's own resolver, created at the first event or
+	// splice; a Scheduler's analyzer replays an outside resolution and
+	// never has one.
+	res *Resolver
+	// slots is the slot table the records address, and curMem counts its
+	// live memory words.
+	slots  []deltaSlot
+	curMem int
+	// err is the first replay failure; once set, the analyzer refuses
+	// every further event and Finish.
+	err error
 
 	// highestLevel is the paper's firewall floor: no operation may be
-	// placed so that it begins above highestLevel-1. preLevel in the
-	// live well tracks highestLevel-1.
+	// placed so that it begins above highestLevel-1.
 	highestLevel int64
 	// deepest is the paper's deepestLevelYetUsed.
 	deepest int64
@@ -80,9 +99,12 @@ type Analyzer struct {
 	window  windowState
 	fu      *fuSchedule
 	pred    *predictor
-	deaths  *DeathSchedule
 	storage *stats.LevelHistogram
 	gov     *budget.Governor
+	// deaths is a two-pass analysis' eviction schedule and nextDeath the
+	// position of the next death not yet compiled into a record.
+	deaths    *DeathSchedule
+	nextDeath int
 
 	instructions uint64
 	ops          uint64
@@ -90,9 +112,6 @@ type Analyzer struct {
 	classCounts  [16]uint64
 	maxLiveMem   int
 
-	// plans is the operand-plan table (plan.go), allocated at the first
-	// event: schedulers and splices, which see no events, never need one.
-	plans    *planTable
 	finished bool
 }
 
@@ -102,11 +121,9 @@ type Analyzer struct {
 func NewAnalyzer(cfg Config) *Analyzer {
 	a := &Analyzer{
 		cfg:     cfg.Clone(),
-		well:    newLiveWell(),
-		lat:     cfg.classLatencies(),
 		deepest: -1,
 	}
-	a.well.preLevel = -1 // highestLevel(0) - 1
+	a.rp.init(a)
 	if cfg.Profile {
 		a.profile = stats.NewLevelHistogram(cfg.ProfileBuckets)
 	}
@@ -125,85 +142,133 @@ func NewAnalyzer(cfg Config) *Analyzer {
 	return a
 }
 
+// analyzerBufWords sizes the analyzer's pending record buffer: about four
+// words cover the common event, so budget.CheckEvery events fit.
+const analyzerBufWords = 4 << 10
+
+// resolver returns the analyzer's own resolver, starting it at the
+// analyzer's position on first use.
+func (a *Analyzer) resolver() *Resolver {
+	if a.res == nil {
+		a.res = newResolver(nil, a.instructions, math.MaxInt, DepSegment{Code: make([]uint32, 0, analyzerBufWords)})
+	}
+	return a.res
+}
+
 // Event implements trace.Sink: it consumes one dynamically executed
-// instruction and updates the DDG state. Malformed events are rejected with
-// an error wrapping ErrBadEvent before they can touch the DDG; panics in the
-// placement machinery are converted into an *AnalysisError instead of
-// unwinding through the caller.
-func (a *Analyzer) Event(e *trace.Event) (err error) {
+// instruction. Malformed events are rejected with an error wrapping
+// ErrBadEvent before they can touch the DDG.
+func (a *Analyzer) Event(e *trace.Event) error {
 	if a.finished {
 		return errors.New("core: Event after Finish")
 	}
-	seq := a.instructions
-	if a.plans == nil {
-		a.plans = new(planTable)
+	return a.build(e)
+}
+
+// Events implements trace.BatchSink: feeding a batch is
+// observation-equivalent to calling Event for each element, and the batch
+// is replayed before Events returns. Per the BatchSink contract the events
+// are read through the shared slice and never mutated or retained.
+func (a *Analyzer) Events(batch []trace.Event) error {
+	if a.finished {
+		return errors.New("core: Event after Finish")
 	}
-	p, verr := a.plans.get(e, seq)
-	if verr != nil {
-		return verr
-	}
-	defer func() {
-		if v := recover(); v != nil {
-			err = &AnalysisError{Event: seq, Stage: "event", Cause: recoveredError(v)}
-		}
-	}()
-	a.event(e, seq, p)
-	if a.deaths != nil {
-		a.evictDead(seq)
-	}
-	if a.storage != nil {
-		a.storage.Add(int64(seq), uint64(a.well.mem.len()))
-	}
-	if a.gov != nil && a.instructions%budget.CheckEvery == 0 {
-		if err := a.governBudget(); err != nil {
+	for i := range batch {
+		if err := a.build(&batch[i]); err != nil {
 			return err
 		}
+	}
+	return a.flush()
+}
+
+// build compiles one event into the pending records and replays them when
+// the event count reaches a multiple of budget.CheckEvery, where the
+// governor decides, so a budget error returns for the event that crossed
+// the boundary. A malformed event leaves no record; the records before it
+// are replayed, so the analyzer holds exactly the state of the events it
+// accepted, and a replay failure among them is reported first.
+func (a *Analyzer) build(e *trace.Event) error {
+	if a.err != nil {
+		return a.err
+	}
+	r := a.resolver()
+	at := len(r.seg.Code)
+	if err := r.build(e); err != nil {
+		if ferr := a.flush(); ferr != nil {
+			return ferr
+		}
+		return err
+	}
+	pos := r.position()
+	if a.deaths != nil {
+		a.evictDead(pos-1, at)
+	}
+	if pos%budget.CheckEvery == 0 {
+		return a.flush()
 	}
 	return nil
 }
 
-// Events implements trace.BatchSink: the hot-path batch ingest loop.
-// Feeding a batch is observation-equivalent to calling Event for each
-// element — validation, eviction, storage profiling and the governor's
-// every-CheckEvery cadence are all preserved per event, so GovernorStats
-// and every Result field come out identical — but the interface call, the
-// defensive event copy and the panic-recovery frame are paid once per
-// batch instead of once per event. Per the BatchSink contract the events
-// are read through the shared slice and never mutated or retained.
-func (a *Analyzer) Events(batch []trace.Event) (err error) {
-	if a.finished {
-		return errors.New("core: Event after Finish")
+// flush replays the pending records and folds the resolver's scalar
+// totals into the analyzer's. Panics in the placement machinery are
+// converted into an *AnalysisError instead of unwinding through the
+// caller; any failure is kept and returned by every later call.
+func (a *Analyzer) flush() (err error) {
+	if a.err != nil {
+		return a.err
 	}
-	seq := a.instructions
+	r := a.res
+	if r == nil {
+		return nil
+	}
+	start := a.instructions
 	defer func() {
 		if v := recover(); v != nil {
-			err = &AnalysisError{Event: seq, Stage: "event", Cause: recoveredError(v)}
+			ev := a.instructions
+			if ev > start {
+				ev-- // the panic came from the record being replayed
+			}
+			err = &AnalysisError{Event: ev, Stage: "event", Cause: recoveredError(v)}
+		}
+		if err != nil {
+			a.err = err
 		}
 	}()
-	if a.plans == nil {
-		a.plans = new(planTable)
+	a.grow()
+	a.syscalls += r.totals.Syscalls
+	for c, n := range r.totals.ClassCounts {
+		a.classCounts[c] += n
 	}
-	for i := range batch {
-		e := &batch[i]
-		seq = a.instructions
-		p, verr := a.plans.get(e, seq)
-		if verr != nil {
-			return verr
-		}
-		a.event(e, seq, p)
-		if a.deaths != nil {
-			a.evictDead(seq)
-		}
-		if a.storage != nil {
-			a.storage.Add(int64(seq), uint64(a.well.mem.len()))
-		}
-		if a.gov != nil && a.instructions%budget.CheckEvery == 0 {
-			if err := a.governBudget(); err != nil {
-				return err
-			}
-		}
+	r.totals = ResolveTotals{}
+	code := r.seg.Code
+	r.seg.Code, r.seg.Events = code[:0], 0
+	err = a.rp.run(code, a.slots)
+	r.start = a.instructions
+	return err
+}
+
+// grow gives every location the resolver touched first since the last
+// replay a dead slot.
+func (a *Analyzer) grow() {
+	r := a.res
+	a.growSlots(r.seg.NewLocs)
+	r.slotBase += uint32(len(r.seg.NewLocs))
+	r.seg.NewLocs = r.seg.NewLocs[:0]
+}
+
+// growSlots appends a dead slot per location key.
+func (a *Analyzer) growSlots(locs []uint32) {
+	for _, loc := range locs {
+		a.slots = append(a.slots, deltaSlot{isMem: loc&deltaMemLoc != 0})
 	}
-	return nil
+}
+
+// slotOf returns the analyzer's slot for a location key, giving a location
+// it never touched a dead slot.
+func (a *Analyzer) slotOf(loc uint32) uint32 {
+	id := a.res.slotID(loc)
+	a.grow()
+	return id
 }
 
 // Per-entry working-set costs used by the budget governor live in
@@ -213,22 +278,14 @@ func (a *Analyzer) Events(batch []trace.Event) (err error) {
 const regFileBytes = int64(isa.NumRegs) * 24
 
 // governBudget meters the analyzer's working sets against the configured
-// memory budget. Called every budget.CheckEvery events, never per event.
-// Under the degrade policy an over-budget observation tightens the
-// effective instruction window (recorded in GovernorStats and visible in
-// Result.Config.WindowSize); under fail-fast it returns the structured
+// memory budget. The replay calls it every budget.CheckEvery events, never
+// per event. Under the degrade policy an over-budget observation tightens
+// the effective instruction window (recorded in GovernorStats and visible
+// in Result.Config.WindowSize); under fail-fast it returns the structured
 // budget error that aborts the analysis.
 func (a *Analyzer) governBudget() error {
-	return a.governBudgetAt(a.well.mem.len())
-}
-
-// governBudgetAt is governBudget with the live-memory count supplied by the
-// caller: during a speculative splice (ApplyDelta) the live well is stale —
-// touched locations live in the slot array until write-back — so the splice
-// meters its own running count instead.
-func (a *Analyzer) governBudgetAt(memLen int) error {
 	u := budget.Usage{
-		LiveWellBytes: int64(memLen)*budget.LiveWellEntryBytes + regFileBytes,
+		LiveWellBytes: int64(a.curMem)*budget.LiveWellEntryBytes + regFileBytes,
 		WindowBytes:   int64(a.window.count()) * budget.WindowEntryBytes,
 	}
 	if a.fu != nil {
@@ -272,58 +329,8 @@ func validateEvent(e *trace.Event, seq uint64) error {
 	return nil
 }
 
-// event dispatches one instruction through its plan; seq is its trace
-// position.
-func (a *Analyzer) event(e *trace.Event, seq uint64, p *opPlan) {
-	a.instructions++
-
-	// Slide the instruction window: instructions displaced by this one
-	// carry a firewall (Section 3.2, Figure 6).
-	if w := a.cfg.WindowSize; w > 0 {
-		a.window.displace(seq, uint64(w), a)
-	}
-
-	a.classCounts[p.class]++
-
-	switch p.kind {
-	case planSkip:
-	case planSyscall:
-		a.syscalls++
-		if a.cfg.Syscalls != SyscallOptimistic { // optimistic: assumed to modify nothing
-			a.placeSyscall(seq)
-		}
-	case planJump:
-		// Jumps and calls are control instructions and are excluded
-		// from the DDG, but calls produce a return-address value
-		// that later code saves and restores. The return address is
-		// a static constant (PC+4), so the value is bound as if it
-		// pre-existed: available immediately, delaying nothing.
-		a.bindConstant(p.bind)
-	case planBranch:
-		// Control instructions are never placed, but under an
-		// imperfect branch model a misprediction firewalls the DDG at
-		// the branch's resolution level: nothing later may be placed
-		// above it.
-		if a.pred != nil && a.pred.mispredicted(e.PC, e.Ins.Imm < 0, e.Taken) {
-			a.raiseFloor(a.branchResolution(p) + 1)
-		}
-	default:
-		a.place(e, seq, p)
-	}
-}
-
-// bindConstant binds a register to an immediately available value at the
-// current firewall floor.
-func (a *Analyzer) bindConstant(r isa.Reg) {
-	v := value{level: a.highestLevel - 1, lastUse: a.highestLevel - 1}
-	old, wasLive := a.well.setReg(r, v)
-	if wasLive {
-		a.retire(old)
-	}
-}
-
 // retire records the statistics of a value whose storage was just reused.
-func (a *Analyzer) retire(old value) {
+func (a *Analyzer) retire(old *deltaSlot) {
 	if a.cfg.Lifetimes {
 		life := old.lastUse - old.level
 		if life < 0 {
@@ -354,142 +361,6 @@ func (a *Analyzer) renamedSeg(seg trace.Segment) bool {
 		return a.cfg.RenameStack
 	}
 	return a.cfg.RenameData
-}
-
-// place assigns the instruction its DDG level using the placement rule and
-// updates the live well. This is the heart of Paragraph.
-func (a *Analyzer) place(e *trace.Event, seq uint64, p *opPlan) {
-	top := a.lat[p.class]
-	srcs, dsts := p.src[:p.nsrc], p.dst[:p.ndst]
-
-	// Base level: the deepest of the firewall floor and the source
-	// availability levels. The operation executes in levels
-	// base+1 .. base+top and its result becomes available at base+top.
-	base := a.highestLevel - 1
-
-	for _, r := range srcs {
-		if rec := a.well.reg(r); rec.level > base {
-			base = rec.level
-		}
-	}
-	var memLo, memHi uint32
-	if p.load {
-		memLo, memHi = wordRange(e.MemAddr, e.MemSize)
-		for w := memLo; w <= memHi; w++ {
-			if v := a.well.memRead(w); v.level > base {
-				base = v.level
-			}
-		}
-	}
-
-	// Storage-dependency term (Ddest+1): only when renaming is off for
-	// the destination's location class.
-	if !a.cfg.RenameRegisters {
-		for _, d := range dsts {
-			if rec, live := a.well.regIfLive(d); live && rec.lastUse+1 > base {
-				base = rec.lastUse + 1
-			}
-		}
-	}
-	if p.store {
-		memLo, memHi = wordRange(e.MemAddr, e.MemSize)
-		if !a.renamedSeg(e.Seg) {
-			for w := memLo; w <= memHi; w++ {
-				if v, live := a.well.mem.get(w); live && v.lastUse+1 > base {
-					base = v.lastUse + 1
-				}
-			}
-		}
-	}
-
-	// Resource dependencies: delay until top consecutive levels each
-	// have a free functional unit (Figure 4).
-	if a.fu != nil {
-		base = a.fu.schedule(base, top)
-	}
-
-	ldest := base + top
-
-	// The sources are consumed at the base level; record the deepest
-	// consumption for future storage dependencies, and the fan-out.
-	for _, r := range srcs {
-		rec := a.well.reg(r)
-		rec.uses++
-		if base > rec.lastUse {
-			rec.lastUse = base
-		}
-	}
-	if p.load {
-		for w := memLo; w <= memHi; w++ {
-			v := a.well.memRead(w)
-			v.uses++
-			if base > v.lastUse {
-				v.lastUse = base
-			}
-			a.well.mem.put(w, v)
-		}
-	}
-
-	// Bind the created value(s). lastUse starts at the creating
-	// operation's base level: a later overwrite must begin strictly
-	// after this operation began (one level of WAW spacing), and the
-	// storage-dependency term then grows with each consumer.
-	newVal := value{level: ldest, lastUse: base}
-	for _, d := range dsts {
-		if old, wasLive := a.well.setReg(d, newVal); wasLive {
-			a.retire(old)
-		}
-	}
-	if p.store {
-		for w := memLo; w <= memHi; w++ {
-			if old, wasLive := a.well.mem.put(w, newVal); wasLive {
-				a.retire(old)
-			}
-		}
-		if n := a.well.mem.len(); n > a.maxLiveMem {
-			a.maxLiveMem = n
-		}
-	}
-
-	a.placed(seq, ldest)
-}
-
-// placed records bookkeeping common to every operation that enters the DDG.
-func (a *Analyzer) placed(seq uint64, ldest int64) {
-	a.ops++
-	if !a.anyOps || ldest > a.deepest {
-		a.deepest = ldest
-		a.anyOps = true
-	}
-	if a.profile != nil {
-		a.profile.Add(ldest, 1)
-	}
-	if a.cfg.WindowSize > 0 {
-		a.window.push(seq, ldest)
-	}
-}
-
-// placeSyscall implements the conservative policy: a firewall is placed
-// immediately after the deepest computation yet seen, the system call
-// itself lands just below the firewall, and highestLevel advances past it
-// so that no later operation can be placed above the call (Section 3.2's
-// second special case).
-func (a *Analyzer) placeSyscall(seq uint64) {
-	base := a.highestLevel - 1
-	if a.anyOps && a.deepest > base {
-		base = a.deepest
-	}
-	ldest := base + a.lat[isa.ClassSyscall]
-	a.placed(seq, ldest)
-	a.raiseFloor(ldest + 1)
-}
-
-// raiseFloor advances the firewall floor (highestLevel) monotonically.
-func (a *Analyzer) raiseFloor(level int64) {
-	if level > a.highestLevel {
-		a.highestLevel = level
-		a.well.preLevel = level - 1
-	}
 }
 
 // Result carries every metric of one analysis run.
@@ -547,12 +418,17 @@ type Result struct {
 	Governor *budget.GovernorStats
 }
 
-// Finish flushes end-of-trace state and returns the metrics. The analyzer
-// rejects further events afterwards. Internal panics are converted into an
-// *AnalysisError rather than unwinding through the caller.
+// Finish replays the pending records, flushes end-of-trace state and
+// returns the metrics. The analyzer rejects further events afterwards.
+// Internal panics are converted into an *AnalysisError rather than
+// unwinding through the caller.
 func (a *Analyzer) Finish() (res *Result, err error) {
 	if a.finished {
 		return nil, errors.New("core: Finish called twice")
+	}
+	a.finished = true
+	if err := a.flush(); err != nil {
+		return nil, err
 	}
 	defer func() {
 		if v := recover(); v != nil {
@@ -560,11 +436,15 @@ func (a *Analyzer) Finish() (res *Result, err error) {
 			err = &AnalysisError{Event: a.instructions, Stage: "finish", Cause: recoveredError(v)}
 		}
 	}()
-	a.finished = true
 
-	// Values still live at the end of the trace die here.
+	// Values still live at the end of the trace die here. Retirement feeds
+	// only order-independent distributions, so slot order serves.
 	if a.cfg.Lifetimes || a.cfg.Sharing {
-		a.well.forEachLive(func(v value) { a.retire(v) })
+		for i := range a.slots {
+			if sl := &a.slots[i]; sl.live {
+				a.retire(sl)
+			}
+		}
 	}
 
 	r := &Result{
@@ -638,7 +518,7 @@ func (r *Result) String() string {
 // push/displace counts and an entry lives at index count&mask. Live entries
 // are bounded by the window size, so the buffer grows to the largest window
 // in use and then never moves again — no append checks or compaction copies
-// on the per-event path, which the record-replay scheduler inlines. Each
+// on the per-event path, which the replay inlines. Each
 // entry interleaves (seq, level) so a push or pop touches one cache line,
 // not one per array.
 type winEntry struct {
@@ -677,24 +557,6 @@ func (w *windowState) push(seq uint64, level int64) {
 	}
 	w.buf[w.tail&uint64(len(w.buf)-1)] = winEntry{seq: seq, level: level}
 	w.tail++
-}
-
-// displace pops every instruction that has left the window now that seq is
-// entering, firing its firewall.
-func (w *windowState) displace(seq, size uint64, a *Analyzer) {
-	if seq < size {
-		return
-	}
-	cutoff := seq - size
-	mask := uint64(len(w.buf) - 1)
-	for w.head < w.tail {
-		e := &w.buf[w.head&mask]
-		if e.seq > cutoff {
-			break
-		}
-		a.raiseFloor(e.level + 1)
-		w.head++
-	}
 }
 
 // fuSchedule tracks per-level functional-unit occupancy. Levels at or below

@@ -89,10 +89,8 @@ func newPredictor(policy BranchPolicy, bits int) *predictor {
 
 // mispredicted consumes one conditional branch — its PC, the sign of its
 // displacement, and whether it was taken — and reports whether the modelled
-// predictor got it wrong. The event is passed as fields rather than a
-// *trace.Event so the speculative splice (ApplyDelta), which replays
-// compiled branch records instead of events, drives the same predictor
-// state machine.
+// predictor got it wrong. The replay passes the fields from a compiled
+// branch record.
 func (p *predictor) mispredicted(pc uint32, immNeg, taken bool) bool {
 	p.branches++
 	var predictTaken bool
@@ -120,17 +118,4 @@ func (p *predictor) mispredicted(pc uint32, immNeg, taken bool) bool {
 		return true
 	}
 	return false
-}
-
-// branchResolution computes the DDG level at which a conditional branch's
-// outcome is known: one step after its deepest source value (or the
-// firewall floor).
-func (a *Analyzer) branchResolution(p *opPlan) int64 {
-	base := a.highestLevel - 1
-	for _, r := range p.src[:p.nsrc] {
-		if rec := a.well.reg(r); rec.level > base {
-			base = rec.level
-		}
-	}
-	return base + a.lat[p.class]
 }

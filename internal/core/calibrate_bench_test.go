@@ -9,15 +9,14 @@ import (
 
 // BenchmarkLiveWellCalibration measures the real heap cost per live memory
 // word against runtime.MemStats, the ground truth behind
-// budget.LiveWellEntryBytes. A slot costs 29 B exactly (4 B key + 24 B
-// value + 1 B occupancy), so steady-state cost per entry swings with load
-// factor: ~38.7 B at maximum load (3/4, just before a doubling) up to
-// ~77.3 B at minimum load (3/8, just after one). The budgeted constant is
-// the expected cost at a random point of the growth cycle,
-// 29/0.375*ln 2 ~= 54 B, rounded up — so the governor is honest on
-// average and within 1.4x of the instantaneous truth everywhere. If either
-// measured metric drifts from the comment above (slot layout changed),
-// recalibrate the constant.
+// budget.LiveWellEntryBytes. A live word costs a 9 B slot of the
+// resolver's word table (4 B key + 4 B slot id + 1 B occupancy), loaded
+// between 3/8 and 3/4, plus a 24 B deltaSlot in the analyzer's growing slot
+// slice, so the cost per entry swings with the table's load: ~40 B at
+// maximum load (3/4, just before a doubling) and ~52 B at minimum load
+// (3/8, just after one). The budgeted 56 B stays above both, so the
+// governor never underestimates. If either measured metric drifts from
+// the comment above (slot layout changed), recalibrate the constant.
 //
 //	go test ./internal/core -run xxx -bench LiveWellCalibration -benchtime 1x
 func BenchmarkLiveWellCalibration(b *testing.B) {
@@ -39,9 +38,9 @@ func calibrate(b *testing.B, entries int) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 
-		t := &memTable[value]{}
+		a := NewAnalyzer(Config{})
 		for k := 0; k < entries; k++ {
-			t.put(uint32(k)*4, value{level: int64(k), lastUse: int64(k), uses: 1})
+			a.setSlot(uint32(k)*4|deltaMemLoc, valueState{Level: int64(k), LastUse: int64(k), Uses: 1})
 		}
 
 		runtime.GC()
@@ -49,9 +48,9 @@ func calibrate(b *testing.B, entries int) {
 		perEntry := float64(after.HeapAlloc-before.HeapAlloc) / float64(entries)
 		b.ReportMetric(perEntry, "bytes/entry")
 		b.ReportMetric(float64(budget.LiveWellEntryBytes), "budgeted-bytes/entry")
-		if t.len() != entries {
-			b.Fatalf("table lost entries: %d != %d", t.len(), entries)
+		if a.curMem != entries {
+			b.Fatalf("live well lost entries: %d != %d", a.curMem, entries)
 		}
-		runtime.KeepAlive(t)
+		runtime.KeepAlive(a)
 	}
 }

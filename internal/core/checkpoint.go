@@ -6,14 +6,14 @@ import (
 )
 
 // Checkpoint is a resumable snapshot of an in-progress analysis: the full
-// analyzer state (live well, firewall floor, window, schedules, statistics)
+// analyzer state (slot tables, firewall floor, window, schedules, statistics)
 // together with the trace position it was taken at. A long analysis pass
 // that is interrupted — a crash, a deploy, a preempted batch job — restarts
 // from its last checkpoint instead of from the beginning of a
 // 100M-instruction trace.
 //
-// Checkpoints are in-memory objects: the live well dominates their size,
-// exactly as it dominates the analyzer's. Restore may be called any number
+// Checkpoints are in-memory objects: the live values dominate their size,
+// exactly as they dominate the analyzer's. Restore may be called any number
 // of times; each call yields an independent analyzer.
 type Checkpoint struct {
 	// EventOffset is the number of trace events consumed when the snapshot
@@ -29,9 +29,11 @@ type Checkpoint struct {
 	needDeaths bool
 }
 
-// Snapshot deep-copies the analyzer's state into a checkpoint. The analyzer
-// remains usable; the checkpoint is unaffected by further events.
+// Snapshot replays the pending records and deep-copies the analyzer's
+// state into a checkpoint. The analyzer remains usable; the checkpoint is
+// unaffected by further events.
 func (a *Analyzer) Snapshot() *Checkpoint {
+	_ = a.flush() // a failure stays in the analyzer, and its clone, for the next Event or Finish
 	return &Checkpoint{EventOffset: a.instructions, a: a.clone()}
 }
 
@@ -41,14 +43,19 @@ func (cp *Checkpoint) Restore() *Analyzer {
 	return cp.a.clone()
 }
 
-// clone deep-copies the analyzer. Value-typed state (scalars, the LogDist
-// distributions, the Config apart from its override map) copies with the
-// struct; reference-typed state is duplicated below. The death schedule is
-// shared: it is immutable once computed.
+// clone deep-copies the analyzer, whose records must all be replayed.
+// Value-typed state (scalars, the LogDist distributions, the Config apart
+// from its override map) copies with the struct; reference-typed state is
+// duplicated below. The death schedule is shared: it is immutable once
+// computed.
 func (a *Analyzer) clone() *Analyzer {
 	b := *a
+	b.rp.a = &b
 	b.cfg.LatencyOverride = maps.Clone(a.cfg.LatencyOverride)
-	b.well = a.well.clone()
+	if a.res != nil {
+		b.res = a.res.clone()
+	}
+	b.slots = slices.Clone(a.slots)
 	if a.profile != nil {
 		b.profile = a.profile.Clone()
 	}
@@ -69,15 +76,17 @@ func (a *Analyzer) clone() *Analyzer {
 	if a.gov != nil {
 		b.gov = a.gov.Clone()
 	}
-	b.plans = nil // a clone plans afresh: tables are never shared
 	return &b
 }
 
-// clone deep-copies the live well. The register arrays copy with the struct;
-// only the memory table needs duplication.
-func (w *liveWell) clone() *liveWell {
-	c := *w
-	c.mem = *w.mem.clone()
+// clone deep-copies an analyzer's resolver, which holds no pending records.
+// A clone plans afresh: plan tables are never shared.
+func (r *Resolver) clone() *Resolver {
+	c := *r
+	c.memSlot = *r.memSlot.clone()
+	c.free = slices.Clone(r.free)
+	c.plans = nil
+	c.seg = DepSegment{Code: make([]uint32, 0, analyzerBufWords)}
 	return &c
 }
 

@@ -6,11 +6,13 @@
 //
 // # The live well and the placement rule
 //
-// The analyzer never materializes the DDG. Instead it keeps a hash table of
+// The analyzer never materializes the DDG. Instead it keeps the table of
 // live values — the live well — mapping each storage location (register or
 // memory word) to the DDG level at which its current value becomes
 // available, the deepest level at which that value has been consumed, and
-// its consumer count. Each value-creating instruction is assigned the level
+// its consumer count. The live well is held as a resolver's location tables
+// over a dense slot table, and one placement core (deltaReplay) assigns
+// each value-creating instruction the level
 //
 //	Ldest = MAX(Lsrc1, Lsrc2, ..., highestLevel-1 [, Ddest+1]) + top
 //
@@ -188,14 +190,4 @@ func (c *Config) latency(op isa.Op) int64 {
 		}
 	}
 	return int64(op.Latency())
-}
-
-// classLatencies tabulates latency by operation class, which is all an
-// operation's time depends on.
-func (c *Config) classLatencies() [16]int64 {
-	var lat [16]int64
-	for op := isa.Op(0); op < isa.NumOps; op++ {
-		lat[op.Class()] = c.latency(op)
-	}
-	return lat
 }

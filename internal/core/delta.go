@@ -8,33 +8,31 @@ import (
 )
 
 // Speculative sharding: the placement rule is inherently sequential — every
-// level depends on the live well left by all preceding events — so chained
-// sharding runs shard i+1's analyzer on shard i's exit checkpoint and the
-// analyzer remains the wall. The observation that breaks the chain is that
-// almost everything *except* the levels is entry-state independent: which
-// storage locations an event touches, in which roles (source, destination,
-// storage-dependency check), with what latency class, and whether the event
-// is placed at all are functions of the event stream alone. A shard
-// resolution (NewDeltaResolver) therefore runs with no entry live-well at
-// all, resolving every location it touches to a dense shard-local slot id
-// (the pending-read table: slot 0 is the first location the shard touches,
-// and its entry state is unknown until splice time) and compiling the shard
-// into a ShardDelta. The sequential fix-up (Analyzer.ApplyDelta) then
-// splices a delta onto the real entry state: it materializes each slot from
-// the predecessor's exit live-well, replays the records maintaining all
-// level-dependent state (floor, window, functional units, predictor,
-// governor, statistics) with pure array indexing instead of hashing and
-// dispatch, and writes the touched slots back. The result is exact by
-// construction — ApplyDelta performs the same placements in the same order
-// as Analyzer.Event would — so speculative N-shard analysis is deep-equal
-// to the monolithic run, which the differential battery enforces. The
-// records are policy-free, so one delta splices under any config.
+// level depends on the live values left by all preceding events — so
+// chained sharding runs shard i+1's analyzer on shard i's exit checkpoint
+// and the analyzer remains the wall. The observation that breaks the chain
+// is that almost everything *except* the levels is entry-state independent:
+// which storage locations an event touches, in which roles (source,
+// destination, storage-dependency check), with what latency class, and
+// whether the event is placed at all are functions of the event stream
+// alone. A shard resolution (NewDeltaResolver) therefore runs with no entry
+// state at all, resolving every location it touches to a dense shard-local
+// slot id (the pending-read table: slot 0 is the first location the shard
+// touches, and its entry state is unknown until splice time) and compiling
+// the shard into a ShardDelta. The sequential fix-up (Analyzer.ApplyDelta)
+// then splices a delta onto the real entry state: it materializes each slot
+// from the predecessor's exit slots, replays the records on the one
+// placement core, and writes the touched slots back. The result is exact by
+// construction — the splice replays the same records Analyzer.Event would —
+// so speculative N-shard analysis is deep-equal to the monolithic run,
+// which the differential battery enforces. The records are policy-free, so
+// one delta splices under any config.
 //
 // The record stream — ShardDelta.Code and DepSegment.Code alike — encodes
 // one record per trace event:
 //
 //	word0: kind(3) | taken(1<<3) | immNeg(1<<4) | isStore(1<<5) |
-//	       isStack(1<<6) | op(8)<<8 | nsrc(8)<<16 | ndst(8)<<24
+//	       isStack(1<<6) | evict(1<<7) | op(8)<<8 | nsrc(8)<<16 | ndst(8)<<24
 //	branch records:  word0, pc, src slots
 //	place records:   word0, src slots, dest slots
 //	jump records:    word0, dest slot
@@ -48,6 +46,11 @@ import (
 // whether the Ddest+1 term applies. Every event emits a record — even NOPs
 // — because window displacement, the storage profile and the governor
 // cadence are per-event.
+//
+// Only an analyzer's own records carry the evict flag: a two-pass analysis
+// appends to the record of the event at which memory values die a count
+// and the slots to kill (see Analyzer.evictDead). Deltas and whole-trace
+// segments never carry it.
 const (
 	deltaKindSkip    = 0 // NOP or destless jump
 	deltaKindPlace   = 1 // ordinary placement (ALU, FP, load, store)
@@ -59,6 +62,7 @@ const (
 	deltaFlagImmNeg  = 1 << 4
 	deltaFlagIsStore = 1 << 5
 	deltaFlagIsStack = 1 << 6
+	deltaFlagEvict   = 1 << 7
 
 	// deltaMemLoc marks a memory-word location key in ShardDelta.Locs
 	// (word addresses are byte addresses >> 2, so they fit in 30 bits).
@@ -121,38 +125,47 @@ type ShardDelta struct {
 	Syscalls    uint64
 }
 
-// deltaSlot is the splice-time state of one pending location: the value
-// record, its liveness, and whether the location is a memory word (which
-// drives live-memory accounting).
+// deltaSlot is the state of one storage location in a slot table: the
+// live value bound to it and whether the location is a memory word (which
+// drives live-memory accounting). A dead slot holds no value; the replay
+// brings it to life at its first touch.
 type deltaSlot struct {
-	val   value
+	// level is the DDG level at which the value becomes available for use
+	// by other computation (the paper's L).
+	level int64
+	// lastUse is the deepest base level of any consumer of the value,
+	// initialized to the creating operation's base. The storage-dependency
+	// term of the placement rule is lastUse+1 (the paper's Ddest+1).
+	lastUse int64
+	// uses counts consumers (the degree of sharing of the token).
+	uses  uint32
 	live  bool
 	isMem bool
 }
 
-// ApplyDelta splices a speculative shard delta onto the analyzer: slots are
-// materialized from the current live well, the record stream is replayed
-// maintaining every level-dependent structure exactly as Analyzer.Event
-// would — with the syscall firewall and storage-term mask of the
-// analyzer's own config, so one delta splices under any config — and the
-// touched locations are written back. The analyzer must be positioned at
-// the delta's StartEvent (i.e. it has consumed exactly the preceding
-// events, via earlier shards or deltas).
+// ApplyDelta splices a speculative shard delta onto the analyzer: each
+// pending location is materialized from the analyzer's slot, the record
+// stream is replayed with the syscall firewall and storage-term mask of the
+// analyzer's own config, so one delta splices under any config, and the
+// live locations are written back, each one the analyzer never touched
+// before getting a slot of its own. The analyzer must be positioned at the
+// delta's StartEvent (i.e. it has consumed exactly the preceding events,
+// via earlier shards or deltas).
 //
-// After a successful splice the analyzer's observable state — and every
-// Result derived from it — is identical to having fed the shard's events
-// through Event. (The live well's internal hash layout may differ, since
-// written-back slots land in first-touch order rather than event order;
-// that is invisible to placement, statistics and checkpoints.) A delta
-// whose record count differs from its Events is refused after the replay,
-// so the analyzer must then be discarded; ReadDelta's Validate catches
-// that before any replay.
+// After a successful splice every Result derived from the analyzer is
+// identical to having fed the shard's events through Event. A delta whose
+// record count differs from its Events is refused after the replay, so the
+// analyzer must then be discarded; ReadDelta's Validate catches that
+// before any replay.
 func (a *Analyzer) ApplyDelta(d *ShardDelta) (err error) {
 	if a.finished {
 		return errors.New("core: Event after Finish")
 	}
 	if a.deaths != nil {
 		return errors.New("core: speculative splice is single-pass; a death schedule needs whole-trace knowledge")
+	}
+	if err := a.flush(); err != nil {
+		return err
 	}
 	if a.instructions != d.StartEvent {
 		return fmt.Errorf("core: delta starts at event %d, analyzer is at event %d", d.StartEvent, a.instructions)
@@ -168,42 +181,31 @@ func (a *Analyzer) ApplyDelta(d *ShardDelta) (err error) {
 	}()
 
 	// Materialize the pending-read table against the real entry state.
+	r := a.resolver()
 	slots := make([]deltaSlot, len(d.Locs))
 	for i, loc := range d.Locs {
-		if loc&deltaMemLoc != 0 {
-			v, live := a.well.mem.get(loc &^ deltaMemLoc)
-			slots[i] = deltaSlot{val: v, live: live, isMem: true}
+		if id, ok := r.lookup(loc); ok {
+			slots[i] = a.slots[id]
 		} else {
-			slots[i] = deltaSlot{val: a.well.regs[loc], live: a.well.regLive[loc]}
+			slots[i] = deltaSlot{isMem: loc&deltaMemLoc != 0}
 		}
 	}
-
-	var rp deltaReplay
-	rp.init(a)
-	rp.slots = slots
-	rp.curMem = a.well.mem.len()
-	if rerr := rp.run(d.Code); rerr != nil {
+	if rerr := a.rp.run(d.Code, slots); rerr != nil {
 		return rerr
 	}
 	if got := a.instructions - d.StartEvent; got != d.Events {
 		return fmt.Errorf("core: delta holds %d records but declares %d events", got, d.Events)
 	}
 
-	// Write back the touched locations. Slots that stayed dead (a branch
+	// Write back the live locations. Slots that stayed dead (a branch
 	// source whose branch never mispredicted) were never touched by the
 	// replay and must not become live.
 	for i := range slots {
-		sl := &slots[i]
-		if !sl.live {
-			continue
-		}
-		if loc := d.Locs[i]; sl.isMem {
-			a.well.mem.put(loc&^deltaMemLoc, sl.val)
-		} else {
-			a.well.regs[loc] = sl.val
-			a.well.regLive[loc] = true
+		if slots[i].live {
+			a.slots[a.slotOf(d.Locs[i])] = slots[i]
 		}
 	}
+	r.start = a.instructions
 	a.syscalls += d.Syscalls
 	for c, n := range d.ClassCounts {
 		a.classCounts[c] += n
@@ -212,15 +214,16 @@ func (a *Analyzer) ApplyDelta(d *ShardDelta) (err error) {
 }
 
 // walkRecords walks a record stream, checking that every record is
-// complete, has a known kind, names a real operation and references only
-// slots below nslots, and returns the record count. fn, when non-nil, sees
-// each record's words; the record's slot words are rec[slots:] (a branch's
-// PC sits between word0 and them).
-func walkRecords(code []uint32, nslots int, fn func(rec []uint32, slots int)) (uint64, error) {
+// complete, has a known kind, carries no eviction, names a real operation
+// and references only slots below nslots, and returns the record count.
+func walkRecords(code []uint32, nslots int) (uint64, error) {
 	var n uint64
 	for i := 0; i < len(code); n++ {
 		w0 := code[i]
 		slots, end := i+1, i+1
+		if w0&deltaFlagEvict != 0 {
+			return n, fmt.Errorf("record at word %d carries an eviction", i)
+		}
 		switch w0 & 7 {
 		case deltaKindSkip, deltaKindSyscall:
 		case deltaKindPlace:
@@ -246,9 +249,6 @@ func walkRecords(code []uint32, nslots int, fn func(rec []uint32, slots int)) (u
 				return n, fmt.Errorf("record at word %d references slot %d of %d", slots+j, s, nslots)
 			}
 		}
-		if fn != nil {
-			fn(code[i:end], slots-i)
-		}
 		i = end
 	}
 	return n, nil
@@ -264,7 +264,7 @@ func (d *ShardDelta) Validate() error {
 			return fmt.Errorf("shard delta: slot %d names register %d of %d", id, loc, isa.NumRegs)
 		}
 	}
-	n, err := walkRecords(d.Code, len(d.Locs), nil)
+	n, err := walkRecords(d.Code, len(d.Locs))
 	if err != nil {
 		return fmt.Errorf("shard delta: %w", err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -338,6 +339,28 @@ func TestDeltaValidationParity(t *testing.T) {
 	}
 }
 
+// TestEventsAfterSplice: events fed after a splice are numbered from the
+// splice's end, so a malformed one reports its absolute index, and the
+// records before it count as they would in a monolithic run.
+func TestEventsAfterSplice(t *testing.T) {
+	events := richTrace(rand.New(rand.NewSource(11)), 60)
+	bad := trace.Event{Ins: isa.Instruction{Op: isa.ADD}, MemSize: 4, Seg: trace.SegData}
+	cfg := Dataflow(SyscallConservative)
+	mono := NewAnalyzer(cfg)
+	wantErr := mono.Events(append(slices.Clone(events), bad))
+	spliced := NewAnalyzer(cfg)
+	if err := spliced.ApplyDelta(buildDelta(t, events, 0, 40)); err != nil {
+		t.Fatal(err)
+	}
+	gotErr := spliced.Events(append(slices.Clone(events[40:]), bad))
+	if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
+		t.Fatalf("after a splice: %v, monolithic: %v", gotErr, wantErr)
+	}
+	if got, want := spliced.MustFinish(), mono.MustFinish(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("result after a splice %v, monolithic %v", got, want)
+	}
+}
+
 // TestDeltaGuards: the splice refuses deltas that cannot line up — wrong
 // position, finished analyzer — and the replay both the splice and the
 // Scheduler run refuses a record kind that does not exist.
@@ -384,24 +407,13 @@ func TestApplyDeltaRecordCount(t *testing.T) {
 // TestDeltaValidate: Validate accepts every resolved delta and refuses each
 // malformation that would make a splice panic or silently misreport.
 func TestDeltaValidate(t *testing.T) {
-	events := richTrace(rand.New(rand.NewSource(13)), 200)
+	// The first record is a place record with two sources to corrupt.
+	events := append([]trace.Event{evAdd(isa.T0, isa.T1, isa.T2)}, richTrace(rand.New(rand.NewSource(13)), 200)...)
 	good := buildDelta(t, events, 0, len(events))
 	if err := good.Validate(); err != nil {
 		t.Fatalf("resolved delta refused: %v", err)
 	}
-	// Find a place record with a source slot to corrupt.
-	place, at := -1, 0
-	if _, err := walkRecords(good.Code, len(good.Locs), func(rec []uint32, _ int) {
-		if place < 0 && rec[0]&7 == deltaKindPlace && (rec[0]>>16)&0xff > 0 {
-			place = at
-		}
-		at += len(rec)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if place < 0 {
-		t.Fatal("fixture has no place record with a source")
-	}
+	const place = 0
 	for _, tc := range []struct {
 		name, want string
 		mutate     func(d *ShardDelta)
@@ -410,6 +422,7 @@ func TestDeltaValidate(t *testing.T) {
 		{"slot", "references slot", func(d *ShardDelta) { d.Code[place+1] = uint32(len(d.Locs)) }},
 		{"kind", "unknown record kind", func(d *ShardDelta) { d.Code[place] |= 7 }},
 		{"op", "names operation", func(d *ShardDelta) { d.Code[place] |= 0xff << 8 }},
+		{"eviction", "carries an eviction", func(d *ShardDelta) { d.Code[place] |= deltaFlagEvict }},
 		{"count", "declares", func(d *ShardDelta) { d.Events++ }},
 		{"register", "names register", func(d *ShardDelta) {
 			for i, loc := range d.Locs {

@@ -1,13 +1,11 @@
 package core
 
 // memTable is the open-addressed hash table keyed by memory word address
-// (byte address >> 2) that serves both halves of placement: the live well
-// maps words to value records (memTable[value]) and the resolver maps them
-// to dense slot ids (memTable[int32]). Every load and store of the analysis
-// hot loop lands here, so the layout is chosen for the trace access
-// pattern — word addresses are dense in a few regions, lookups vastly
-// outnumber deletes, and the table grows monotonically except under
-// two-pass eviction:
+// (byte address >> 2) with which a resolver maps words to dense slot ids.
+// Every load and store of the analysis hot loop lands here, so the layout
+// is chosen for the trace access pattern — word addresses are dense in a
+// few regions, lookups vastly outnumber deletes, and the table grows
+// monotonically except under two-pass eviction:
 //
 //   - power-of-two capacity with Fibonacci (multiplicative) hashing, so
 //     the probe start is a multiply and a shift, no modulo, and nearby
@@ -23,10 +21,10 @@ package core
 //     work amortizes to O(1) per insert.
 //
 // The zero memTable is ready to use. The table is not safe for concurrent
-// use, matching the analyzer and resolver that own it.
-type memTable[V any] struct {
+// use, matching the resolver that owns it.
+type memTable struct {
 	keys []uint32
-	vals []V
+	vals []int32
 	used []bool
 	mask uint32 // len(keys) - 1
 	n    int    // live entries
@@ -38,14 +36,14 @@ const memTableMinCap = 256
 
 // hash maps a word address to its home slot with Fibonacci hashing
 // (2654435769 = floor(2^32/phi)).
-func (t *memTable[V]) hash(key uint32) uint32 {
+func (t *memTable) hash(key uint32) uint32 {
 	return (key * 2654435769) & t.mask
 }
 
 // find returns the slot holding key and true, or the empty slot that ends
 // key's probe sequence and false. On an unallocated table the miss slot is
 // meaningless, and insertAt allocates before using it.
-func (t *memTable[V]) find(key uint32) (uint32, bool) {
+func (t *memTable) find(key uint32) (uint32, bool) {
 	if t.used == nil {
 		return 0, false
 	}
@@ -60,31 +58,17 @@ func (t *memTable[V]) find(key uint32) (uint32, bool) {
 }
 
 // get returns the value bound to key and whether there is one.
-func (t *memTable[V]) get(key uint32) (v V, ok bool) {
+func (t *memTable) get(key uint32) (v int32, ok bool) {
 	if i, ok := t.find(key); ok {
 		return t.vals[i], true
 	}
 	return v, false
 }
 
-// put binds key to v, returning the previous value and whether there was
-// one.
-func (t *memTable[V]) put(key uint32, v V) (V, bool) {
-	i, ok := t.find(key)
-	if ok {
-		old := t.vals[i]
-		t.vals[i] = v
-		return old, true
-	}
-	t.insertAt(i, key, v)
-	var zero V
-	return zero, false
-}
-
 // insertAt binds key, which find has just reported absent at slot i, to v.
 // When the insert would cross the 3/4 load ceiling the table grows first
 // and i is found again.
-func (t *memTable[V]) insertAt(i, key uint32, v V) {
+func (t *memTable) insertAt(i, key uint32, v int32) {
 	if 4*(t.n+1) > 3*len(t.keys) {
 		t.grow()
 		i, _ = t.find(key)
@@ -95,11 +79,11 @@ func (t *memTable[V]) insertAt(i, key uint32, v V) {
 
 // grow doubles the capacity (or allocates the first arrays) and rehashes
 // every entry into the new arrays.
-func (t *memTable[V]) grow() {
+func (t *memTable) grow() {
 	old := *t
 	c := max(2*len(old.keys), memTableMinCap)
 	t.keys = make([]uint32, c)
-	t.vals = make([]V, c)
+	t.vals = make([]int32, c)
 	t.used = make([]bool, c)
 	t.mask = uint32(c - 1)
 	for j, u := range old.used {
@@ -114,7 +98,7 @@ func (t *memTable[V]) grow() {
 // shift: the hole moves forward through the probe cluster, pulling back
 // every entry whose home slot permits it, until the cluster ends, so no
 // tombstone is left behind.
-func (t *memTable[V]) del(key uint32) bool {
+func (t *memTable) del(key uint32) bool {
 	i, ok := t.find(key)
 	if !ok {
 		return false
@@ -142,12 +126,9 @@ func (t *memTable[V]) del(key uint32) bool {
 	}
 }
 
-// len returns the number of live entries.
-func (t *memTable[V]) len() int { return t.n }
-
 // forEach visits every live entry. Visit order is unspecified; callers
 // fold entries into order-independent accumulators or sort.
-func (t *memTable[V]) forEach(fn func(key uint32, v V)) {
+func (t *memTable) forEach(fn func(key uint32, v int32)) {
 	for i, u := range t.used {
 		if u {
 			fn(t.keys[i], t.vals[i])
@@ -156,10 +137,10 @@ func (t *memTable[V]) forEach(fn func(key uint32, v V)) {
 }
 
 // clone deep-copies the table.
-func (t *memTable[V]) clone() *memTable[V] {
+func (t *memTable) clone() *memTable {
 	c := *t
 	c.keys = append([]uint32(nil), t.keys...)
-	c.vals = append([]V(nil), t.vals...)
+	c.vals = append([]int32(nil), t.vals...)
 	c.used = append([]bool(nil), t.used...)
 	return &c
 }

@@ -6,21 +6,29 @@ import (
 	"testing/quick"
 )
 
-// The table serves two instantiations: value records for the live well and
-// int32 slot ids for the resolver. Every equivalence test runs both.
-func recordOf(i int) value { return value{level: int64(i), lastUse: int64(i), uses: uint32(i)} }
-func slotIDOf(i int) int32 { return int32(i) }
+// tablePut binds key to v through find and insertAt, as a resolver's first
+// touch does, and returns the previous value and whether there was one.
+func tablePut(t *memTable, key uint32, v int32) (int32, bool) {
+	i, ok := t.find(key)
+	if ok {
+		old := t.vals[i]
+		t.vals[i] = v
+		return old, true
+	}
+	t.insertAt(i, key, v)
+	return 0, false
+}
 
 // tableOps drives a memTable and a map reference through the same
 // operation sequence and reports the first divergence. Keys are drawn from
 // a small space so puts, overwrites and deletes collide often, key 0 recurs
 // on a fixed cadence, and the table is forced through several doublings
 // with deletes interleaved.
-func tableOps[V comparable](t *testing.T, seed int64, ops int, keySpace uint32, mk func(int) V) {
+func tableOps(t *testing.T, seed int64, ops int, keySpace uint32) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	var tab memTable[V]
-	ref := make(map[uint32]V)
+	var tab memTable
+	ref := make(map[uint32]int32)
 	for i := 0; i < ops; i++ {
 		key := rng.Uint32() % keySpace
 		if i%101 == 0 {
@@ -40,16 +48,16 @@ func tableOps[V comparable](t *testing.T, seed int64, ops int, keySpace uint32, 
 				t.Fatalf("seed %d op %d: get(%d) = %v,%v want %v,%v", seed, i, key, got, ok, want, wantOK)
 			}
 		default: // put
-			v := mk(i)
-			old, had := tab.put(key, v)
+			v := int32(i)
+			old, had := tablePut(&tab, key, v)
 			wantOld, wantHad := ref[key]
 			ref[key] = v
 			if had != wantHad || old != wantOld {
 				t.Fatalf("seed %d op %d: put(%d) returned %v,%v want %v,%v", seed, i, key, old, had, wantOld, wantHad)
 			}
 		}
-		if tab.len() != len(ref) {
-			t.Fatalf("seed %d op %d: len = %d want %d", seed, i, tab.len(), len(ref))
+		if tab.n != len(ref) {
+			t.Fatalf("seed %d op %d: len = %d want %d", seed, i, tab.n, len(ref))
 		}
 	}
 	checkTable(t, &tab, ref)
@@ -57,13 +65,13 @@ func tableOps[V comparable](t *testing.T, seed int64, ops int, keySpace uint32, 
 
 // checkTable requires tab and ref to hold the same entries, both ways, and
 // forEach to visit each entry exactly once.
-func checkTable[V comparable](t *testing.T, tab *memTable[V], ref map[uint32]V) {
+func checkTable(t *testing.T, tab *memTable, ref map[uint32]int32) {
 	t.Helper()
-	if tab.len() != len(ref) {
-		t.Fatalf("len = %d want %d", tab.len(), len(ref))
+	if tab.n != len(ref) {
+		t.Fatalf("len = %d want %d", tab.n, len(ref))
 	}
 	seen := make(map[uint32]bool, len(ref))
-	tab.forEach(func(key uint32, v V) {
+	tab.forEach(func(key uint32, v int32) {
 		if seen[key] {
 			t.Fatalf("forEach visited key %d twice", key)
 		}
@@ -83,30 +91,26 @@ func checkTable[V comparable](t *testing.T, tab *memTable[V], ref map[uint32]V) 
 }
 
 // TestDifferentialMemTable proves the open-addressed table is
-// observation-equivalent to a map, for both instantiations, across
-// collision-heavy random workloads that exercise backward-shift deletion
-// and growth.
+// observation-equivalent to a map across collision-heavy random workloads
+// that exercise backward-shift deletion and growth.
 func TestDifferentialMemTable(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		tableOps(t, seed, 20000, 1<<10, recordOf) // dense: constant collisions, many overwrites
-		tableOps(t, seed, 20000, 1<<20, recordOf) // sparse: growth-dominated
-		tableOps(t, seed, 20000, 1<<10, slotIDOf)
-		tableOps(t, seed, 20000, 1<<20, slotIDOf)
+		tableOps(t, seed, 20000, 1<<10) // dense: constant collisions, many overwrites
+		tableOps(t, seed, 20000, 1<<20) // sparse: growth-dominated
 	}
 }
 
 // quickTable drives the map equivalence through testing/quick with
 // arbitrary key sets, including key 0 (a valid word address — byte address
 // 0–3 — which an open-addressed table must not confuse with an empty slot).
-func quickTable[V comparable](t *testing.T, mk func(int) V) {
+func quickTable(t *testing.T) {
 	t.Helper()
 	check := func(keys []uint32) bool {
-		var tab memTable[V]
-		ref := make(map[uint32]V)
+		var tab memTable
+		ref := make(map[uint32]int32)
 		for i, k := range keys {
-			v := mk(i)
-			tab.put(k, v)
-			ref[k] = v
+			tablePut(&tab, k, int32(i))
+			ref[k] = int32(i)
 		}
 		// Delete every other inserted key (duplicates make some deletes
 		// no-ops in both structures).
@@ -120,7 +124,7 @@ func quickTable[V comparable](t *testing.T, mk func(int) V) {
 				delete(ref, k)
 			}
 		}
-		if tab.len() != len(ref) {
+		if tab.n != len(ref) {
 			return false
 		}
 		for k, want := range ref {
@@ -134,30 +138,28 @@ func quickTable[V comparable](t *testing.T, mk func(int) V) {
 		t.Fatal(err)
 	}
 	// Explicit key-zero case, with the zero value stored.
-	var tab memTable[V]
+	var tab memTable
 	if _, ok := tab.get(0); ok {
 		t.Fatal("empty table claims key 0 is present")
 	}
 	if tab.del(0) {
 		t.Fatal("del(0) on an empty table reported present")
 	}
-	tab.put(0, mk(0))
-	if v, ok := tab.get(0); !ok || v != mk(0) {
-		t.Fatalf("get(0) = %v,%v want %v,true", v, ok, mk(0))
+	tablePut(&tab, 0, 0)
+	if v, ok := tab.get(0); !ok || v != 0 {
+		t.Fatalf("get(0) = %v,%v want 0,true", v, ok)
 	}
 	if !tab.del(0) {
 		t.Fatal("del(0) reported absent")
 	}
-	if _, ok := tab.get(0); ok || tab.len() != 0 {
-		t.Fatalf("key 0 still present (len %d) after deleting the only entry", tab.len())
+	if _, ok := tab.get(0); ok || tab.n != 0 {
+		t.Fatalf("key 0 still present (len %d) after deleting the only entry", tab.n)
 	}
 }
 
-// TestMemTableQuick runs the testing/quick equivalence over both
-// instantiations.
+// TestMemTableQuick runs the testing/quick equivalence.
 func TestMemTableQuick(t *testing.T) {
-	quickTable(t, recordOf)
-	quickTable(t, slotIDOf)
+	quickTable(t)
 }
 
 // homedKeys returns n distinct non-zero keys whose home slot under mask is
@@ -203,11 +205,11 @@ func TestMemTableClusterGrowth(t *testing.T) {
 		keys = append(keys, homedKeys(h, grownMask, 2)...)
 	}
 
-	var tab memTable[value]
-	ref := make(map[uint32]value)
-	put := func(k uint32, v value) {
+	var tab memTable
+	ref := make(map[uint32]int32)
+	put := func(k uint32, v int32) {
 		t.Helper()
-		tab.put(k, v)
+		tablePut(&tab, k, v)
 		ref[k] = v
 		checkTable(t, &tab, ref)
 	}
@@ -234,7 +236,7 @@ func TestMemTableClusterGrowth(t *testing.T) {
 		}
 	}
 	for i, k := range keys {
-		put(k, value{level: int64(i + 1), lastUse: int64(i), uses: uint32(i)})
+		put(k, int32(i+1))
 	}
 	if len(tab.keys) != memTableMinCap {
 		t.Fatalf("table grew to %d slots before the load ceiling was crossed", len(tab.keys))
@@ -244,7 +246,7 @@ func TestMemTableClusterGrowth(t *testing.T) {
 	// so every position of the cluster is vacated once.
 	for i, k := range wrap {
 		del(k)
-		put(k, value{level: int64(-i)})
+		put(k, int32(-i))
 	}
 	if len(tab.keys) != memTableMinCap {
 		t.Fatalf("table grew to %d slots at constant load", len(tab.keys))
@@ -253,7 +255,7 @@ func TestMemTableClusterGrowth(t *testing.T) {
 	// Crafted keys are brute-forced from 1 upward, so anything >= 1<<20 is
 	// fresh.
 	next := uint32(1 << 20)
-	put(next, value{level: -1})
+	put(next, -1)
 	next++
 	if len(tab.keys) != 2*memTableMinCap {
 		t.Fatalf("crossing the load ceiling left %d slots, want %d", len(tab.keys), 2*memTableMinCap)
@@ -263,7 +265,7 @@ func TestMemTableClusterGrowth(t *testing.T) {
 	// order, and insert a fresh key after each delete.
 	for step, i := 1, len(keys)-1; i >= 0; step, i = step+1, i-1 {
 		del(keys[i])
-		put(next, value{level: int64(1000 + step)})
+		put(next, int32(1000+step))
 		next++
 	}
 }
@@ -271,21 +273,21 @@ func TestMemTableClusterGrowth(t *testing.T) {
 // TestMemTableClone verifies that a clone is a deep copy: mutating the
 // original after a clone leaves the clone intact.
 func TestMemTableClone(t *testing.T) {
-	var tab memTable[value]
+	var tab memTable
 	for i := uint32(0); i < 1000; i++ {
-		tab.put(i, value{level: int64(i)})
+		tablePut(&tab, i, int32(i))
 	}
 	c := tab.clone()
 	for i := uint32(0); i < 1000; i += 2 {
 		tab.del(i)
 	}
-	tab.put(5000, value{level: -1})
-	if c.len() != 1000 {
-		t.Fatalf("clone len = %d want 1000 after mutating original", c.len())
+	tablePut(&tab, 5000, -1)
+	if c.n != 1000 {
+		t.Fatalf("clone len = %d want 1000 after mutating original", c.n)
 	}
 	for i := uint32(0); i < 1000; i++ {
-		if v, ok := c.get(i); !ok || v.level != int64(i) {
-			t.Fatalf("clone get(%d) = %v,%v want level %d", i, v, ok, i)
+		if v, ok := c.get(i); !ok || v != int32(i) {
+			t.Fatalf("clone get(%d) = %v,%v want %d", i, v, ok, i)
 		}
 	}
 }

@@ -49,7 +49,8 @@ const checkpointMagic = "paragraph-checkpoint-v3\n"
 // retiredCheckpointMagics are the formats ReadCheckpoint refuses by name.
 var retiredCheckpointMagics = []string{"paragraph-checkpoint-v1\n", "paragraph-checkpoint-v2\n"}
 
-// valueState mirrors the live well's value record.
+// valueState mirrors a live value: a live slot's level, last use and use
+// count.
 type valueState struct {
 	Level   int64
 	LastUse int64
@@ -62,7 +63,9 @@ type memValueState struct {
 	Val  valueState
 }
 
-// wellState mirrors liveWell. Mem is sorted by word address so the encoding
+// wellState is the live well: the live registers and live memory words
+// with their values, and the level at which pre-existing values are
+// created (highestLevel-1). Mem is sorted by word address so the encoding
 // is deterministic.
 type wellState struct {
 	Regs     [isa.NumRegs]valueState
@@ -184,22 +187,28 @@ func (cp *Checkpoint) state() *checkpointState {
 		s := a.gov.Stats()
 		st.GovernorStats = &s
 	}
-	st.Well = wellStateOf(a.well)
+	st.Well = a.wellState()
 	return st
 }
 
-// wellStateOf snapshots the live well.
-func wellStateOf(w *liveWell) wellState {
-	ws := wellState{
-		RegLive:  w.regLive,
-		Mem:      make(memWords, 0, w.mem.len()),
-		PreLevel: w.preLevel,
+// wellState derives the live well from the resolver's tables and the slots.
+func (a *Analyzer) wellState() wellState {
+	ws := wellState{PreLevel: a.highestLevel - 1}
+	r := a.res
+	if r == nil {
+		return ws
 	}
-	for i, v := range w.regs {
-		ws.Regs[i] = valueState{Level: v.level, LastUse: v.lastUse, Uses: v.uses}
+	for reg, id := range r.regSlot {
+		if id >= 0 && a.slots[id].live {
+			sl := &a.slots[id]
+			ws.Regs[reg], ws.RegLive[reg] = valueState{Level: sl.level, LastUse: sl.lastUse, Uses: sl.uses}, true
+		}
 	}
-	w.mem.forEach(func(word uint32, v value) {
-		ws.Mem = append(ws.Mem, memValueState{Word: word, Val: valueState{Level: v.level, LastUse: v.lastUse, Uses: v.uses}})
+	ws.Mem = make(memWords, 0, a.curMem)
+	r.memSlot.forEach(func(word uint32, id int32) {
+		if sl := &a.slots[id]; sl.live {
+			ws.Mem = append(ws.Mem, memValueState{Word: word, Val: valueState{Level: sl.level, LastUse: sl.lastUse, Uses: sl.uses}})
+		}
 	})
 	ws.Mem.sort()
 	return ws
@@ -209,8 +218,6 @@ func wellStateOf(w *liveWell) wellState {
 func (st *checkpointState) restore() (*Checkpoint, error) {
 	a := &Analyzer{
 		cfg:          st.Config.Clone(),
-		well:         newLiveWell(),
-		lat:          st.Config.classLatencies(),
 		highestLevel: st.HighestLevel,
 		deepest:      st.Deepest,
 		anyOps:       st.AnyOps,
@@ -278,19 +285,32 @@ func (st *checkpointState) restore() (*Checkpoint, error) {
 			a.gov.RestoreStats(*st.GovernorStats)
 		}
 	}
-	a.well.regLive = st.Well.RegLive
-	a.well.preLevel = st.Well.PreLevel
-	for i, v := range st.Well.Regs {
-		a.well.regs[i] = value{level: v.Level, lastUse: v.LastUse, uses: v.Uses}
+	// One slot per live location; PreLevel is derived from HighestLevel.
+	a.rp.init(a)
+	for reg, live := range st.Well.RegLive {
+		if live {
+			a.setSlot(uint32(reg), st.Well.Regs[reg])
+		}
 	}
 	for _, m := range st.Well.Mem {
-		a.well.mem.put(m.Word, value{level: m.Val.Level, lastUse: m.Val.LastUse, uses: m.Val.Uses})
+		a.setSlot(m.Word|deltaMemLoc, m.Val)
 	}
 	return &Checkpoint{
 		EventOffset: st.EventOffset,
 		a:           a,
 		needDeaths:  st.HasDeathSchedule,
 	}, nil
+}
+
+// setSlot binds a restored value to a location the analyzer has not
+// touched.
+func (a *Analyzer) setSlot(loc uint32, v valueState) {
+	a.resolver()
+	isMem := loc&deltaMemLoc != 0
+	a.slots[a.slotOf(loc)] = deltaSlot{level: v.Level, lastUse: v.LastUse, uses: v.Uses, live: true, isMem: isMem}
+	if isMem {
+		a.curMem++
+	}
 }
 
 // WriteCheckpoint serializes the checkpoint to w.

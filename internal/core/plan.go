@@ -5,31 +5,30 @@ import (
 	"paragraph/internal/trace"
 )
 
-// Operand plans: of everything a front-end reads from an event — opcode
+// Operand plans: of everything the Resolver reads from an event — opcode
 // class, register operands, memory operands (DESIGN §2) — only the memory
 // words, the stack flag and the branch outcome change between executions of
-// one static instruction. Both placement front-ends, the Resolver and the
-// Analyzer, therefore compile each static instruction once into an opPlan
-// and read the plan for every later event at the same PC: the dispatch
-// kind, the class, the load and store flags, the register sources and
-// destinations with $zero dropped, and the first word of the instruction's
-// dependence record.
+// one static instruction. The Resolver, which every Analyzer owns too,
+// therefore compiles each static instruction once into an opPlan and reads
+// the plan for every later event at the same PC: the dispatch kind, the
+// class, the load and store flags, the register sources and destinations
+// with $zero dropped, and the first word of the instruction's dependence
+// record.
 //
 // Plans live in a direct-mapped table indexed by PC>>2 and tagged by the
 // event's (PC, Instruction), like the trace reader's decoded-instruction
 // table. A slot that holds another instruction — two PCs 4 KiB apart, or
 // code rewritten in place — re-plans and refills; a plan is never stored
 // for an opcode validateEvent rejects. A plan holds nothing a config
-// decides — an analyzer takes latencies from its own config, tabulated per
-// class, as deltaReplay.lat is per op — so one compiler serves the
-// resolver and every analyzer.
+// decides — the replay takes latencies from the analyzer's own config — so
+// one resolution serves every config.
 
 // planSlots is the size of a plan table. The ten analogues execute 148-1018
 // distinct PCs, so a table misses only on each instruction's first
 // execution.
 const planSlots = 1024
 
-// Plan kinds: how a front-end dispatches an event.
+// Plan kinds: how the Resolver dispatches an event.
 const (
 	planSkip    = iota // NOP or destless jump: bookkeeping only
 	planSyscall        // syscall: a firewall under the conservative policy

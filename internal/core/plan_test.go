@@ -11,172 +11,46 @@ import (
 	"testing/quick"
 	"unsafe"
 
-	"paragraph/internal/budget"
 	"paragraph/internal/isa"
 	"paragraph/internal/minic"
 	"paragraph/internal/trace"
 	"paragraph/internal/workloads"
 )
 
-// The plan tests hold both placement front-ends to references that derive
-// every operand from the event, as the front-ends did before operand plans:
-// refAnalyzer re-derives the dispatch, sources and destinations of each
-// event through Op.Info, SourceRegs, regDests and Dest, and refResolver
-// compiles each event's record the same way.
+// The plan tests hold the resolver, and so every analyzer, to a reference
+// that derives every operand from the event, as the front-ends did before
+// operand plans: refResolver compiles each event's record through Op.Info,
+// SourceRegs, regDests and Dest, and refAnalyzer replays those records with
+// a Scheduler of its config.
 
-// refAnalyzer is an Analyzer driven by the per-event operand derivation.
+// refAnalyzer is an analyzer driven by the per-event operand derivation: a
+// refResolver whose segments a Scheduler replays.
 type refAnalyzer struct {
-	*Analyzer
-	srcBuf []isa.Reg
+	res *refResolver
+	sch *Scheduler
 }
 
-func newRefAnalyzer(cfg Config) *refAnalyzer { return &refAnalyzer{Analyzer: NewAnalyzer(cfg)} }
-
-func (a *refAnalyzer) Event(e *trace.Event) error {
-	seq := a.instructions
-	if err := validateEvent(e, seq); err != nil {
-		return err
-	}
-	a.event(e, seq)
-	if a.deaths != nil {
-		a.evictDead(seq)
-	}
-	if a.storage != nil {
-		a.storage.Add(int64(seq), uint64(a.well.mem.len()))
-	}
-	if a.gov != nil && a.instructions%budget.CheckEvery == 0 {
-		return a.governBudget()
-	}
-	return nil
+func newRefAnalyzer(cfg Config) *refAnalyzer {
+	a := &refAnalyzer{sch: NewScheduler(cfg)}
+	a.res = &refResolver{Resolver: NewResolver(cfg, a.sch.Apply)}
+	return a
 }
 
-func (a *refAnalyzer) event(e *trace.Event, seq uint64) {
-	a.instructions++
-	if w := a.cfg.WindowSize; w > 0 {
-		a.window.displace(seq, uint64(w), a.Analyzer)
+func (a *refAnalyzer) Event(e *trace.Event) error { return a.res.Event(e) }
+
+func (a *refAnalyzer) Finish() (*Result, error) {
+	if err := a.res.Flush(); err != nil {
+		return nil, err
 	}
-	op := e.Ins.Op
-	info := op.Info()
-	a.classCounts[info.Class]++
-	switch {
-	case op == isa.NOP:
-	case e.IsSyscall():
-		a.syscalls++
-		if a.cfg.Syscalls != SyscallOptimistic {
-			a.placeSyscall(seq)
-		}
-	case info.IsJump:
-		if d, ok := e.Ins.Dest(); ok {
-			a.bindConstant(d)
-		}
-	case info.IsBranch:
-		if a.pred != nil && a.pred.mispredicted(e.PC, e.Ins.Imm < 0, e.Taken) {
-			base := a.highestLevel - 1
-			a.srcBuf = e.Ins.SourceRegs(a.srcBuf[:0])
-			for _, r := range a.srcBuf {
-				if r == isa.Zero {
-					continue
-				}
-				if rec := a.well.reg(r); rec.level > base {
-					base = rec.level
-				}
-			}
-			a.raiseFloor(base + a.cfg.latency(op) + 1)
-		}
-	default:
-		a.place(e, seq)
-	}
+	return a.sch.Finish(a.res.Totals())
 }
 
-func (a *refAnalyzer) place(e *trace.Event, seq uint64) {
-	op := e.Ins.Op
-	info := op.Info()
-	top := a.cfg.latency(op)
-	base := a.highestLevel - 1
-	a.srcBuf = e.Ins.SourceRegs(a.srcBuf[:0])
-	for _, r := range a.srcBuf {
-		if r == isa.Zero {
-			continue
-		}
-		if rec := a.well.reg(r); rec.level > base {
-			base = rec.level
-		}
+func (a *refAnalyzer) MustFinish() *Result {
+	r, err := a.Finish()
+	if err != nil {
+		panic(err)
 	}
-	var memLo, memHi uint32
-	if info.IsLoad {
-		memLo, memHi = wordRange(e.MemAddr, e.MemSize)
-		for w := memLo; w <= memHi; w++ {
-			if v := a.well.memRead(w); v.level > base {
-				base = v.level
-			}
-		}
-	}
-	var dbuf [2]isa.Reg
-	dests := regDests(&e.Ins, dbuf[:0])
-	if !a.cfg.RenameRegisters {
-		for _, d := range dests {
-			if d == isa.Zero {
-				continue
-			}
-			if rec, live := a.well.regIfLive(d); live && rec.lastUse+1 > base {
-				base = rec.lastUse + 1
-			}
-		}
-	}
-	if info.IsStore {
-		memLo, memHi = wordRange(e.MemAddr, e.MemSize)
-		if !a.renamedSeg(e.Seg) {
-			for w := memLo; w <= memHi; w++ {
-				if v, live := a.well.mem.get(w); live && v.lastUse+1 > base {
-					base = v.lastUse + 1
-				}
-			}
-		}
-	}
-	if a.fu != nil {
-		base = a.fu.schedule(base, top)
-	}
-	ldest := base + top
-	for _, r := range a.srcBuf {
-		if r == isa.Zero {
-			continue
-		}
-		rec := a.well.reg(r)
-		rec.uses++
-		if base > rec.lastUse {
-			rec.lastUse = base
-		}
-	}
-	if info.IsLoad {
-		for w := memLo; w <= memHi; w++ {
-			v := a.well.memRead(w)
-			v.uses++
-			if base > v.lastUse {
-				v.lastUse = base
-			}
-			a.well.mem.put(w, v)
-		}
-	}
-	newVal := value{level: ldest, lastUse: base}
-	for _, d := range dests {
-		if d == isa.Zero {
-			continue
-		}
-		if old, wasLive := a.well.setReg(d, newVal); wasLive {
-			a.retire(old)
-		}
-	}
-	if info.IsStore {
-		for w := memLo; w <= memHi; w++ {
-			if old, wasLive := a.well.mem.put(w, newVal); wasLive {
-				a.retire(old)
-			}
-		}
-		if n := a.well.mem.len(); n > a.maxLiveMem {
-			a.maxLiveMem = n
-		}
-	}
-	a.placed(seq, ldest)
+	return r
 }
 
 // refResolver is a Resolver driven by the per-event record compilation.
@@ -665,7 +539,7 @@ func TestPlanBadEventsNotStored(t *testing.T) {
 		check("Resolver.Event", err)
 
 		if tc.bad.Ins.Op >= isa.NumOps {
-			for name, tbl := range map[string]*planTable{"analyzer": perEvent.plans, "resolver": delta.plans} {
+			for name, tbl := range map[string]*planTable{"analyzer": perEvent.res.plans, "resolver": delta.plans} {
 				if p := tbl[pc>>2%planSlots]; !p.ok || p.ins != lw.Ins {
 					t.Fatalf("%s: %s slot holds %+v after the bad event, want lw's plan", tc.name, name, p)
 				}
@@ -789,7 +663,7 @@ func TestPlanCloneNotShared(t *testing.T) {
 	}
 	cp := a.Snapshot()
 	restored := []*Analyzer{cp.Restore(), cp.Restore()}
-	if cp.a.plans != nil || restored[0].plans != nil || restored[1].plans != nil {
+	if cp.a.res.plans != nil || restored[0].res.plans != nil || restored[1].res.plans != nil {
 		t.Fatal("a checkpoint or a restored analyzer carries a plan table")
 	}
 	results := make([]*Result, len(restored))
@@ -820,7 +694,7 @@ func TestPlanCloneNotShared(t *testing.T) {
 			t.Fatalf("restored analyzer %d: result %v, want %v", i, results[i], want)
 		}
 	}
-	if restored[0].plans == restored[1].plans || restored[0].plans == a.plans {
+	if restored[0].res.plans == restored[1].res.plans || restored[0].res.plans == a.res.plans {
 		t.Fatal("restored analyzers share a plan table")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"paragraph/internal/isa"
 	"paragraph/internal/trace"
@@ -85,34 +86,47 @@ func TestQuickFUSchedule(t *testing.T) {
 }
 
 // TestQuickLiveWellSingleAssignment: after any sequence of register binds,
-// the live well returns exactly the most recent record for each register,
-// and pre-existing lookups track the current floor.
+// the live well the analyzer's tables hold returns exactly the most recent
+// value of each register, and a register first read after a firewall is
+// pre-existing at the current floor. Registers are not renamed, so each
+// rebind waits one level for the last and the n-th bind of a register
+// lands at level n-1.
 func TestQuickLiveWellSingleAssignment(t *testing.T) {
 	f := func(ops []uint16) bool {
-		w := newLiveWell()
-		w.preLevel = -1
-		last := make(map[uint8]int64)
-		for i, op := range ops {
-			r := uint8(op % 64) // int + FP registers
-			level := int64(i)
-			w.setReg(isa.Reg(r), value{level: level, lastUse: level})
-			last[r] = level
-		}
-		for r, want := range last {
-			rec := w.reg(isa.Reg(r))
-			if rec.level != want {
+		a := NewAnalyzer(Config{Syscalls: SyscallConservative})
+		binds := make(map[isa.Reg]int64)
+		for _, op := range ops {
+			r := isa.Reg(1 + op%63) // int + FP registers but $zero
+			e := evAddi(r, isa.Zero, int32(op))
+			if a.Event(&e) != nil {
 				return false
 			}
+			binds[r]++
 		}
-		// An untouched register reads as pre-existing at the floor.
-		if len(last) < 64 {
-			for r := uint8(0); r < 64; r++ {
-				if _, bound := last[r]; !bound {
-					if w.reg(isa.Reg(r)).level != w.preLevel {
-						return false
-					}
-					break
+		untouched := isa.Zero
+		for r := isa.Reg(1); r < 64 && untouched == isa.Zero; r++ {
+			if binds[r] == 0 {
+				untouched = r
+			}
+		}
+		sys, read := evSyscall(), evAdd(isa.Zero, untouched, untouched)
+		if a.Event(&sys) != nil || untouched != isa.Zero && a.Event(&read) != nil {
+			return false
+		}
+		st := a.Snapshot().state()
+		for r := isa.Reg(1); r < 64; r++ {
+			live, v := st.Well.RegLive[r], st.Well.Regs[r]
+			switch {
+			case binds[r] > 0:
+				if !live || v.Level != binds[r]-1 {
+					return false
 				}
+			case r == untouched:
+				if !live || v.Level != st.HighestLevel-1 || st.Well.PreLevel != st.HighestLevel-1 {
+					return false
+				}
+			case live:
+				return false
 			}
 		}
 		return true
@@ -140,25 +154,13 @@ func TestQuickDeathScheduleConservation(t *testing.T) {
 				events = append(events, evLoad(isa.T1, addr, trace.SegData))
 			}
 		}
-		ds := &DeathSchedule{byIndex: make(map[uint64][]uint32)}
-		lastAccess := make(map[uint32]uint64)
-		for idx := range events {
-			e := &events[idx]
-			info := e.Ins.Op.Info()
-			lo, hi := wordRange(e.MemAddr, e.MemSize)
-			for w := lo; w <= hi; w++ {
-				if info.IsStore {
-					if death, live := lastAccess[w]; live {
-						ds.byIndex[death] = append(ds.byIndex[death], w)
-						ds.values++
-					}
-				}
-				lastAccess[w] = uint64(idx)
-			}
+		tr, err := trace.NewReader(storeTrace(t, events))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for w, death := range lastAccess {
-			ds.byIndex[death] = append(ds.byIndex[death], w)
-			ds.values++
+		ds, err := ComputeDeathSchedule(tr)
+		if err != nil {
+			t.Fatal(err)
 		}
 		// Deaths = overwritten values + final values = total stores...
 		// except stores never followed by another access still count,
@@ -183,5 +185,14 @@ func TestQuickDeathScheduleConservation(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(43))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeltaSlotSize: a slot holds a value's level, last use and use count
+// and its two flags in 24 bytes, the layout budget.LiveWellEntryBytes is
+// calibrated against (BenchmarkLiveWellCalibration).
+func TestDeltaSlotSize(t *testing.T) {
+	if size := unsafe.Sizeof(deltaSlot{}); size != 24 {
+		t.Fatalf("a slot takes %d bytes, want 24", size)
 	}
 }

@@ -7,19 +7,15 @@ import (
 	"paragraph/internal/isa"
 )
 
-// deltaReplay is the record-replay engine shared by the speculative splice
-// (Analyzer.ApplyDelta) and the per-config Scheduler: it walks a compiled
-// record stream (ShardDelta.Code / DepSegment.Code, one encoding — see
-// delta.go) and maintains every level-dependent structure of the analyzer
-// — firewall floor, window, functional units, predictor, governor,
-// statistics — with pure array indexing against a dense slot table instead
-// of live-well hashing. The replay performs the same placements in the
-// same order Analyzer.Event would, which is what makes both callers exact
-// by construction.
-//
-// Slot state (slots, curMem) belongs to the caller: ApplyDelta materializes
-// it from the live well and writes it back per delta, the Scheduler keeps it
-// across segments for the whole trace.
+// deltaReplay is the placement core: the only code that applies the
+// placement rule. It walks a compiled record stream (see delta.go) and
+// maintains every level-dependent structure of the analyzer — firewall
+// floor, window, functional units, predictor, governor, statistics — with
+// pure array indexing against a dense slot table. Every engine feeds it:
+// an Analyzer replays the records its own Resolver compiles from its
+// events, a Scheduler replays a whole-trace resolution's segments, and
+// ApplyDelta replays a shard resolution's delta over slots materialized
+// from the analyzer's.
 //
 // The records are policy-free, so init derives the policy half of the
 // placement rule from the analyzer's config: firewall is the syscall
@@ -27,35 +23,17 @@ import (
 // (Ddest+1) applies, looked up once per place record (storageTerm).
 type deltaReplay struct {
 	a        *Analyzer
-	slots    []deltaSlot
-	curMem   int
 	termMask uint32
 	firewall bool
 	// lat is padded to the full width of the record's 8-bit opcode field
 	// so the (w0>>8)&0xff index provably stays in bounds — the replay loop
 	// pays no bounds check on the latency lookup.
 	lat [256]int64
-
-	// Parallelism-profile updates are batched in a small scratch of
-	// (level, count) runs and flushed once per run() call instead of once
-	// per placed record. LevelHistogram's final state is a pure function
-	// of the multiset of (level, n) additions — counts are linear and the
-	// bucket width depends only on the deepest level ever added — so the
-	// batching is exact, not approximate.
-	histLevel [histScratch]int64
-	histCount [histScratch]uint64
-	histLen   int
 }
-
-// histScratch sizes the profile batch: large enough that consecutive
-// placements at alternating levels still amortize the histogram's
-// rescale-check, small enough to live in the replay struct.
-const histScratch = 64
 
 // init binds the replay to an analyzer, derives the syscall firewall and
 // storage-term mask from its config, and resolves the latency table once;
-// latencies come from the analyzer's config, not the record stream, so ops
-// resolve through the same tables a sequential run uses.
+// latencies come from the analyzer's config, not the record stream.
 func (r *deltaReplay) init(a *Analyzer) {
 	r.a = a
 	r.termMask = deltaTermMask(&a.cfg)
@@ -65,74 +43,52 @@ func (r *deltaReplay) init(a *Analyzer) {
 	}
 }
 
-// hist batches one placement into the profile scratch (see deltaReplay).
-func (r *deltaReplay) hist(ldest int64) {
-	if r.histLen > 0 && r.histLevel[r.histLen-1] == ldest {
-		r.histCount[r.histLen-1]++
-		return
-	}
-	if r.histLen == histScratch {
-		r.flushHist()
-	}
-	r.histLevel[r.histLen] = ldest
-	r.histCount[r.histLen] = 1
-	r.histLen++
-}
-
-// flushHist drains the batched profile counts into the histogram.
-func (r *deltaReplay) flushHist() {
-	for i := 0; i < r.histLen; i++ {
-		r.a.profile.Add(r.histLevel[i], r.histCount[i])
-	}
-	r.histLen = 0
-}
-
 // syncBack writes the loop-local replay state back to the analyzer. run()
 // calls it on every exit and before handing control to the governor, which
-// reads the analyzer directly. preLevel tracks highestLevel-1 by invariant
-// (raiseFloor, init and checkpoint restore all maintain it), so the
-// unconditional write preserves it.
+// reads the analyzer directly.
 func (r *deltaReplay) syncBack(seq uint64, curMem int, hl int64, ops uint64, deepest int64, anyOps bool) {
 	a := r.a
 	a.instructions = seq
-	r.curMem = curMem
+	a.curMem = curMem
 	a.highestLevel = hl
-	a.well.preLevel = hl - 1
 	a.ops = ops
 	a.deepest = deepest
 	a.anyOps = anyOps
 }
 
-// run replays one record stream. Records must be complete (segment cuts
-// happen at record boundaries); slot references must resolve within
-// r.slots. Batched statistics are flushed before returning on every path.
+// run replays one record stream over slots. Records must be complete
+// (segment cuts happen at record boundaries); slot references must resolve
+// within slots.
 //
 // The per-record state — event counter, firewall floor, live-memory count,
 // op statistics — lives in plain locals for the duration of the walk and is
 // written back through syncBack on exit. This is the analyzer's hottest
-// loop (every config in a sweep runs it over the whole trace) and keeping
-// the state addressable on the Analyzer would defeat register allocation;
-// no closure may capture these locals for the same reason.
-func (r *deltaReplay) run(code []uint32) error {
-	defer r.flushHist()
+// loop and keeping the state addressable on the Analyzer would defeat
+// register allocation; no closure may capture these locals for the same
+// reason.
+//
+// A slot springs to life at its first touch: a source read before any write
+// is the paper's pre-existing value, created at highestLevel-1 so it never
+// delays any computation.
+func (r *deltaReplay) run(code []uint32, slots []deltaSlot) error {
 	a := r.a
-	slots := r.slots
 
 	seq := a.instructions
-	curMem := r.curMem
+	curMem := a.curMem
 	hl := a.highestLevel
 	ops := a.ops
 	deepest := a.deepest
 	anyOps := a.anyOps
 	win := &a.window
 	winSize := uint64(a.cfg.WindowSize)
-	profileOn := a.profile != nil
+	profile := a.profile
 	retireOn := a.cfg.Lifetimes || a.cfg.Sharing
 	storage := a.storage
 	fu := a.fu
 	pred := a.pred
 	gov := a.gov
-	tailWork := storage != nil || gov != nil
+	evicts := a.deaths != nil
+	tailWork := storage != nil || gov != nil || evicts
 	termMask := r.termMask
 	firewall := r.firewall
 
@@ -142,7 +98,9 @@ func (r *deltaReplay) run(code []uint32) error {
 		rec := seq
 		seq++
 		if winSize > 0 && rec >= winSize {
-			// Inlined windowState.displace + raiseFloor.
+			// Instructions displaced by this one carry a firewall
+			// (Section 3.2, Figure 6): nothing later may be placed at or
+			// above their levels.
 			cutoff := rec - winSize
 			for win.head < win.tail {
 				e := &win.buf[win.head&uint64(len(win.buf)-1)]
@@ -160,6 +118,8 @@ func (r *deltaReplay) run(code []uint32) error {
 			// Window, storage profile and governor cadence only.
 
 		case deltaKindPlace:
+			// Ldest = MAX(Lsrc..., highestLevel-1, Ddest+1) + top. The
+			// operation executes in levels base+1 .. base+top.
 			top := r.lat[(w0>>8)&0xff]
 			nsrc := int((w0 >> 16) & 0xff)
 			ndst := int(w0 >> 24)
@@ -178,53 +138,52 @@ func (r *deltaReplay) run(code []uint32) error {
 				if nsrc > 0 {
 					s0 = &slots[code[i]]
 					if !s0.live {
-						s0.val = value{level: pre, lastUse: pre}
-						s0.live = true
+						s0.level, s0.lastUse, s0.live = pre, pre, true
 						if s0.isMem {
 							curMem++
 						}
 					}
-					if s0.val.level > base {
-						base = s0.val.level
+					if s0.level > base {
+						base = s0.level
 					}
 					if nsrc == 2 {
 						s1 = &slots[code[i+1]]
 						if !s1.live {
-							s1.val = value{level: pre, lastUse: pre}
-							s1.live = true
+							s1.level, s1.lastUse, s1.live = pre, pre, true
 							if s1.isMem {
 								curMem++
 							}
 						}
-						if s1.val.level > base {
-							base = s1.val.level
+						if s1.level > base {
+							base = s1.level
 						}
 					}
 				}
 				d := &slots[code[i+nsrc]]
 				i += nsrc + 1
-				if storageTerm(termMask, w0) && d.live && d.val.lastUse+1 > base {
-					base = d.val.lastUse + 1
+				if storageTerm(termMask, w0) && d.live && d.lastUse+1 > base {
+					base = d.lastUse + 1
 				}
 				if fu != nil {
 					base = fu.schedule(base, top)
 				}
 				ldest = base + top
+				// The sources are consumed at the base level.
 				if s0 != nil {
-					s0.val.uses++
-					if base > s0.val.lastUse {
-						s0.val.lastUse = base
+					s0.uses++
+					if base > s0.lastUse {
+						s0.lastUse = base
 					}
 					if s1 != nil {
-						s1.val.uses++
-						if base > s1.val.lastUse {
-							s1.val.lastUse = base
+						s1.uses++
+						if base > s1.lastUse {
+							s1.lastUse = base
 						}
 					}
 				}
 				if d.live {
 					if retireOn {
-						a.retire(d.val)
+						a.retire(d)
 					}
 				} else {
 					d.live = true
@@ -232,7 +191,10 @@ func (r *deltaReplay) run(code []uint32) error {
 						curMem++
 					}
 				}
-				d.val = value{level: ldest, lastUse: base}
+				// lastUse starts at the creating operation's base level: a
+				// later overwrite must begin strictly after this operation
+				// began (one level of WAW spacing).
+				d.level, d.lastUse, d.uses = ldest, base, 0
 			} else {
 				// General path: multi-destination ops (HI/LO writers)
 				// and degenerate shapes.
@@ -244,21 +206,20 @@ func (r *deltaReplay) run(code []uint32) error {
 				for _, s := range srcs {
 					sl := &slots[s]
 					if !sl.live {
-						sl.val = value{level: hl - 1, lastUse: hl - 1}
-						sl.live = true
+						sl.level, sl.lastUse, sl.live = hl-1, hl-1, true
 						if sl.isMem {
 							curMem++
 						}
 					}
-					if sl.val.level > base {
-						base = sl.val.level
+					if sl.level > base {
+						base = sl.level
 					}
 				}
 				if storageTerm(termMask, w0) {
 					for _, dw := range dsts {
 						sl := &slots[dw]
-						if sl.live && sl.val.lastUse+1 > base {
-							base = sl.val.lastUse + 1
+						if sl.live && sl.lastUse+1 > base {
+							base = sl.lastUse + 1
 						}
 					}
 				}
@@ -268,17 +229,16 @@ func (r *deltaReplay) run(code []uint32) error {
 				ldest = base + top
 				for _, s := range srcs {
 					sl := &slots[s]
-					sl.val.uses++
-					if base > sl.val.lastUse {
-						sl.val.lastUse = base
+					sl.uses++
+					if base > sl.lastUse {
+						sl.lastUse = base
 					}
 				}
-				newVal := value{level: ldest, lastUse: base}
 				for _, dw := range dsts {
 					sl := &slots[dw]
 					if sl.live {
 						if retireOn {
-							a.retire(sl.val)
+							a.retire(sl)
 						}
 					} else {
 						sl.live = true
@@ -286,20 +246,19 @@ func (r *deltaReplay) run(code []uint32) error {
 							curMem++
 						}
 					}
-					sl.val = newVal
+					sl.level, sl.lastUse, sl.uses = ldest, base, 0
 				}
 			}
 			if w0&deltaFlagIsStore != 0 && curMem > a.maxLiveMem {
 				a.maxLiveMem = curMem
 			}
-			// Inlined placed().
 			ops++
 			if !anyOps || ldest > deepest {
 				deepest = ldest
 				anyOps = true
 			}
-			if profileOn {
-				r.hist(ldest)
+			if profile != nil {
+				profile.Add(ldest, 1)
 			}
 			if winSize > 0 {
 				// Inlined windowState.push.
@@ -311,25 +270,31 @@ func (r *deltaReplay) run(code []uint32) error {
 			}
 
 		case deltaKindJump:
+			// Calls produce a return-address value that later code saves
+			// and restores. The return address is a static constant, so
+			// the value is bound as if it pre-existed: available
+			// immediately, delaying nothing.
 			if w0>>24 != 0 {
 				sl := &slots[code[i]]
 				i++
 				if sl.live {
 					if retireOn {
-						a.retire(sl.val)
+						a.retire(sl)
 					}
 				} else {
 					sl.live = true
 				}
-				sl.val = value{level: hl - 1, lastUse: hl - 1}
+				sl.level, sl.lastUse, sl.uses = hl-1, hl-1, 0
 			}
 
 		case deltaKindBranch:
-			// Under BranchPerfect (pred == nil) the record is consumed but
-			// constrains nothing and touches no slots — exactly what
-			// Analyzer.event does with the branch. The Resolver emits full
-			// branch records regardless of branch policy so one resolution
-			// serves every policy.
+			// Control instructions are never placed, but under an
+			// imperfect branch model a misprediction firewalls the DDG one
+			// step after the branch's deepest source. Under BranchPerfect
+			// (pred == nil) the record is consumed but constrains nothing
+			// and touches no slots. The resolver emits full branch records
+			// regardless of branch policy so one resolution serves every
+			// policy.
 			nsrc := int((w0 >> 16) & 0xff)
 			if pred == nil {
 				i += 1 + nsrc
@@ -343,11 +308,10 @@ func (r *deltaReplay) run(code []uint32) error {
 				for _, s := range srcs {
 					sl := &slots[s]
 					if !sl.live {
-						sl.val = value{level: hl - 1, lastUse: hl - 1}
-						sl.live = true
+						sl.level, sl.lastUse, sl.live = hl-1, hl-1, true
 					}
-					if sl.val.level > base {
-						base = sl.val.level
+					if sl.level > base {
+						base = sl.level
 					}
 				}
 				if lv := base + r.lat[(w0>>8)&0xff] + 1; lv > hl {
@@ -356,6 +320,9 @@ func (r *deltaReplay) run(code []uint32) error {
 			}
 
 		case deltaKindSyscall:
+			// The conservative policy places a firewall immediately after
+			// the deepest computation yet seen, the call itself just below
+			// it (Section 3.2's second special case).
 			if !firewall {
 				break // optimistic: the syscall constrains nothing
 			}
@@ -369,8 +336,8 @@ func (r *deltaReplay) run(code []uint32) error {
 				deepest = ldest
 				anyOps = true
 			}
-			if profileOn {
-				r.hist(ldest)
+			if profile != nil {
+				profile.Add(ldest, 1)
 			}
 			if winSize > 0 {
 				win.push(rec, ldest)
@@ -385,12 +352,28 @@ func (r *deltaReplay) run(code []uint32) error {
 		}
 
 		if tailWork {
+			if evicts && w0&deltaFlagEvict != 0 {
+				// Two-pass eviction: the memory words whose values died
+				// at this event leave the live well.
+				n := int(code[i])
+				for _, s := range code[i+1 : i+1+n] {
+					sl := &slots[s]
+					if sl.live {
+						if retireOn {
+							a.retire(sl)
+						}
+						curMem--
+					}
+					*sl = deltaSlot{isMem: true}
+				}
+				i += 1 + n
+			}
 			if storage != nil {
 				storage.Add(int64(rec), uint64(curMem))
 			}
 			if gov != nil && seq%budget.CheckEvery == 0 {
 				r.syncBack(seq, curMem, hl, ops, deepest, anyOps)
-				if gerr := a.governBudgetAt(curMem); gerr != nil {
+				if gerr := a.governBudget(); gerr != nil {
 					return gerr
 				}
 				// The degrade policy may have tightened the window.

@@ -10,8 +10,8 @@ import (
 )
 
 // Shared dependence extraction: the expensive half of analysis — event
-// validation, live-well slot resolution, memory-word hashing — depends only
-// on the event stream, while everything a configuration varies (syscall
+// validation, slot resolution, memory-word hashing — depends only on the
+// event stream, while everything a configuration varies (syscall
 // policy, renaming, window size, functional units, branch policy,
 // latencies, profiles, budgets) only affects the cheap max-plus replay. A
 // Resolver therefore consumes a trace once and compiles it into
@@ -34,16 +34,17 @@ import (
 // always full (PC, direction sign, outcome, source slots); a perfect-branch
 // replay consumes and ignores them.
 //
-// The resolver has two outputs. A whole-trace resolution (NewResolver)
+// The resolver has three users. A whole-trace resolution (NewResolver)
 // starts at event 0 with an empty machine and cuts its stream into bounded
 // DepSegments for Schedulers: slot ids are globally dense in first-touch
-// order, so a scheduler's slot table is never materialized from a live
-// well — slots start dead and spring to life exactly when a sequential
-// analyzer would first touch the location. A shard resolution
-// (NewDeltaResolver) starts at a shard's first event with unknown entry
-// state and compiles the shard into one uncut ShardDelta whose slots are
-// pending reads, resolved against the real entry state at splice time
-// (Analyzer.ApplyDelta).
+// order, so a scheduler's slot table starts empty — slots start dead and
+// spring to life exactly when the location is first touched. A shard
+// resolution (NewDeltaResolver) starts at a shard's first event with
+// unknown entry state and compiles the shard into one uncut ShardDelta
+// whose slots are pending reads, resolved against the real entry state at
+// splice time (Analyzer.ApplyDelta). And every Analyzer owns one, whose
+// records it replays on its own slot table, batch by batch; only that
+// resolver evicts dead words and recycles their slots (Analyzer.evictDead).
 
 // DepSegment is one bounded batch of the dependence-record stream. Segments
 // are immutable while consumers hold them and are shared read-only by every
@@ -82,12 +83,11 @@ const resolveSegWords = 24 << 10
 const ResolveSegmentBytes = int64(resolveSegWords+160) * 2 * 4
 
 // Resolver is the config-invariant stage-1 pass. It implements trace.Sink
-// and trace.BatchSink, validating events exactly as a sequential analyzer
-// does (same absolute indices, same error values) and compiling them into
-// dependence records. It owns the slot tables: a dense array for registers
-// and, for memory words, the word table the live well also uses
-// (memTable[int32], word address -> slot id) — the only hashing in the
-// whole sweep happens here, once.
+// and trace.BatchSink, validating events exactly as an analyzer does (same
+// absolute indices, same error values) and compiling them into dependence
+// records. It owns the slot tables: a dense array for registers and, for
+// memory words, an open-addressed word table (memTable, word address ->
+// slot id) — the only hashing in the whole sweep happens here, once.
 //
 // On a validation error the records for every event before the bad one are
 // kept — a whole-trace resolution still emits them on Flush, a shard
@@ -99,12 +99,16 @@ type Resolver struct {
 	emit func(*DepSegment) error // nil for a shard resolution
 
 	regSlot [isa.NumRegs]int32
-	memSlot memTable[int32]
+	memSlot memTable
+	// free holds the slot ids of evicted memory words, for the next
+	// first-touched words to reuse.
+	free []uint32
 	// plans is the operand-plan table (plan.go), allocated at the first
 	// event.
 	plans *planTable
 
-	// start is the absolute trace position of the first event.
+	// start is the absolute trace position of the first event not yet
+	// counted in totals.
 	start uint64
 	// slotBase counts the slots allocated in all flushed segments; ids stay
 	// globally dense across segment cuts.
@@ -187,19 +191,58 @@ func (r *Resolver) regSlotID(reg isa.Reg) uint32 {
 	return id
 }
 
-// memSlotID resolves a memory word to its slot, allocating on first touch.
-// One probe serves both outcomes: a miss inserts at the slot find stopped
-// on.
+// memSlotID resolves a memory word to its slot, allocating on first touch:
+// an evicted word's slot if one is free, else a new one. One probe serves
+// both outcomes: a miss inserts at the slot find stopped on.
 func (r *Resolver) memSlotID(w uint32) uint32 {
 	i, ok := r.memSlot.find(w)
 	if ok {
 		return uint32(r.memSlot.vals[i])
 	}
-	id := r.nextSlot()
+	var id uint32
+	if n := len(r.free); n > 0 {
+		id, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		id = r.nextSlot()
+		r.seg.NewLocs = append(r.seg.NewLocs, w|deltaMemLoc)
+	}
 	r.memSlot.insertAt(i, w, int32(id))
-	r.seg.NewLocs = append(r.seg.NewLocs, w|deltaMemLoc)
 	return id
 }
+
+// slotID resolves a location key (see ShardDelta.Locs) to its slot,
+// allocating on first touch.
+func (r *Resolver) slotID(loc uint32) uint32 {
+	if loc&deltaMemLoc != 0 {
+		return r.memSlotID(loc &^ deltaMemLoc)
+	}
+	return r.regSlotID(isa.Reg(loc))
+}
+
+// lookup returns the slot of a location key the resolver has touched.
+func (r *Resolver) lookup(loc uint32) (uint32, bool) {
+	if loc&deltaMemLoc != 0 {
+		id, ok := r.memSlot.get(loc &^ deltaMemLoc)
+		return uint32(id), ok
+	}
+	id := r.regSlot[loc]
+	return uint32(id), id >= 0
+}
+
+// evict forgets a memory word and frees its slot, returning the slot, if
+// the word has one.
+func (r *Resolver) evict(w uint32) (uint32, bool) {
+	id, ok := r.memSlot.get(w)
+	if !ok {
+		return 0, false
+	}
+	r.memSlot.del(w)
+	r.free = append(r.free, uint32(id))
+	return uint32(id), true
+}
+
+// position returns the absolute trace position of the next event.
+func (r *Resolver) position() uint64 { return r.start + r.totals.Events }
 
 // Event implements trace.Sink.
 func (r *Resolver) Event(e *trace.Event) error {
@@ -262,11 +305,9 @@ func newDepSegment() DepSegment {
 }
 
 // build compiles one event into the record stream from its plan. Every
-// policy decision is left to the replay; the slot references are emitted
-// in exactly the order Analyzer.event touches the corresponding live-well
-// locations, so the replay is operation-for-operation identical.
+// policy decision is left to the replay.
 func (r *Resolver) build(e *trace.Event) error {
-	seq := r.start + r.totals.Events
+	seq := r.position()
 	if r.plans == nil {
 		r.plans = new(planTable)
 	}
@@ -285,8 +326,8 @@ func (r *Resolver) build(e *trace.Event) error {
 		r.totals.Syscalls++
 		r.seg.Code = append(r.seg.Code, p.w0)
 	case planJump:
-		// bindConstant does not skip $zero, so neither does the record:
-		// the binding is observable through retirement statistics.
+		// The binding does not skip $zero: it retires the register's old
+		// value, which the retirement statistics observe.
 		r.seg.Code = append(r.seg.Code, p.w0, r.regSlotID(p.bind))
 	case planBranch:
 		// Whether the branch mispredicts can depend on predictor state
@@ -308,9 +349,9 @@ func (r *Resolver) build(e *trace.Event) error {
 }
 
 // place compiles an ordinary placement. Source and destination slots are
-// emitted in live-well touch order: registers before memory words, memory
-// words lo..hi. The plan's word0 counts the register operands; the memory
-// words of the access are added to it here.
+// emitted registers before memory words, memory words lo..hi. The plan's
+// word0 counts the register operands; the memory words of the access are
+// added to it here.
 func (r *Resolver) place(e *trace.Event, p *opPlan) {
 	w0 := p.w0
 	code := append(r.seg.Code, 0)
@@ -342,23 +383,18 @@ func (r *Resolver) place(e *trace.Event, p *opPlan) {
 	r.seg.Code = code
 }
 
-// Scheduler is the per-config stage-2 pass: a fresh analyzer whose events
-// arrive as dependence records instead of trace events. Replay maintains
-// every level-dependent structure — firewall floor, window displacement, FU
-// counting, predictor, governor cadence, histograms — with array indexing
-// only; no hashing and no live well.
+// Scheduler is the per-config stage-2 pass: an analyzer fed by an outside
+// resolution. Its events arrive as dependence records instead of trace
+// events, and the one placement core replays them on its slot table.
 type Scheduler struct {
-	a  *Analyzer
-	rp deltaReplay
+	a *Analyzer
 }
 
 // NewScheduler creates a scheduler for one config. Any resolution can feed
 // it: the scheduler applies its config's syscall firewall and storage-term
 // class mask to the policy-free records itself.
 func NewScheduler(cfg Config) *Scheduler {
-	s := &Scheduler{a: NewAnalyzer(cfg)}
-	s.rp.init(s.a)
-	return s
+	return &Scheduler{a: NewAnalyzer(cfg)}
 }
 
 // Apply replays one segment. Segments must arrive in emission order.
@@ -377,10 +413,8 @@ func (s *Scheduler) Apply(seg *DepSegment) (err error) {
 			err = &AnalysisError{Event: ev, Stage: "event", Cause: recoveredError(v)}
 		}
 	}()
-	for _, loc := range seg.NewLocs {
-		s.rp.slots = append(s.rp.slots, deltaSlot{isMem: loc&deltaMemLoc != 0})
-	}
-	return s.rp.run(seg.Code)
+	a.growSlots(seg.NewLocs)
+	return a.rp.run(seg.Code, a.slots)
 }
 
 // Finish folds the resolver's totals and produces the Result. The totals'
@@ -394,19 +428,6 @@ func (s *Scheduler) Finish(totals ResolveTotals) (*Result, error) {
 	}
 	if totals.Events != a.instructions {
 		return nil, fmt.Errorf("core: scheduler replayed %d events but resolver produced %d", a.instructions, totals.Events)
-	}
-	// Values still live at the end of the trace die here, exactly as
-	// Analyzer.Finish retires its live well — which for a scheduler's
-	// analyzer stays empty. Slots that stayed dead (e.g. sources of
-	// never-mispredicted branches) hold no value. Retirement feeds only
-	// order-independent distributions, so slot order is as good as well
-	// order.
-	if a.cfg.Lifetimes || a.cfg.Sharing {
-		for i := range s.rp.slots {
-			if sl := &s.rp.slots[i]; sl.live {
-				a.retire(sl.val)
-			}
-		}
 	}
 	a.syscalls += totals.Syscalls
 	for c, n := range totals.ClassCounts {

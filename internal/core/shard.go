@@ -7,7 +7,7 @@ import (
 	"paragraph/internal/stats"
 )
 
-// Shard support: the placement state of a dependency analysis (live well,
+// Shard support: the placement state of a dependency analysis (slot tables,
 // window, predictor, scalars) must flow through shards serially via
 // checkpoint handoff, but the statistics the analysis accumulates —
 // parallelism and storage profiles, lifetime and sharing distributions,
@@ -33,7 +33,7 @@ type ShardStats struct {
 
 // BeginShard marks a shard boundary: it resets the mergeable accumulators
 // so the next ShardStats call reports only this shard's contribution.
-// Placement state (well, window, predictor, governor policy and effective
+// Placement state (slots, window, predictor, governor policy and effective
 // window) is untouched — that state must flow through shards serially, via
 // Snapshot/Restore. Call it before replaying each shard's events, including
 // the first.
@@ -43,6 +43,9 @@ func (a *Analyzer) BeginShard() error {
 	}
 	if a.deaths != nil {
 		return errors.New("core: sharded analysis is single-pass; a death schedule needs whole-trace knowledge")
+	}
+	if err := a.flush(); err != nil {
+		return err
 	}
 	if a.profile != nil {
 		a.profile = stats.NewLevelHistogram(a.cfg.ProfileBuckets)
@@ -61,10 +64,12 @@ func (a *Analyzer) BeginShard() error {
 	return nil
 }
 
-// ShardStats harvests the accumulators since the last BeginShard. For the
-// final shard, call it after Finish so end-of-trace retirements (still-live
-// values folded into the lifetime/sharing distributions) are included.
+// ShardStats replays the pending records and harvests the accumulators
+// since the last BeginShard. For the final shard, call it after Finish so
+// end-of-trace retirements (still-live values folded into the
+// lifetime/sharing distributions) are included.
 func (a *Analyzer) ShardStats() ShardStats {
+	_ = a.flush() // a failure stays in the analyzer for the next Event or Finish
 	st := ShardStats{Lifetime: a.lifetimes.State(), Sharing: a.sharing.State()}
 	if a.profile != nil {
 		s := a.profile.State()

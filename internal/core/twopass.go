@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"paragraph/internal/budget"
 	"paragraph/internal/trace"
@@ -30,10 +32,15 @@ import (
 
 // DeathSchedule records, for each trace position, the memory words whose
 // values die there (are never accessed again before being overwritten or
-// the trace ends).
+// the trace ends), as one list of deaths sorted by position.
 type DeathSchedule struct {
-	byIndex map[uint64][]uint32
-	values  uint64
+	deaths []death
+}
+
+// death is one value's death: the word and the position of its last access.
+type death struct {
+	event uint64
+	word  uint32
 }
 
 // ComputeDeathSchedule scans a trace and builds the eviction schedule; the
@@ -45,7 +52,7 @@ func ComputeDeathSchedule(r *trace.Reader) (*DeathSchedule, error) {
 // ComputeDeathScheduleContext is ComputeDeathSchedule under a cancellation
 // context, checked every trace.CtxCheckEvery events.
 func ComputeDeathScheduleContext(ctx context.Context, r *trace.Reader) (*DeathSchedule, error) {
-	ds := &DeathSchedule{byIndex: make(map[uint64][]uint32)}
+	var deaths []death
 	// lastAccess holds, for each word with a live value, the index of the
 	// value's most recent access (its creation or a later read).
 	lastAccess := make(map[uint32]uint64)
@@ -61,9 +68,8 @@ func ComputeDeathScheduleContext(ctx context.Context, r *trace.Reader) (*DeathSc
 			lo, hi := wordRange(e.MemAddr, e.MemSize)
 			for w := lo; w <= hi; w++ {
 				if info.IsStore {
-					if death, live := lastAccess[w]; live {
-						ds.byIndex[death] = append(ds.byIndex[death], w)
-						ds.values++
+					if last, live := lastAccess[w]; live {
+						deaths = append(deaths, death{event: last, word: w})
 					}
 				}
 				lastAccess[w] = idx
@@ -78,50 +84,73 @@ func ComputeDeathScheduleContext(ctx context.Context, r *trace.Reader) (*DeathSc
 	// Values never accessed again before the trace ends are dead after
 	// their final access, exactly like overwritten ones ("a value is dead
 	// when it will never again be referenced by an instruction in the
-	// trace").
-	for w, death := range lastAccess {
-		ds.byIndex[death] = append(ds.byIndex[death], w)
-		ds.values++
+	// trace"). The deaths are sorted by position, and by word within one,
+	// and kept in a list of their exact size.
+	for w, last := range lastAccess {
+		deaths = append(deaths, death{event: last, word: w})
 	}
-	return ds, nil
+	slices.SortFunc(deaths, func(x, y death) int {
+		return cmp.Or(cmp.Compare(x.event, y.event), cmp.Compare(x.word, y.word))
+	})
+	return &DeathSchedule{deaths: slices.Clone(deaths)}, nil
 }
 
 // Values returns how many value deaths the schedule recorded.
-func (ds *DeathSchedule) Values() uint64 { return ds.values }
-
-// at returns the words dying at trace position idx (nil for most positions).
-func (ds *DeathSchedule) at(idx uint64) []uint32 {
-	return ds.byIndex[idx]
-}
+func (ds *DeathSchedule) Values() uint64 { return uint64(len(ds.deaths)) }
 
 // UseDeathSchedule arms the analyzer with an eviction schedule from a prior
 // discovery pass. Must be called before the first Event.
 func (a *Analyzer) UseDeathSchedule(ds *DeathSchedule) error {
+	if err := a.flush(); err != nil {
+		return err
+	}
 	if a.instructions > 0 || a.finished {
 		return fmt.Errorf("core: UseDeathSchedule after analysis started")
 	}
-	a.deaths = ds
+	a.useDeaths(ds)
 	return nil
 }
 
-// evictDead drops live-well entries for words whose values died at the
-// event just processed. Only words in renamed segments are evicted (their
-// lastUse will never be consulted again); the segment of a word is
-// recovered from its address by the same classification the tracer used.
-func (a *Analyzer) evictDead(seq uint64) {
-	words := a.deaths.at(seq)
-	if len(words) == 0 {
+// useDeaths arms the schedule at the analyzer's position: the cursor skips
+// the deaths of the events already analyzed.
+func (a *Analyzer) useDeaths(ds *DeathSchedule) {
+	a.deaths = ds
+	a.nextDeath, _ = slices.BinarySearchFunc(ds.deaths, a.instructions, func(d death, pos uint64) int {
+		return cmp.Compare(d.event, pos)
+	})
+}
+
+// evictDead compiles the deaths at event seq, whose record starts at code
+// position at, into that record: the resolver forgets each dying word and
+// frees its slot, and the record carries the slots for the replay to kill
+// after the event's placement, before its storage sample and governor
+// check. Only words in renamed segments are evicted (their lastUse will
+// never be consulted again); the segment of a word is recovered from its
+// address by the same classification the tracer used. A freed slot is
+// reused by the next first-touched word, whose record replays after the
+// kill, so the slot table stays as small as the live well.
+func (a *Analyzer) evictDead(seq uint64, at int) {
+	ds := a.deaths.deaths
+	i := a.nextDeath
+	if i >= len(ds) || ds[i].event != seq {
 		return
 	}
-	for _, w := range words {
-		seg := segmentOfWord(w)
-		if !a.renamedSeg(seg) {
-			continue
+	r := a.res
+	count := len(r.seg.Code)
+	r.seg.Code = append(r.seg.Code, 0)
+	for ; i < len(ds) && ds[i].event == seq; i++ {
+		if w := ds[i].word; a.renamedSeg(segmentOfWord(w)) {
+			if id, ok := r.evict(w); ok {
+				r.seg.Code = append(r.seg.Code, id)
+			}
 		}
-		if v, live := a.well.mem.get(w); live {
-			a.retire(v)
-			a.well.mem.del(w)
-		}
+	}
+	a.nextDeath = i
+	if n := len(r.seg.Code) - count - 1; n > 0 {
+		r.seg.Code[count] = uint32(n)
+		r.seg.Code[at] |= deltaFlagEvict
+	} else {
+		r.seg.Code = r.seg.Code[:count]
 	}
 }
 
@@ -231,7 +260,7 @@ func ResumeTwoPass(ctx context.Context, rs io.ReadSeeker, cp *Checkpoint, opts T
 		if err != nil {
 			return nil, err
 		}
-		a.deaths = ds
+		a.useDeaths(ds)
 	}
 	if _, err := rs.Seek(0, io.SeekStart); err != nil {
 		return nil, err

@@ -6,10 +6,14 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"paragraph/internal/budget"
 	"paragraph/internal/isa"
+	"paragraph/internal/minic"
 	"paragraph/internal/trace"
+	"paragraph/internal/workloads"
 )
 
 // storeTrace serializes hand-built events into the binary format with
@@ -74,14 +78,9 @@ func TestComputeDeathSchedule(t *testing.T) {
 	if ds.Values() != 3 {
 		t.Errorf("deaths = %d, want 3", ds.Values())
 	}
-	if got := ds.at(2); len(got) != 1 || got[0] != 0x10000000>>2 {
-		t.Errorf("death at idx 2 = %v", got)
-	}
-	if got := ds.at(3); len(got) != 1 || got[0] != 0x10000000>>2 {
-		t.Errorf("death at idx 3 = %v", got)
-	}
-	if got := ds.at(4); len(got) != 1 || got[0] != 0x10000004>>2 {
-		t.Errorf("death at idx 4 = %v", got)
+	want := []death{{2, 0x10000000 >> 2}, {3, 0x10000000 >> 2}, {4, 0x10000004 >> 2}}
+	if !reflect.DeepEqual(ds.deaths, want) {
+		t.Errorf("deaths = %v, want %v", ds.deaths, want)
 	}
 }
 
@@ -305,4 +304,94 @@ func TestFinalCheckpointOnCancel(t *testing.T) {
 	if flushes != 0 {
 		t.Errorf("OnCheckpoint fired %d times without FinalOnCancel, want 0", flushes)
 	}
+}
+
+// TestTwoPassSlotsRecycled: in a long two-pass analysis whose words die and
+// are rewritten many times, each first touch of an evicted word reuses the
+// slot of a dead one, so the analyzer's slot table stays bounded by the
+// peak of live words, plus the registers, plus the first touches of one
+// pending buffer, instead of growing with every word the trace rewrites.
+func TestTwoPassSlotsRecycled(t *testing.T) {
+	const words, stores = 4096, 60000
+	var events []trace.Event
+	for i := 0; i < stores; i++ {
+		addr := uint32(0x10000000 + 4*(i%words))
+		events = append(events,
+			evAddi(isa.T0, isa.Zero, int32(i)),
+			evStore(isa.T0, addr, trace.SegData),
+			evLoad(isa.T1, addr, trace.SegData))
+	}
+	rd := storeTrace(t, events)
+	tr, err := trace.NewReader(rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := ComputeDeathSchedule(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAnalyzer(Dataflow(SyscallConservative))
+	if err := a.UseDeathSchedule(ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Events(events); err != nil {
+		t.Fatal(err)
+	}
+	res := a.MustFinish()
+	if bound := res.MaxLiveMemoryWords + int(isa.NumRegs) + budget.CheckEvery; len(a.slots) > bound {
+		t.Fatalf("%d slots after %d stores to %d words; peak live words %d bound them at %d",
+			len(a.slots), stores, words, res.MaxLiveMemoryWords, bound)
+	}
+}
+
+// TestDeathScheduleHeapPerDeath: a death schedule holds each death in one
+// (event, word) pair, 16 bytes, so tomcatvx's 110k deaths take under 20
+// bytes each on the heap, far less than the live well the schedule empties
+// would hold.
+func TestDeathScheduleHeapPerDeath(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("heap accounting under -race is distorted")
+	}
+	w, ok := workloads.ByName("tomcatvx")
+	if !ok {
+		t.Fatal("no tomcatvx workload")
+	}
+	recorded := func() []byte {
+		var buf bytes.Buffer
+		tw, err := trace.NewWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Run(1, minic.Options{}, tw, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}()
+	schedule := func() *DeathSchedule {
+		tr, err := trace.NewReader(bytes.NewReader(recorded))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := ComputeDeathSchedule(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ds := schedule()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perDeath := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(ds.Values())
+	if ds.Values() < 100000 || perDeath > 20 {
+		t.Fatalf("%d deaths hold %.1f heap bytes each, want at most 20", ds.Values(), perDeath)
+	}
+	t.Logf("%d deaths hold %.1f heap bytes each", ds.Values(), perDeath)
+	runtime.KeepAlive(recorded)
+	runtime.KeepAlive(ds)
 }

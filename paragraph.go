@@ -56,8 +56,11 @@ type (
 	// available parallelism, parallelism profile, and optional
 	// value-lifetime and sharing distributions.
 	Result = core.Result
-	// Analyzer consumes a serial trace event-by-event (it implements
-	// TraceSink) and produces a Result from Finish.
+	// Analyzer consumes a serial trace event by event or in batches (it
+	// implements TraceSink) and produces a Result from Finish. It is a
+	// resolver feeding its own schedule: each event is compiled into a
+	// dependence record, and the records are replayed every 1024 events
+	// by the same placement core that schedules multi-config runs.
 	Analyzer = core.Analyzer
 	// SyscallPolicy selects the conservative (firewall) or optimistic
 	// (ignore) treatment of system calls.
