@@ -325,8 +325,18 @@ func validateEvent(e *trace.Event, seq uint64) error {
 	case isMem && (e.Seg == trace.SegStack) != (e.MemAddr >= stackFloor):
 		return &BadEventError{Index: seq, PC: e.PC,
 			Reason: fmt.Sprintf("segment %v inconsistent with address %#x", e.Seg, e.MemAddr)}
+	case isMem && wrapsAddressSpace(e.MemAddr, e.MemSize):
+		return &BadEventError{Index: seq, PC: e.PC,
+			Reason: fmt.Sprintf("%d-byte access at %#x wraps past the end of the address space", e.MemSize, e.MemAddr)}
 	}
 	return nil
+}
+
+// wrapsAddressSpace reports whether an access's last byte lies beyond
+// 0xFFFFFFFF, where its word range would wrap to a range whose end
+// precedes its start.
+func wrapsAddressSpace(addr uint32, size uint8) bool {
+	return uint64(addr)+uint64(size) > 1<<32
 }
 
 // retire records the statistics of a value whose storage was just reused.

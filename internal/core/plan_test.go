@@ -459,6 +459,7 @@ func TestPlanTableTagMiss(t *testing.T) {
 	}
 
 	var tbl planTable
+	res := NewDeltaResolver(0, len(events))
 	for i := range events {
 		e := &events[i]
 		p, err := tbl.get(e, uint64(i))
@@ -470,11 +471,65 @@ func TestPlanTableTagMiss(t *testing.T) {
 		if *p != want {
 			t.Fatalf("event %d (pc %#x, %v): plan %+v, want %+v", i, e.PC, &e.Ins, *p, want)
 		}
+		// The resolver's plan for the event is the same compile, its slot
+		// words filled from the resolver's register slots.
+		if err := res.Event(e); err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		got := res.plans[e.PC>>2%planSlots]
+		if err := checkPlanSlots(res, &got); err != nil {
+			t.Fatalf("event %d (pc %#x, %v): %v", i, e.PC, &e.Ins, err)
+		}
+		got.slots, got.slotted = [maxPlanRegs]uint32{}, false
+		if got != want {
+			t.Fatalf("event %d (pc %#x, %v): resolver plan %+v, want %+v", i, e.PC, &e.Ins, got, want)
+		}
 	}
-	if p := tbl[0]; p.kind != planPlace || p.class != isa.ClassIntALU {
-		t.Fatalf("the zero instruction at pc 0 planned as kind %d class %v, want an int-alu placement", p.kind, p.class)
+	if p := tbl[0]; p.w0&7 != deltaKindPlace || p.class != isa.ClassIntALU {
+		t.Fatalf("the zero instruction at pc 0 planned as kind %d class %v, want an int-alu placement", p.w0&7, p.class)
 	}
 	checkAgainstReferences(t, events)
+}
+
+// planRegs derives, from the instruction alone, the registers whose slot
+// words a plan of ins keeps, in record order: a place record's sources and
+// destinations and a branch's sources without $zero, a jump's
+// return-address register with it.
+func planRegs(ins *isa.Instruction) []isa.Reg {
+	noZero := func(rs []isa.Reg) []isa.Reg {
+		return slices.DeleteFunc(rs, func(r isa.Reg) bool { return r == isa.Zero })
+	}
+	info := ins.Op.Info()
+	switch e := (trace.Event{Ins: *ins}); {
+	case ins.Op == isa.NOP || e.IsSyscall():
+		return nil
+	case info.IsJump:
+		if d, ok := ins.Dest(); ok {
+			return []isa.Reg{d}
+		}
+		return nil
+	case info.IsBranch:
+		return noZero(ins.SourceRegs(nil))
+	}
+	return append(noZero(ins.SourceRegs(nil)), noZero(regDests(ins, nil))...)
+}
+
+// checkPlanSlots checks a plan r has executed: it counts the registers
+// planRegs names, and its slot words are r's slots of those registers.
+func checkPlanSlots(r *Resolver, p *opPlan) error {
+	regs := planRegs(&p.ins)
+	if !p.slotted {
+		return fmt.Errorf("plan of %v executed but not slotted", &p.ins)
+	}
+	if p.regs() != len(regs) {
+		return fmt.Errorf("plan of %v counts %d registers, want %v", &p.ins, p.regs(), regs)
+	}
+	for j, reg := range regs {
+		if id := r.regSlot[reg]; id < 0 || p.slots[j] != uint32(id) {
+			return fmt.Errorf("plan of %v keeps slot %d for %v, the resolver has %d", &p.ins, p.slots[j], reg, id)
+		}
+	}
+	return nil
 }
 
 // TestPlanBadEventsNotStored: every validateEvent rejection reaches both
@@ -500,6 +555,8 @@ func TestPlanBadEventsNotStored(t *testing.T) {
 		{"load without a segment", with(lw, func(e *trace.Event) { e.Seg = trace.SegNone })},
 		{"stack segment below the stack", with(lw, func(e *trace.Event) { e.Seg = trace.SegStack })},
 		{"data segment inside the stack", with(sw, func(e *trace.Event) { e.Seg = trace.SegData })},
+		{"load wrapping past 2^32", with(lw, func(e *trace.Event) { e.MemAddr, e.Seg = 0xfffffffe, trace.SegStack })},
+		{"store wrapping past 2^32", with(sw, func(e *trace.Event) { e.MemAddr = 0xffffffff })},
 	}
 	prefix := []trace.Event{lw, {PC: pc + 4, Ins: isa.Instruction{Op: isa.ADDIU, Rt: isa.T0, Rs: isa.T0, Imm: 4}}, lw}
 	suffix := []trace.Event{lw, addu, sw, lw}
@@ -579,10 +636,11 @@ func TestPlanBadEventsNotStored(t *testing.T) {
 
 // TestPlanOperandsQuick: over random instructions — every opcode, with
 // registers drawn to hit $zero and the HI/LO and FCC registers often — a
-// plan's sources and destinations are SourceRegs and regDests with $zero
-// dropped, a jump binds Dest's register, $zero included, and a one-event
-// trace of the instruction compiles and places exactly as the references
-// do.
+// plan counts the registers of SourceRegs and regDests with $zero dropped
+// (a jump binds Dest's register, $zero included), once executed its slot
+// words are the resolver's slots of exactly those registers, and a
+// two-event trace of the instruction compiles and places exactly as the
+// references do.
 func TestPlanOperandsQuick(t *testing.T) {
 	special := []isa.Reg{isa.Zero, isa.HI, isa.LO, isa.FCC, isa.RA}
 	reg := func(b uint8) isa.Reg {
@@ -591,23 +649,15 @@ func TestPlanOperandsQuick(t *testing.T) {
 		}
 		return isa.Reg(b>>1) % isa.NumRegs
 	}
-	noZero := func(rs []isa.Reg) []isa.Reg {
-		return slices.DeleteFunc(rs, func(r isa.Reg) bool { return r == isa.Zero })
-	}
 	prop := func(op, rd, rs, rt uint8, imm int16, taken bool) bool {
 		ins := isa.Instruction{Op: isa.Op(op) % isa.NumOps, Rd: reg(rd), Rs: reg(rs), Rt: reg(rt), Imm: int32(imm)}
 		var p opPlan
 		p.compile(0x400000, &ins)
-		if !slices.Equal(p.src[:p.nsrc], noZero(ins.SourceRegs(nil))) ||
-			!slices.Equal(p.dst[:p.ndst], noZero(regDests(&ins, nil))) {
-			t.Logf("%v: plan sources %v destinations %v", &ins, p.src[:p.nsrc], p.dst[:p.ndst])
+		if want := planRegs(&ins); p.regs() != len(want) || p.slotted {
+			t.Logf("%v: plan counts %d registers (slotted %v), want %v unslotted", &ins, p.regs(), p.slotted, want)
 			return false
 		}
 		info := ins.Op.Info()
-		if d, ok := ins.Dest(); info.IsJump && (p.kind == planJump) != ok || p.kind == planJump && p.bind != d {
-			t.Logf("%v: plan kind %d binds %v, Dest gives %v, %v", &ins, p.kind, p.bind, d, ok)
-			return false
-		}
 
 		e := trace.Event{PC: 0x400000, Ins: ins, Taken: taken}
 		if info.IsLoad || info.IsStore {
@@ -627,6 +677,10 @@ func TestPlanOperandsQuick(t *testing.T) {
 				t.Logf("%v: front-ends differ from the references under %+v", &ins, cfg)
 				return false
 			}
+			if err := checkPlanSlots(r, &r.plans[0x400000>>2%planSlots]); err != nil {
+				t.Log(err)
+				return false
+			}
 		}
 		return true
 	}
@@ -635,8 +689,8 @@ func TestPlanOperandsQuick(t *testing.T) {
 	}
 }
 
-// TestPlanTableSize: a plan stays within 48 bytes, so a front-end's table
-// stays within 48 KB.
+// TestPlanTableSize: a plan, its register slot words included, stays
+// within 48 bytes, so a front-end's table stays within 48 KB.
 func TestPlanTableSize(t *testing.T) {
 	if size := unsafe.Sizeof(planTable{}); size > planSlots*48 {
 		t.Fatalf("a plan table takes %d bytes, %d per plan", size, size/planSlots)

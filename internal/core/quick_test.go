@@ -20,7 +20,7 @@ func TestQuickWordRange(t *testing.T) {
 		sizes := []uint8{1, 2, 4, 8}
 		size := sizes[int(sizeSel)%len(sizes)]
 		if addr > 0xffffff00 {
-			addr = 0xffffff00 // avoid wrap, as real accesses do
+			addr = 0xffffff00 // validation rejects an access that wraps
 		}
 		lo, hi := wordRange(addr, size)
 		if lo > hi {

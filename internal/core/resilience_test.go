@@ -97,6 +97,10 @@ func TestValidateEventRejections(t *testing.T) {
 			trace.Event{PC: 0x400000, Ins: isa.Instruction{Op: isa.SW, Rt: isa.T0, Rs: isa.GP},
 				MemAddr: 0x7fff0000, MemSize: 4, Seg: trace.SegData},
 			"inconsistent with address"},
+		{"access wrapping past 2^32", // lw $t0, -2($zero)
+			trace.Event{PC: 0x400000, Ins: isa.Instruction{Op: isa.LW, Rt: isa.T0, Imm: -2},
+				MemAddr: 0xfffffffe, MemSize: 4, Seg: trace.SegStack},
+			"wraps past the end of the address space"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -10,6 +10,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // DefaultMaxBuckets is the profile resolution used when none is specified.
@@ -21,8 +22,11 @@ const DefaultMaxBuckets = 1 << 16
 // bucket width doubles (existing counts are folded pairwise), so memory is
 // bounded by maxBuckets regardless of critical-path length.
 type LevelHistogram struct {
-	counts     []uint64
-	width      int64 // levels per bucket, a power of two
+	counts []uint64
+	width  int64 // levels per bucket, a power of two
+	// shift is log2(width): a level's bucket is level>>shift, which spares
+	// every Add the two int64 divisions level/width would cost.
+	shift      uint
 	maxBuckets int
 	total      uint64
 	maxLevel   int64
@@ -48,10 +52,10 @@ func (h *LevelHistogram) Add(level int64, n uint64) {
 	if level < 0 {
 		panic(fmt.Sprintf("stats: negative DDG level %d", level))
 	}
-	for level/h.width >= int64(h.maxBuckets) {
+	for level>>h.shift >= int64(h.maxBuckets) {
 		h.rescale()
 	}
-	idx := level / h.width
+	idx := level >> h.shift
 	if int(idx) >= len(h.counts) {
 		h.counts = append(h.counts, make([]uint64, int(idx)+1-len(h.counts))...)
 	}
@@ -76,6 +80,7 @@ func (h *LevelHistogram) rescale() {
 	}
 	h.counts = h.counts[:half]
 	h.width *= 2
+	h.shift++
 }
 
 // Total returns the number of operations recorded.
@@ -172,12 +177,14 @@ func (s *LevelHistogramState) Validate() error {
 	return nil
 }
 
-// LevelHistogramFromState rebuilds a histogram from a snapshot.
+// LevelHistogramFromState rebuilds a histogram from a snapshot that passes
+// Validate, so its width is a power of two and the shift exact.
 func LevelHistogramFromState(s LevelHistogramState) *LevelHistogram {
 	h := NewLevelHistogram(s.MaxBuckets)
 	h.counts = append([]uint64(nil), s.Counts...)
 	if s.Width > 0 {
 		h.width = s.Width
+		h.shift = uint(bits.TrailingZeros64(uint64(s.Width)))
 	}
 	h.total = s.Total
 	h.maxLevel = s.MaxLevel

@@ -3,6 +3,7 @@ package stats
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -191,6 +192,109 @@ func TestQuickLogDistMergeStateRoundTrip(t *testing.T) {
 		return reflect.DeepEqual(distState(back), distState(m)) && back.Mean() == m.Mean()
 	}
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(73))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// divHist is LevelHistogram's bucketing written with divisions, as it was
+// before buckets were indexed by a shift: the reference
+// TestQuickLevelHistogramShift holds the shift to.
+type divHist struct {
+	counts     []uint64
+	width      int64
+	maxBuckets int
+	total      uint64
+	maxLevel   int64
+	haveLevel  bool
+}
+
+func (h *divHist) add(level int64, n uint64) {
+	for level/h.width >= int64(h.maxBuckets) {
+		h.rescale()
+	}
+	idx := level / h.width
+	if int(idx) >= len(h.counts) {
+		h.counts = append(h.counts, make([]uint64, int(idx)+1-len(h.counts))...)
+	}
+	h.counts[idx] += n
+	h.total += n
+	if !h.haveLevel || level > h.maxLevel {
+		h.maxLevel, h.haveLevel = level, true
+	}
+}
+
+func (h *divHist) rescale() {
+	half := (len(h.counts) + 1) / 2
+	for i := 0; i < half; i++ {
+		v := h.counts[2*i]
+		if 2*i+1 < len(h.counts) {
+			v += h.counts[2*i+1]
+		}
+		h.counts[i] = v
+	}
+	h.counts = h.counts[:half]
+	h.width *= 2
+}
+
+func (h *divHist) merge(o *divHist) {
+	for h.width < o.width {
+		h.rescale()
+	}
+	for i, c := range o.counts {
+		if c != 0 {
+			h.add(int64(i)*o.width, c)
+		}
+	}
+	if o.haveLevel && (!h.haveLevel || o.maxLevel > h.maxLevel) {
+		h.maxLevel, h.haveLevel = o.maxLevel, true
+	}
+}
+
+func (h *divHist) state() LevelHistogramState {
+	return LevelHistogramState{Counts: append([]uint64(nil), h.counts...), Width: h.width,
+		MaxBuckets: h.maxBuckets, Total: h.total, MaxLevel: h.maxLevel, HaveLevel: h.haveLevel}
+}
+
+// TestQuickLevelHistogramShift: a histogram indexed by a shift holds the
+// state of one indexed by division after every Add, through every
+// rescale, after a Merge either way round, and after a state round trip
+// followed by more adds — so the shift stays log2 of the width wherever a
+// width comes from.
+func TestQuickLevelHistogramShift(t *testing.T) {
+	f := func(seed int64, capSel uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		maxBuckets := 2 + int(capSel)%64
+		feed := func(h *LevelHistogram, ref *divHist) bool {
+			for n := rng.Intn(48); n > 0; n-- {
+				level := rng.Int63n(1 << uint(1+rng.Intn(24)))
+				c := uint64(1 + rng.Intn(3))
+				h.Add(level, c)
+				ref.add(level, c)
+				if !reflect.DeepEqual(h.State(), ref.state()) {
+					return false
+				}
+			}
+			return true
+		}
+		a, b := NewLevelHistogram(maxBuckets), NewLevelHistogram(maxBuckets)
+		ra := &divHist{width: 1, maxBuckets: bucketCap(maxBuckets)}
+		rb := &divHist{width: 1, maxBuckets: bucketCap(maxBuckets)}
+		if !feed(a, ra) || !feed(b, rb) {
+			return false
+		}
+		ab, ba := mergeHist(a, b), mergeHist(b, a)
+		rab, rba := *ra, *rb
+		rab.counts, rba.counts = slices.Clone(ra.counts), slices.Clone(rb.counts)
+		rab.merge(rb)
+		rba.merge(ra)
+		if !reflect.DeepEqual(ab.State(), rab.state()) || !reflect.DeepEqual(ba.State(), rba.state()) {
+			return false
+		}
+		back := LevelHistogramFromState(ab.State())
+		return feed(back, &rab)
+	}
+	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(61))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -83,8 +83,12 @@ type SinkFunc func(e *Event) error
 func (f SinkFunc) Event(e *Event) error { return f(e) }
 
 // Tee returns a Sink that forwards each event to every sink in order,
-// stopping at the first error.
+// stopping at the first error. A single sink is returned as it is, so a
+// one-sink tee costs no call per event.
 func Tee(sinks ...Sink) Sink {
+	if len(sinks) == 1 {
+		return sinks[0]
+	}
 	return SinkFunc(func(e *Event) error {
 		for _, s := range sinks {
 			if err := s.Event(e); err != nil {

@@ -137,6 +137,15 @@ func TestTeeAndCounter(t *testing.T) {
 	}
 }
 
+// TestTeeSingleSink: a tee of one sink is that sink, so it costs no
+// forwarding call per event.
+func TestTeeSingleSink(t *testing.T) {
+	var c Counter
+	if sink := Tee(&c); sink != Sink(&c) {
+		t.Fatalf("Tee of one sink returned %T, want the sink itself", sink)
+	}
+}
+
 // failAfter is a Sink that errors on the (after+1)-th event.
 type failAfter struct {
 	after int
